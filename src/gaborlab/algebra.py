@@ -7,7 +7,6 @@ basis. Ultraweak closure questions degenerate to exact span equalities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -481,26 +480,12 @@ def twisted_group_algebra(
     group = lat.group
     m = lat.size
     k = len(group.orders)
-    # integer phase bookkeeping: all phases are L-th roots of unity
-    lcm = 1
-    for n in group.orders:
-        lcm = lcm * n // math.gcd(lcm, n)
-    coords = np.array([z.x + z.w for z in lat.elements], dtype=np.int64)
-    xs, ws = coords[:, :k], coords[:, k:]
-    wt = np.array([lcm // n for n in group.orders], dtype=np.int64)
-    pairing = ((xs * wt) @ ws.T) % lcm          # pairing[a, b] = <w_b, x_a> in units of 1/L
-    table = np.exp(-2j * np.pi * np.arange(lcm) / lcm)
-    phases = table[pairing] if flavor == "plain" else table[pairing.T]
-    # index table for sums of lattice elements
-    moduli = np.array(group.orders * 2, dtype=np.int64)
-    radix = np.ones(2 * k, dtype=np.int64)
-    for j in range(2 * k - 2, -1, -1):
-        radix[j] = radix[j + 1] * moduli[j + 1]
-    codes = coords @ radix
-    lookup = np.full(int(np.prod(moduli)), -1, dtype=np.int64)
-    lookup[codes] = np.arange(m)
-    sum_codes = ((coords[:, None, :] + coords[None, :, :]) % moduli) @ radix
-    sum_idx = lookup[sum_codes]
+    coords = np.array(lat.elements, dtype=np.int64).reshape(m, 2 * k)
+    pairing = group.pairing(coords[:, :k], coords[:, k:])  # [a, b] = w_b(x_a) in units of 1/L
+    phases = np.exp(-2j * np.pi * (pairing if flavor == "plain" else pairing.T) / group.lcm)
+    # lattice elements are in canonical order, so their codes are sorted
+    codes = group.code(coords)
+    sum_idx = np.searchsorted(codes, group.code(coords[:, None, :] + coords[None, :, :]))
     mats = np.zeros((m, m, m), dtype=complex)
     mats[np.arange(m)[:, None], sum_idx, np.arange(m)[None, :]] = phases
     basis = mats / np.sqrt(m)

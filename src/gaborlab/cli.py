@@ -60,14 +60,14 @@ def _group(args) -> FiniteAbelianGroup:
 
 def _load_lattice(arg: str, group: FiniteAbelianGroup):
     data = _load_json_arg(arg, "lattice")
-    if "orders" in data and tuple(int(o) for o in data["orders"]) != group.orders:
+    if "orders" in data and FiniteAbelianGroup(data["orders"]) != group:
         raise UsageError("lattice orders disagree with --orders")
     return lattice_from_dict(data, group)
 
 
 def _load_window(arg: str, group: FiniteAbelianGroup):
     data = _load_json_arg(arg, "window")
-    if "orders" in data and tuple(int(o) for o in data["orders"]) != group.orders:
+    if "orders" in data and FiniteAbelianGroup(data["orders"]) != group:
         raise UsageError("window orders disagree with --orders")
     return window_from_dict(data, group)
 

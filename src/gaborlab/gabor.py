@@ -70,11 +70,10 @@ def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:
     """The unitary (shift by x, then modulate by w): (Mf)(t) = w(t) f(t - x)."""
     z = phase_point(group, z[0], z[1])
     n = group.size
-    elems = group.elements()
+    ts = np.array(group.elements(), dtype=np.int64).reshape(n, -1)
     mat = np.zeros((n, n), dtype=complex)
-    for t_idx, t in enumerate(elems):
-        src = group.index(group.add(t, group.neg(z.x)))
-        mat[t_idx, src] = character_value(group, z.w, t)
+    phase = group.pairing(ts, z.w)[:, 0]
+    mat[np.arange(n), group.code(ts - z.x)] = np.exp(2j * np.pi * (phase / group.lcm))
     return mat
 
 
@@ -130,7 +129,7 @@ def window_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Win
     if group is None:
         if "orders" not in data:
             raise InvalidElementError("window JSON needs 'orders' when no group is given")
-        group = FiniteAbelianGroup(tuple(data["orders"]))
+        group = FiniteAbelianGroup(data["orders"])
     vals = []
     for entry in data["values"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -4,6 +4,10 @@ The ambient group is G = Z_{N1} x ... x Z_{Nk} with elements stored as tuples
 of residues. The dual group is identified with G itself through exponential
 characters, so a phase-space point is a pair (x, w) of residue tuples and the
 phase space is G x G.
+
+All phase arithmetic lives in FiniteAbelianGroup: `pairing` gives w(x) as an
+exact integer phase mod L = lcm(N_j), and `code` maps residue rows to their
+canonical (mixed-radix) position in `elements()` or `phase_space()`.
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class InvalidElementError(ValueError):
@@ -23,6 +30,14 @@ class InvalidElementError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
+
+
+def _integers(values) -> tuple[int, ...]:
+    """values as ints; a float or a string raises instead of being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidElementError(f"{values!r} is not a sequence of integers") from None
 
 
 class PhasePoint(NamedTuple):
@@ -39,7 +54,7 @@ class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+        orders = _integers(self.orders)
         if not orders or any(n < 1 for n in orders):
             raise InvalidElementError(f"orders must be integers >= 1, got {self.orders!r}")
         object.__setattr__(self, "orders", orders)
@@ -52,48 +67,51 @@ class FiniteAbelianGroup:
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
 
+    @property
+    def lcm(self) -> int:
+        """L = lcm(N_j): every character value is an L-th root of unity."""
+        return math.lcm(*self.orders)
+
     def check(self, elem: Iterable[int]) -> tuple[int, ...]:
-        elem = tuple(int(c) for c in elem)
+        elem = _integers(elem)
         if len(elem) != len(self.orders) or any(
             not 0 <= c < n for c, n in zip(elem, self.orders)
         ):
             raise InvalidElementError(f"{elem!r} is not an element of Z{self.orders}")
         return elem
 
-    def reduce(self, elem: Iterable[int]) -> tuple[int, ...]:
-        elem = tuple(int(c) for c in elem)
-        if len(elem) != len(self.orders):
-            raise InvalidElementError(f"{elem!r} has wrong arity for Z{self.orders}")
-        return tuple(c % n for c, n in zip(elem, self.orders))
-
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((p + q) % n for p, q, n in zip(a, b, self.orders))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-p) % n for p, n in zip(a, self.orders))
 
     def elements(self) -> list[tuple[int, ...]]:
         """All elements in canonical (lexicographic) order."""
         return [tuple(t) for t in itertools.product(*(range(n) for n in self.orders))]
 
-    def index(self, elem: tuple[int, ...]) -> int:
-        """Position of elem in the canonical order (mixed-radix value)."""
-        idx = 0
-        for c, n in zip(self.check(elem), self.orders):
-            idx = idx * n + c
-        return idx
+    def pairing(self, xs, ws) -> np.ndarray:
+        """w_b(x_a) for residue rows xs and ws, as the exact integer phase
+        [a, b] = sum_j x_aj w_bj L / N_j mod L, in units of 1/L."""
+        k = len(self.orders)
+        # each term x * w * L / N_j is below N_j * L; past int64, Python ints keep it exact
+        dtype = np.int64 if k * max(self.orders) * self.lcm < 2**63 else object
+        xs = np.asarray(xs, dtype=dtype).reshape(-1, k)
+        ws = np.asarray(ws, dtype=dtype).reshape(-1, k)
+        weights = np.array([self.lcm // n for n in self.orders], dtype=dtype)
+        out = xs @ (ws * weights).T
+        out %= self.lcm
+        return out
+
+    def code(self, rows) -> np.ndarray:
+        """Canonical positions of residue rows, reduced mod the orders: a row x
+        indexes elements(), a row (x, w) indexes phase_space()."""
+        rows = np.asarray(rows, dtype=np.int64)
+        dims = self.orders * (rows.shape[-1] // len(self.orders))
+        return np.ravel_multi_index(tuple(np.moveaxis(rows, -1, 0)), dims, mode="wrap")
 
 
 def character_value(group: FiniteAbelianGroup, w: Iterable[int], x: Iterable[int]) -> complex:
     """The character indexed by w evaluated at x: exp(2 pi i sum_j w_j x_j / N_j)."""
-    w = group.check(w)
-    x = group.check(x)
-    # exact reduction mod 1 keeps the angle small before exponentiating
-    t = Fraction(0)
-    for wj, xj, nj in zip(w, x, group.orders):
-        t += Fraction(wj * xj, nj)
-    t -= math.floor(t)
-    return cmath.exp(2j * math.pi * float(t))
+    phase = int(group.pairing(group.check(x), group.check(w))[0, 0])
+    return cmath.exp(2j * math.pi * (phase / group.lcm))
 
 
 def phase_point(group: FiniteAbelianGroup, x: Iterable[int], w: Iterable[int]) -> PhasePoint:
@@ -108,19 +126,6 @@ def phase_space(group: FiniteAbelianGroup) -> list[PhasePoint]:
 
 def pp_add(group: FiniteAbelianGroup, z1: PhasePoint, z2: PhasePoint) -> PhasePoint:
     return PhasePoint(group.add(z1.x, z2.x), group.add(z1.w, z2.w))
-
-
-def pp_neg(group: FiniteAbelianGroup, z: PhasePoint) -> PhasePoint:
-    return PhasePoint(group.neg(z.x), group.neg(z.w))
-
-
-def commutation_pairing_trivial(group: FiniteAbelianGroup, z1: PhasePoint, z2: PhasePoint) -> bool:
-    """Exact test for w2(x1) == w1(x2), i.e. the shifts at z1 and z2 commute."""
-    lcm = math.lcm(*group.orders)
-    acc = 0
-    for x1j, w1j, x2j, w2j, nj in zip(z1.x, z1.w, z2.x, z2.w, group.orders):
-        acc += (w2j * x1j - w1j * x2j) * (lcm // nj)
-    return acc % lcm == 0
 
 
 def _closure(group: FiniteAbelianGroup, base: set[PhasePoint], new: Iterable[PhasePoint]) -> set[PhasePoint]:
@@ -216,13 +221,19 @@ def lattice_from_generators(group: FiniteAbelianGroup, gens: Iterable[PhasePoint
 def adjoint_lattice(lat: Lattice) -> Lattice:
     """All phase-space points whose shifts commute with every shift from lat.
 
-    The pairing test is exact integer arithmetic; commuting with the
-    generators is enough because the pairing is biadditive.
+    The shifts at (x1, w1) and (x2, w2) commute iff the symplectic phase
+    w2(x1) - w1(x2) is 0 mod L; that is the pairing of (x1, w1) with
+    (w2, -x2) over G x G. One exact integer mask over the phase space tests
+    it; the generators are enough because the pairing is biadditive.
     """
     group = lat.group
-    gens = lat.generators
-    pts = [z for z in phase_space(group) if all(commutation_pairing_trivial(group, z, w) for w in gens)]
-    return Lattice(group, tuple(sorted(pts)), find_generators(group, pts))
+    k = len(group.orders)
+    zs = np.indices(group.orders * 2).reshape(2 * k, -1).T  # phase space, canonical order
+    gens = np.array(lat.generators, dtype=np.int64).reshape(-1, 2 * k)
+    turned = np.hstack([gens[:, k:], -gens[:, :k]])
+    keep = np.all(FiniteAbelianGroup(group.orders * 2).pairing(zs, turned) == 0, axis=1)
+    pts = [PhasePoint(tuple(z[:k]), tuple(z[k:])) for z in zs[keep].tolist()]
+    return Lattice(group, tuple(pts), find_generators(group, pts))
 
 
 def covolume(lat: Lattice) -> Fraction:
@@ -269,7 +280,7 @@ def group_to_dict(group: FiniteAbelianGroup) -> dict:
 def group_from_dict(data: dict) -> FiniteAbelianGroup:
     if not isinstance(data, dict) or "orders" not in data:
         raise InvalidElementError("group JSON must be an object with an 'orders' list")
-    return FiniteAbelianGroup(tuple(data["orders"]))
+    return FiniteAbelianGroup(data["orders"])
 
 
 def lattice_to_dict(lat: Lattice) -> dict:

@@ -1,3 +1,7 @@
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,7 @@ from gaborlab.algebra import (
     span_equal,
     twisted_group_algebra,
 )
-from gaborlab.gabor import cocycle, tf_shift
+from gaborlab.gabor import tf_shift
 from gaborlab.groups import (
     FiniteAbelianGroup,
     adjoint_lattice,
@@ -30,6 +34,7 @@ from gaborlab.groups import (
 )
 
 Z4 = FiniteAbelianGroup((4,))
+Z24 = FiniteAbelianGroup((2, 4))
 
 
 def square_lattice():
@@ -463,23 +468,34 @@ def test_twisted_square_lattice_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(alg.ambient_dim), atol=1e-12)
 
 
+def fraction_cocycle(group, z, zp):
+    # conj(w'(x)) straight from the definition, with exact Fraction phases,
+    # so that it shares no code with the integer pairing in groups
+    t = sum(Fraction(wj * xj, nj) for wj, xj, nj in zip(zp.w, z.x, group.orders))
+    return cmath.exp(-2j * math.pi * float(t - math.floor(t)))
+
+
 @pytest.mark.parametrize("flavor", ["plain", "opposite"])
 def test_twisted_cocycle_identity(flavor):
-    lat = square_lattice()
-    alg, _ = twisted_group_algebra(lat, flavor=flavor)
-    group = lat.group
-    for i, z in enumerate(lat.elements):
-        for j, zp in enumerate(lat.elements):
-            if flavor == "plain":
-                phase = cocycle(group, z, zp)
-            else:
-                phase = cocycle(group, zp, z)
-            k = lat.index(
-                phase_point(group, group.add(z.x, zp.x), group.add(z.w, zp.w))
-            )
-            got = lam(alg, i) @ lam(alg, j)
-            want = phase * lam(alg, k)
-            assert np.linalg.norm(got - want) <= 1e-12
+    # Z2 x Z4 has L = 4 != 2, so the two coordinates carry different weights
+    mixed = lattice_from_generators(
+        Z24, [phase_point(Z24, (1, 0), (0, 1)), phase_point(Z24, (0, 1), (1, 0))]
+    )
+    for lat in (square_lattice(), mixed):
+        alg, _ = twisted_group_algebra(lat, flavor=flavor)
+        group = lat.group
+        for i, z in enumerate(lat.elements):
+            for j, zp in enumerate(lat.elements):
+                if flavor == "plain":
+                    phase = fraction_cocycle(group, z, zp)
+                else:
+                    phase = fraction_cocycle(group, zp, z)
+                k = lat.index(
+                    phase_point(group, group.add(z.x, zp.x), group.add(z.w, zp.w))
+                )
+                got = lam(alg, i) @ lam(alg, j)
+                want = phase * lam(alg, k)
+                assert np.linalg.norm(got - want) <= 1e-12
 
 
 def test_twisted_canonical_trace():

@@ -36,6 +36,16 @@ def test_malformed_lattice_json(capsys):
     assert "could not parse lattice JSON" in err
     # the parser error carries a position
     assert "char" in err
+    # well-formed JSON whose residues are not integers is bad input too
+    for bad in (
+        '{"generators": [[[1.5], [0]]]}',
+        '{"orders": [4.9], "generators": [[["2"], [0]]]}',
+        '{"generators": [[1, 2]]}',
+    ):
+        code, report, err = run_cli(capsys, "adjoint", "--orders", "4", "--lattice", bad)
+        assert code == 2
+        assert report is None
+        assert "not a sequence of integers" in err
 
 
 def test_unknown_subcommand(capsys):
@@ -53,6 +63,12 @@ def test_orders_mismatch_rejected(capsys):
     code, report, err = run_cli(capsys, "adjoint", "--orders", "4", "--lattice", bad)
     assert code == 2
     assert "disagree" in err
+    # a fractional order is rejected, not truncated to a match
+    for bad in ('{"orders": [4.9], "generators": []}', '{"orders": [4.0], "generators": []}'):
+        code, report, err = run_cli(capsys, "adjoint", "--orders", "4", "--lattice", bad)
+        assert code == 2
+        assert report is None
+        assert "not a sequence of integers" in err
 
 
 def test_lattices_enumeration(capsys):

@@ -1,4 +1,8 @@
+import cmath
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +57,31 @@ def test_tf_shift_unitary():
     for z in phase_space(Z4):
         u = tf_shift(Z4, z)
         assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
+
+
+def fraction_character(group, w, x):
+    # exp(2 pi i sum_j w_j x_j / N_j) with the angle reduced mod 1 exactly
+    t = sum(Fraction(wj * xj, nj) for wj, xj, nj in zip(w, x, group.orders))
+    return cmath.exp(2j * math.pi * float(t - math.floor(t)))
+
+
+def shift_by_definition(group, z):
+    # (M f)(t) = w(t) f(t - x), entry by entry; shares no code with groups.pairing
+    elems = list(itertools.product(*(range(n) for n in group.orders)))
+    pos = {t: i for i, t in enumerate(elems)}
+    mat = np.zeros((len(elems), len(elems)), dtype=complex)
+    for i, t in enumerate(elems):
+        src = tuple((tj - xj) % nj for tj, xj, nj in zip(t, z.x, group.orders))
+        mat[i, pos[src]] = fraction_character(group, z.w, t)
+    return mat
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (2, 4)], ids=["2x3", "2x4"])
+def test_tf_shift_matches_definition(orders):
+    # in Z2 x Z4 the phase unit 1/lcm differs from 1/N_1
+    group = FiniteAbelianGroup(orders)
+    for z in phase_space(group):
+        assert np.max(np.abs(tf_shift(group, z) - shift_by_definition(group, z))) <= 1e-12
 
 
 def test_cocycle_trivial_frequency():

@@ -13,7 +13,6 @@ from gaborlab.groups import (
     ResourceLimitError,
     adjoint_lattice,
     character_value,
-    commutation_pairing_trivial,
     covolume,
     enumerate_subgroups,
     find_generators,
@@ -44,6 +43,10 @@ def test_character_values():
     assert character_value(Z4, (1,), (2,)) == pytest.approx(-1)
     want = np.exp(2j * np.pi * 7 / 6)
     assert character_value(Z23, (1, 1), (1, 2)) == pytest.approx(want)
+    # w * x overflows int64 here; the phase must still be exact
+    n = 10**12 + 39
+    want = np.exp(2j * np.pi * ((n - 2) * (n - 3) % n / n))
+    assert character_value(FiniteAbelianGroup((n,)), (n - 3,), (n - 2,)) == pytest.approx(want)
 
 
 def test_character_multiplicative():
@@ -79,6 +82,16 @@ def test_lattice_full():
     assert lat.size == 16
 
 
+def commutation_pairing_trivial(group, z1, z2):
+    # exact test for w2(x1) == w1(x2), with its own lcm bookkeeping so that
+    # it shares no code with FiniteAbelianGroup.pairing
+    lcm = math.lcm(*group.orders)
+    acc = 0
+    for x1j, w1j, x2j, w2j, nj in zip(z1.x, z1.w, z2.x, z2.w, group.orders):
+        acc += (w2j * x1j - w1j * x2j) * (lcm // nj)
+    return acc % lcm == 0
+
+
 def brute_force_adjoint(lat):
     # direct transcription of the definition: z is adjoint iff the
     # commutation phase with every lattice point is trivial
@@ -103,6 +116,14 @@ def test_adjoint_against_brute_force(gens, expect_size):
     adj = adjoint_lattice(lat)
     assert adj.element_set == brute_force_adjoint(lat)
     assert adj.size == expect_size
+
+
+@pytest.mark.parametrize(
+    "orders", [(n,) for n in range(2, 7)] + [(2, 2), (2, 3)], ids=lambda o: "x".join(map(str, o))
+)
+def test_adjoint_against_brute_force_every_lattice(orders):
+    for lat in enumerate_subgroups(FiniteAbelianGroup(orders)):
+        assert adjoint_lattice(lat).element_set == brute_force_adjoint(lat)
 
 
 def test_adjoint_worked_values():
@@ -178,6 +199,17 @@ def test_lattice_json_rejects_garbage():
         lattice_from_dict({"generators": [[1, 2, 3]]}, Z4)
     with pytest.raises(InvalidElementError):
         lattice_from_dict({"nope": []})
+    # residues and orders that are not integers are rejected, never truncated
+    for data in (
+        {"generators": [[[1.5], [0]]]},
+        {"generators": [[["2"], [0]]]},
+        {"generators": [[1, 2]]},
+    ):
+        with pytest.raises(InvalidElementError):
+            lattice_from_dict(data, Z4)
+    for orders in ([4.9], ["4"], 4):
+        with pytest.raises(InvalidElementError):
+            lattice_from_dict({"orders": orders, "generators": []})
 
 
 # -- brute-force closure oracle ------------------------------------------
