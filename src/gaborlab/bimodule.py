@@ -23,10 +23,12 @@ from .algebra import (
     gns,
     span_equal,
 )
+from .reporting import campaign_rng
 from .vnmod import (
     CenterElement,
     LeftModule,
     RightModule,
+    blockwise_deviation,
     blockwise_product,
     bounded_operator,
     cdim,
@@ -160,11 +162,6 @@ class BoundedVectorReport:
         return data
 
 
-def trial_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one trial: the master seed plus an index path."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
 def gaussian_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
@@ -210,7 +207,7 @@ def verify_left_right_bounded(
     constant = bm.cdim_product().sup_norm()
     reports = []
     for t in range(trials):
-        f = gaussian_vector(trial_rng(seed, t), bm.space_dim)
+        f = gaussian_vector(campaign_rng(seed, t), bm.space_dim)
         ln = operator_norm(left_bounded_operator(f, bm))
         rn = operator_norm(right_bounded_operator(f, bm))
         slack = max(rn - constant * ln, ln - constant * rn)
@@ -242,20 +239,7 @@ def cdim_product_identity_deviation(bm: Bimodule) -> float:
     sp = gns(big, big_trace)
     images = np.stack([sp.left(bm.left.act(b)) for b in bm.left.algebra.basis])
     moved = LeftModule(bm.left.algebra, bm.left.trace, images, check=False)
-    target = cdim(moved)
-    worst = 0.0
-    for i, p in enumerate(product.projections):
-        hits = [
-            j
-            for j, q in enumerate(target.projections)
-            if np.linalg.norm(p - q) <= 1e-6 * max(1.0, float(np.linalg.norm(p)))
-        ]
-        if len(hits) != 1:
-            raise ValueError("could not match central blocks across modules")
-        worst = max(
-            worst, abs(float(product.coefficients[i]) - float(target.coefficients[hits[0]]))
-        )
-    return worst
+    return blockwise_deviation(product, cdim(moved))
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -280,7 +264,7 @@ def random_instance(
     """
     if space_cap > MAX_SPACE_DIM:
         raise ValueError(f"space cap {space_cap} exceeds the supported {MAX_SPACE_DIM}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB10C,)))
+    rng = campaign_rng(seed, 0xB10C)
     if blocks is None:
         blocks = []
         used = 0

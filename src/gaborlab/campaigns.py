@@ -89,9 +89,9 @@ def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-9) -> list[Ch
     """Dimensions match covolumes on every lattice, plus trace alignment (A3)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
-        gbm = gabor_bimodule(lat)
-        checks.extend(verify_cdim_covolume(lat, tol, prefix=f"n{n}/lat{li:02d}/", gbm=gbm))
-        checks.append(verify_gabor_alignment(lat, prefix=f"n{n}/lat{li:02d}/", gbm=gbm))
+        bm = gabor_bimodule(lat)
+        checks.extend(verify_cdim_covolume(lat, tol, prefix=f"n{n}/lat{li:02d}/", bm=bm))
+        checks.append(verify_gabor_alignment(lat, prefix=f"n{n}/lat{li:02d}/", bm=bm))
     return checks
 
 
@@ -103,12 +103,12 @@ def bounded_vector_sweep(
     for n in orders:
         group = FiniteAbelianGroup((n,))
         for li, lat in enumerate(enumerate_subgroups(group)):
-            gbm = gabor_bimodule(lat)
+            bm = gabor_bimodule(lat)
             for t in range(trials):
                 g = _gaussian_window(group, campaign_rng(seed, "bounded", n, li, t))
                 checks.extend(
                     verify_bessel_duality(
-                        g, lat, tol, prefix=f"n{n}/lat{li:02d}/win{t:02d}/", gbm=gbm
+                        g, lat, tol, prefix=f"n{n}/lat{li:02d}/win{t:02d}/", bm=bm
                     )
                 )
     return checks
@@ -147,9 +147,9 @@ def norm_inequality_sweep(
     for n in gabor_orders:
         group = FiniteAbelianGroup((n,))
         for li, lat in enumerate(enumerate_subgroups(group)):
-            gbm = gabor_bimodule(lat)
+            bm = gabor_bimodule(lat)
             reports = verify_left_right_bounded(
-                gbm.bimodule, trials=20, seed=_child_seed(seed, "gabor", n * 100 + li), tol=tol
+                bm, trials=20, seed=_child_seed(seed, "gabor", n * 100 + li), tol=tol
             )
             worst_eq = max(
                 (r.equality_deviation / max(1.0, r.left_norm) for r in reports), default=0.0
@@ -288,8 +288,8 @@ def cross_oracle_sweep(seed: int = 0, tol: float = 1e-9, max_order: int = 4) -> 
     """Projection-path dimension against the block-formula oracle (A8)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
-        gbm = gabor_bimodule(lat)
-        for side, mod in (("left", gbm.bimodule.left), ("right", gbm.bimodule.right)):
+        bm = gabor_bimodule(lat)
+        for side, mod in (("left", bm.left), ("right", bm.right)):
             dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
             checks.append(make_bound_check(f"gabor-n{n}/lat{li:02d}/{side}", dev, 0.0, tol))
     for label, big, sub in _construction_instances():
@@ -352,18 +352,18 @@ def duality_report(
     )
     for li, lat in enumerate(lats):
         prefix = f"lat{li:02d}/"
-        gbm = gabor_bimodule(lat)
+        bm = gabor_bimodule(lat)
         report.extend(verify_commutant(lat, 1e-10 if tol is None else tol, prefix=prefix))
         report.extend(
-            verify_cdim_covolume(lat, 1e-9 if tol is None else tol, prefix=prefix, gbm=gbm)
+            verify_cdim_covolume(lat, 1e-9 if tol is None else tol, prefix=prefix, bm=bm)
         )
         report.extend(
-            [verify_gabor_alignment(lat, 1e-9 if tol is None else tol, prefix=prefix, gbm=gbm)]
+            [verify_gabor_alignment(lat, 1e-9 if tol is None else tol, prefix=prefix, bm=bm)]
         )
         for t in range(trials):
             g = _gaussian_window(group, campaign_rng(seed, "duality", li, t))
             report.extend(
-                verify_bessel_duality(g, lat, btol, prefix=f"{prefix}win{t:02d}/", gbm=gbm)
+                verify_bessel_duality(g, lat, btol, prefix=f"{prefix}win{t:02d}/", bm=bm)
             )
     return report
 

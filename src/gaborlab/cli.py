@@ -23,7 +23,6 @@ from .duality import gabor_bimodule, verify_bessel_duality
 from .gabor import bessel_bound_opt, window_from_dict
 from .groups import (
     FiniteAbelianGroup,
-    adjoint_lattice,
     covolume,
     enumerate_subgroups,
     lattice_from_dict,
@@ -73,12 +72,11 @@ def _load_window(arg: str, group: FiniteAbelianGroup):
 
 
 def _lattice_entry(lat) -> dict:
-    adj = adjoint_lattice(lat)
     return {
         "generators": lattice_to_dict(lat)["generators"],
         "size": lat.size,
         "covolume": str(covolume(lat)),
-        "adjoint_size": adj.size,
+        "adjoint_size": lat.adjoint.size,
     }
 
 
@@ -108,8 +106,8 @@ def _cmd_lattices(args) -> Report:
 def _cmd_adjoint(args) -> Report:
     group = _group(args)
     lat = _load_lattice(args.lattice, group)
-    adj = adjoint_lattice(lat)
-    double = adjoint_lattice(adj)
+    adj = lat.adjoint
+    double = adj.adjoint
     report = Report(
         command="adjoint",
         parameters={"orders": list(group.orders), "lattice": lattice_to_dict(lat)},
@@ -136,7 +134,6 @@ def _cmd_bessel(args) -> Report:
     lat = _load_lattice(args.lattice, group)
     g = _load_window(args.window, group)
     tol = 1e-8 if args.tol is None else args.tol
-    gbm = gabor_bimodule(lat)
     report = Report(
         command="bessel",
         parameters={
@@ -146,10 +143,10 @@ def _cmd_bessel(args) -> Report:
         },
         seed=args.seed,
     )
-    report.extend(verify_bessel_duality(g, lat, tol, gbm=gbm))
+    report.extend(verify_bessel_duality(g, lat, tol, bm=gabor_bimodule(lat)))
     report.data["bessel_bound"] = bessel_bound_opt(g, lat)
-    report.data["adjoint_bessel_bound"] = bessel_bound_opt(g, gbm.adjoint)
-    report.data["covolume"] = str(gbm.covol)
+    report.data["adjoint_bessel_bound"] = bessel_bound_opt(g, lat.adjoint)
+    report.data["covolume"] = str(covolume(lat))
     return report
 
 

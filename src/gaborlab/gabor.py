@@ -134,5 +134,10 @@ def window_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Win
     for entry in data["values"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidElementError(f"window value {entry!r} is not a [re, im] pair")
-        vals.append(complex(float(entry[0]), float(entry[1])))
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry):
+            raise InvalidElementError(f"window value {entry!r} is not a pair of numbers")
+        try:
+            vals.append(complex(float(entry[0]), float(entry[1])))
+        except OverflowError:
+            raise InvalidElementError(f"window value {entry!r} overflows a float") from None
     return Window(group, np.array(vals, dtype=complex))

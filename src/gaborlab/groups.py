@@ -8,6 +8,10 @@ phase space is G x G.
 All phase arithmetic lives in FiniteAbelianGroup: `pairing` gives w(x) as an
 exact integer phase mod L = lcm(N_j), and `code` maps residue rows to their
 canonical (mixed-radix) position in `elements()` or `phase_space()`.
+
+A Lattice is defined by its generators: its element set is their span,
+closed once at construction. Its adjoint lattice is cached on it, so each
+lattice object computes its adjoint at most once.
 """
 
 from __future__ import annotations
@@ -128,8 +132,11 @@ def pp_add(group: FiniteAbelianGroup, z1: PhasePoint, z2: PhasePoint) -> PhasePo
     return PhasePoint(group.add(z1.x, z2.x), group.add(z1.w, z2.w))
 
 
-def _closure(group: FiniteAbelianGroup, base: set[PhasePoint], new: Iterable[PhasePoint]) -> set[PhasePoint]:
-    """Subgroup generated by base and the new points, grown one coset at a time.
+def _closure(
+    group: FiniteAbelianGroup, base: set[PhasePoint], new: Iterable[PhasePoint]
+) -> tuple[set[PhasePoint], list[PhasePoint]]:
+    """Subgroup generated by base and the new points, grown one coset at a time,
+    and the new points that enlarged it, in order.
 
     base must already be a subgroup: closed under addition and containing
     zero. Each new point g outside the current subgroup H is folded in as
@@ -139,39 +146,35 @@ def _closure(group: FiniteAbelianGroup, base: set[PhasePoint], new: Iterable[Pha
     new element, so the cost is linear in the size of the result.
     """
     out = set(base)
+    used = []
     for g in new:
         if g in out:
             continue
+        used.append(g)
         sub = list(out)
         step = g
         while step not in out:
             out.update(pp_add(group, step, h) for h in sub)
             step = pp_add(group, step, g)
-    return out
+    return out, used
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """A subgroup of phase space G x G, stored as its closed element set."""
+    """The subgroup of phase space G x G spanned by its generators; elements
+    holds the span in canonical order."""
 
     group: FiniteAbelianGroup
-    elements: tuple[PhasePoint, ...]
-    generators: tuple[PhasePoint, ...] = field(default=())
+    generators: tuple[PhasePoint, ...]
+    elements: tuple[PhasePoint, ...] = field(init=False)
 
     def __post_init__(self):
         group = self.group
         gens = tuple(phase_point(group, z[0], z[1]) for z in self.generators)
-        elems = tuple(sorted(phase_point(group, z[0], z[1]) for z in self.elements))
-        if len(set(elems)) != len(elems):
-            raise InvalidElementError("lattice element list contains duplicates")
         zero = PhasePoint(group.zero, group.zero)
-        span = _closure(group, {zero}, gens)
-        if span != set(elems):
-            raise InvalidElementError("generators do not generate the stated element set")
-        if group.size ** 2 % len(elems) != 0:
-            raise InvalidElementError("subgroup order must divide the phase-space order")
+        span, _ = _closure(group, {zero}, gens)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(sorted(span)))
 
     @property
     def size(self) -> int:
@@ -192,30 +195,25 @@ class Lattice:
     def _index_map(self) -> dict[PhasePoint, int]:
         return {z: i for i, z in enumerate(self.elements)}
 
+    @cached_property
+    def adjoint(self) -> Lattice:
+        """The adjoint lattice, computed on first use."""
+        return adjoint_lattice(self)
+
 
 def find_generators(group: FiniteAbelianGroup, elements: Iterable[PhasePoint]) -> tuple[PhasePoint, ...]:
     """A generating set picked greedily in canonical order (deterministic)."""
     target = set(elements)
     zero = PhasePoint(group.zero, group.zero)
-    gens: list[PhasePoint] = []
-    have: set[PhasePoint] = {zero}
-    for z in sorted(target):
-        if z not in have:
-            gens.append(z)
-            have = _closure(group, have, [z])
-            if len(have) == len(target):
-                break
-    if have != target:
+    span, gens = _closure(group, {zero}, sorted(target))
+    if span != target:
         raise InvalidElementError("element set is not closed under the group operation")
     return tuple(gens)
 
 
 def lattice_from_generators(group: FiniteAbelianGroup, gens: Iterable[PhasePoint]) -> Lattice:
     """The subgroup of G x G generated by gens, with canonical element order."""
-    gens = tuple(phase_point(group, z[0], z[1]) for z in gens)
-    zero = PhasePoint(group.zero, group.zero)
-    elems = _closure(group, {zero}, gens)
-    return Lattice(group, tuple(sorted(elems)), gens)
+    return Lattice(group, gens)
 
 
 def adjoint_lattice(lat: Lattice) -> Lattice:
@@ -233,7 +231,7 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
     turned = np.hstack([gens[:, k:], -gens[:, :k]])
     keep = np.all(FiniteAbelianGroup(group.orders * 2).pairing(zs, turned) == 0, axis=1)
     pts = [PhasePoint(tuple(z[:k]), tuple(z[k:])) for z in zs[keep].tolist()]
-    return Lattice(group, tuple(pts), find_generators(group, pts))
+    return Lattice(group, find_generators(group, pts))
 
 
 def covolume(lat: Lattice) -> Fraction:
@@ -258,15 +256,12 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = 256) -> list[Latti
             for g in pts:
                 if g in sub:
                     continue
-                bigger = frozenset(_closure(group, set(sub), [g]))
+                bigger = frozenset(_closure(group, set(sub), [g])[0])
                 if bigger not in known:
                     known.add(bigger)
                     grown.append(bigger)
         frontier = grown
-    lattices = []
-    for sub in known:
-        elems = tuple(sorted(sub))
-        lattices.append(Lattice(group, elems, find_generators(group, elems)))
+    lattices = [Lattice(group, find_generators(group, sub)) for sub in known]
     lattices.sort(key=lambda lat: (lat.size, lat.elements))
     return lattices
 

@@ -99,12 +99,15 @@ class Report:
         return f"{self.command}: {self.passed}/{self.total} checks passed [{state}]"
 
 
-def campaign_rng(seed: int, command: str, *indices: int) -> np.random.Generator:
-    """Per-item generator: the master seed split by (command, index path).
+def campaign_rng(seed: int, *key: str | int) -> np.random.Generator:
+    """Per-item generator: the master seed split by a key path.
 
-    The command name enters through its CRC32, so distinct campaigns with
-    the same numeric indices stay independent; the rule is stable across
-    platforms and documented here for reproduction.
+    A str part (a campaign name) enters through its CRC32 and an int part as
+    itself, so distinct campaigns with the same numeric indices stay
+    independent; the rule is stable across platforms and documented here for
+    reproduction.
     """
-    key = (zlib.crc32(command.encode("utf-8")),) + tuple(int(i) for i in indices)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    spawn_key = tuple(
+        zlib.crc32(part.encode("utf-8")) if isinstance(part, str) else int(part) for part in key
+    )
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,13 @@ from gaborlab.bimodule import (
     random_instance,
     right_bounded_operator,
     cdim_product_identity_deviation,
-    trial_rng,
     verify_hypotheses,
     verify_left_right_bounded,
 )
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import Window, bessel_bound_opt, frame_operator
-from gaborlab.groups import FiniteAbelianGroup, lattice_from_generators, phase_point
+from gaborlab.groups import FiniteAbelianGroup, covolume, lattice_from_generators, phase_point
+from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import LeftModule, RightModule, bounded_operator
 
 Z4 = FiniteAbelianGroup((4,))
@@ -52,7 +54,7 @@ def regular_right_module(alg, kappa):
 
 
 def test_zero_vector_gives_zero_operators():
-    bm = gabor_bimodule(halfline_lattice()).bimodule
+    bm = gabor_bimodule(halfline_lattice())
     zero = np.zeros(bm.space_dim, dtype=complex)
     assert operator_norm(left_bounded_operator(zero, bm)) == 0.0
     assert operator_norm(right_bounded_operator(zero, bm)) == 0.0
@@ -74,19 +76,19 @@ def test_bounded_operator_norm_on_regular_module():
 
 def test_gabor_worked_instance_norms():
     lat = halfline_lattice()
-    gbm = gabor_bimodule(lat)
+    bm = gabor_bimodule(lat)
     g = delta_window(Z4)
     # frame operator diag(4,0,4,0), so the optimal Bessel bound is 4
     s = frame_operator(g, lat)
     assert np.allclose(s, np.diag([4.0, 0, 4.0, 0]), atol=1e-12)
-    rn = operator_norm(right_bounded_operator(g.values, gbm.bimodule))
+    rn = operator_norm(right_bounded_operator(g.values, bm))
     assert rn**2 == pytest.approx(4.0, abs=1e-9)
     # left norm squared: adjoint-side Bessel bound divided by the covolume
-    b_adj = bessel_bound_opt(g, gbm.adjoint)
+    b_adj = bessel_bound_opt(g, lat.adjoint)
     assert b_adj == pytest.approx(2.0, abs=1e-12)
-    assert float(gbm.covol) == 0.5
-    ln = operator_norm(left_bounded_operator(g.values, gbm.bimodule))
-    assert ln**2 == pytest.approx(b_adj / float(gbm.covol), abs=1e-9)
+    assert float(covolume(lat)) == 0.5
+    ln = operator_norm(left_bounded_operator(g.values, bm))
+    assert ln**2 == pytest.approx(b_adj / float(covolume(lat)), abs=1e-9)
     assert ln == pytest.approx(rn, abs=1e-9)
 
 
@@ -108,15 +110,13 @@ def test_left_operator_module_identity():
 
 
 def test_gabor_module_is_aligned():
-    gbm = gabor_bimodule(halfline_lattice())
-    report = check_alignment(gbm.bimodule)
+    report = check_alignment(gabor_bimodule(halfline_lattice()))
     assert report.aligned
     assert report.deviation <= 1e-9
 
 
 def test_scaled_trace_breaks_alignment():
-    gbm = gabor_bimodule(halfline_lattice())
-    bm = gbm.bimodule
+    bm = gabor_bimodule(halfline_lattice())
     doubled = RightModule(bm.right.algebra, bm.right.trace.scaled(2.0), bm.right.images)
     skew = Bimodule(bm.left, doubled)
     report = check_alignment(skew)
@@ -157,8 +157,7 @@ def test_hypotheses_pass_on_seeded_instance():
 
 
 def test_norm_equality_on_gabor_module():
-    gbm = gabor_bimodule(halfline_lattice())
-    reports = verify_left_right_bounded(gbm.bimodule, trials=25, seed=1)
+    reports = verify_left_right_bounded(gabor_bimodule(halfline_lattice()), trials=25, seed=1)
     assert all(r.passed for r in reports)
     assert all(r.equality_deviation is not None for r in reports)
     assert max(r.slack for r in reports) <= 1e-9
@@ -171,7 +170,7 @@ def test_norm_inequality_on_multiplicity_instance():
     assert all(r.passed for r in reports)
     # brute-force check on a few vectors
     for t in (0, 7, 23):
-        f = gaussian_vector(trial_rng(2, t), bm.space_dim)
+        f = gaussian_vector(campaign_rng(2, t), bm.space_dim)
         ln = operator_norm(left_bounded_operator(f, bm))
         rn = operator_norm(right_bounded_operator(f, bm))
         assert rn <= 4.0 * ln + 1e-9
@@ -203,13 +202,25 @@ def test_cdim_product_identity():
     for seed in (1, 2, 3):
         bm = random_instance(seed)
         assert cdim_product_identity_deviation(bm) <= 1e-9
-    gbm = gabor_bimodule(halfline_lattice())
-    assert cdim_product_identity_deviation(gbm.bimodule) <= 1e-9
+    assert cdim_product_identity_deviation(gabor_bimodule(halfline_lattice())) <= 1e-9
 
 
-def test_trial_rng_reproducible():
-    a = gaussian_vector(trial_rng(5, 3), 8)
-    b = gaussian_vector(trial_rng(5, 3), 8)
-    c = gaussian_vector(trial_rng(5, 4), 8)
+def test_campaign_rng_reproducible():
+    a = gaussian_vector(campaign_rng(5, 3), 8)
+    b = gaussian_vector(campaign_rng(5, 3), 8)
+    c = gaussian_vector(campaign_rng(5, 4), 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # oracle: the splits written out by hand (bimodule's former per-trial and
+    # per-instance seeds, and the str-keyed campaign split) give the same streams
+    def spawned(seed, *key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+    for seed in (0, 5, 2**40 + 3):
+        for t in (0, 3, 99):
+            want = gaussian_vector(spawned(seed, t), 8)
+            assert np.array_equal(gaussian_vector(campaign_rng(seed, t), 8), want)
+        want = spawned(seed, 0xB10C).uniform(size=8)
+        assert np.array_equal(campaign_rng(seed, 0xB10C).uniform(size=8), want)
+        want = spawned(seed, zlib.crc32(b"bessel"), 4, 2).uniform(size=8)
+        assert np.array_equal(campaign_rng(seed, "bessel", 4, 2).uniform(size=8), want)

@@ -46,6 +46,21 @@ def test_malformed_lattice_json(capsys):
         assert code == 2
         assert report is None
         assert "not a sequence of integers" in err
+    # window values that are not JSON numbers are rejected, never coerced, and
+    # an integer past the float range is bad input, not a crash
+    for values, why in (
+        ('[["1", "0"], [true, "-0"]]', "not a pair of numbers"),
+        ('[["1", 0], [0, 0]]', "not a pair of numbers"),
+        ('[[true, 0], [0, 0]]', "not a pair of numbers"),
+        (f'[[1{"0" * 400}, 0], [0, 0]]', "overflows a float"),
+    ):
+        code, report, err = run_cli(
+            capsys, "bessel", "--orders", "2", "--lattice", '{"generators": [[[1], [0]]]}',
+            "--window", f'{{"values": {values}}}',
+        )
+        assert code == 2
+        assert report is None
+        assert why in err
 
 
 def test_unknown_subcommand(capsys):

@@ -123,7 +123,10 @@ def test_adjoint_against_brute_force(gens, expect_size):
 )
 def test_adjoint_against_brute_force_every_lattice(orders):
     for lat in enumerate_subgroups(FiniteAbelianGroup(orders)):
-        assert adjoint_lattice(lat).element_set == brute_force_adjoint(lat)
+        want = brute_force_adjoint(lat)
+        assert adjoint_lattice(lat).element_set == want
+        assert lat.adjoint.element_set == want
+        assert lat.adjoint is lat.adjoint
 
 
 def test_adjoint_worked_values():
