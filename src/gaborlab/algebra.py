@@ -8,7 +8,7 @@ basis. Ultraweak closure questions degenerate to exact span equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,11 +40,7 @@ def _vec(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(mats.shape[:-2] + (mats.shape[-1] * mats.shape[-2],))
 
 
-def orthonormal_extension(
-    basis_flat: np.ndarray | None,
-    candidates_flat: np.ndarray,
-    rtol: float = RANK_RTOL,
-) -> np.ndarray:
+def orthonormal_extension(basis_flat: np.ndarray | None, candidates_flat: np.ndarray) -> np.ndarray:
     """Rows to append to an orthonormal row basis to cover the candidates.
 
     Batched pre-filter followed by modified Gram-Schmidt with a
@@ -58,7 +54,7 @@ def orthonormal_extension(
         resid = cands - (cands @ basis_flat.conj().T) @ basis_flat
     else:
         resid = cands.copy()
-    keep = np.linalg.norm(resid, axis=1) > (rtol / 4.0) * scales
+    keep = np.linalg.norm(resid, axis=1) > (RANK_RTOL / 4.0) * scales
     rows: list[np.ndarray] = []
     for v, scale in zip(cands[keep], scales[keep]):
         w = v
@@ -69,7 +65,7 @@ def orthonormal_extension(
                 new = np.array(rows)
                 w = w - new.T @ (new.conj() @ w)
         nrm = np.linalg.norm(w)
-        if nrm > rtol * scale:
+        if nrm > RANK_RTOL * scale:
             rows.append(w / nrm)
     if not rows:
         return np.zeros((0, cands.shape[1]), dtype=complex)
@@ -79,12 +75,7 @@ def orthonormal_extension(
 class StarAlgebra:
     """A unital self-adjoint matrix algebra with an HS-orthonormal basis."""
 
-    def __init__(
-        self,
-        basis: np.ndarray,
-        generators: Sequence[np.ndarray] | None = None,
-        check: bool = True,
-    ):
+    def __init__(self, basis: np.ndarray, generators: Sequence[np.ndarray] | None = None):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise SpanError(f"basis must be a stack of square matrices, got {basis.shape}")
@@ -94,13 +85,11 @@ class StarAlgebra:
         self.generators = None if generators is None else tuple(
             np.asarray(g, dtype=complex) for g in generators
         )
-        if check:
-            gram = self.basis_flat.conj() @ self.basis_flat.T
-            if not np.allclose(gram, np.eye(self.dimension), atol=1e-8):
-                raise SpanError("basis is not Hilbert-Schmidt orthonormal")
-            eye = np.eye(self.ambient_dim, dtype=complex)
-            if not self.contains(eye):
-                raise SpanError("identity is not in the span")
+        gram = self.basis_flat.conj() @ self.basis_flat.T
+        if not np.allclose(gram, np.eye(self.dimension), atol=1e-8):
+            raise SpanError("basis is not Hilbert-Schmidt orthonormal")
+        if not self.contains(self.identity()):
+            raise SpanError("identity is not in the span")
 
     @property
     def dimension(self) -> int:
@@ -113,16 +102,13 @@ class StarAlgebra:
         n = self.ambient_dim
         return (np.asarray(coeffs, dtype=complex) @ self.basis_flat).reshape(n, n)
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        return self.reconstruct(self.coeffs(mat))
-
     def residual(self, mat: np.ndarray) -> float:
         mat = np.asarray(mat, dtype=complex)
-        return float(np.linalg.norm(mat - self.project(mat)))
+        return float(np.linalg.norm(mat - self.reconstruct(self.coeffs(mat))))
 
-    def contains(self, mat: np.ndarray, atol: float = SPAN_ATOL) -> bool:
+    def contains(self, mat: np.ndarray) -> bool:
         scale = max(1.0, float(np.linalg.norm(mat)))
-        return self.residual(mat) <= atol * scale
+        return self.residual(mat) <= SPAN_ATOL * scale
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
@@ -141,16 +127,6 @@ class StarAlgebra:
             for b in self.basis:
                 worst = max(worst, self.residual(a @ b))
         return worst
-
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [
-                [[float(v.real), float(v.imag)] for v in row]
-                for mat in self.basis
-                for row in mat
-            ],
-        }
 
 
 def generate_algebra(gens: Iterable[np.ndarray], ambient_dim: int | None = None) -> StarAlgebra:
@@ -183,13 +159,11 @@ def generate_algebra(gens: Iterable[np.ndarray], ambient_dim: int | None = None)
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))
 
 
-def _nullspace(
-    rows: np.ndarray, width: int, rtol: float = RANK_RTOL, scale: float = 0.0
-) -> np.ndarray:
+def _nullspace(rows: np.ndarray, width: int, scale: float) -> np.ndarray:
     """Orthonormal basis (as rows) of the null space of the stacked map.
 
     scale carries the magnitude of the inputs the rows were built from, so
-    that singular values below rtol*scale count as zero even when every row
+    that singular values below RANK_RTOL*scale count as zero even when every row
     is pure rounding noise (an all-commuting constraint set).
     """
     if rows.shape[0] < width:
@@ -197,7 +171,7 @@ def _nullspace(
     svals, vh = np.linalg.svd(rows, full_matrices=False)[1:]
     top = float(svals[0]) if svals.size else 0.0
     floor = max(top, float(scale))
-    rank = int(np.sum(svals > rtol * floor)) if floor > 0 else 0
+    rank = int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
     return vh[rank:].conj()
 
 
@@ -243,9 +217,7 @@ def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple
     return (a.dimension == b.dimension and worst <= atol, worst)
 
 
-def minimal_central_projections(
-    alg: StarAlgebra, rng: np.random.Generator | None = None
-) -> list[np.ndarray]:
+def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
     """Mutually orthogonal central projections summing to 1, one per block.
 
     Spectral grouping of a random self-adjoint central element; retries with
@@ -253,8 +225,7 @@ def minimal_central_projections(
     """
     zc = center(alg)
     want = zc.dimension
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
+    rng = np.random.default_rng(0x5EED)
     herm = (zc.basis + zc.basis.conj().transpose(0, 2, 1)) / 2.0
     skew = (zc.basis - zc.basis.conj().transpose(0, 2, 1)) / 2j
     for _ in range(5):
@@ -303,13 +274,7 @@ def _first_support_index(proj: np.ndarray) -> int:
 class TraceFunctional:
     """A positive faithful trace, stored by its values on the algebra basis."""
 
-    def __init__(
-        self,
-        algebra: StarAlgebra,
-        values: np.ndarray,
-        atol: float = 1e-10,
-        check: bool = True,
-    ):
+    def __init__(self, algebra: StarAlgebra, values: np.ndarray, check: bool = True):
         self.algebra = algebra
         self.values = np.asarray(values, dtype=complex).reshape(-1)
         if self.values.shape[0] != algebra.dimension:
@@ -319,7 +284,7 @@ class TraceFunctional:
         self.gram = self._gram()
         if check:
             dev = self.traciality_defect()
-            if dev > atol:
+            if dev > 1e-10:
                 raise SpanError(f"functional is not tracial on the algebra ({dev:.2e})")
             evals = np.linalg.eigvalsh((self.gram + self.gram.conj().T) / 2.0)
             if evals[0] <= 1e-10 * max(float(evals[-1]), 1e-300):
@@ -344,9 +309,6 @@ class TraceFunctional:
     def __call__(self, mat: np.ndarray) -> complex:
         return complex(np.tensordot(self.riesz, np.asarray(mat, dtype=complex), axes=([0, 1], [1, 0])))
 
-    def on_coeffs(self, coeffs: np.ndarray) -> complex:
-        return complex(self.values @ np.asarray(coeffs, dtype=complex))
-
     def scaled(self, factor: float) -> "TraceFunctional":
         return TraceFunctional(self.algebra, self.values * factor, check=False)
 
@@ -355,21 +317,15 @@ class TraceFunctional:
         vals = np.trace(algebra.basis, axis1=1, axis2=2)
         return cls(algebra, vals)
 
-    @classmethod
-    def from_function(cls, algebra: StarAlgebra, fn: Callable[[np.ndarray], complex]) -> "TraceFunctional":
-        vals = np.array([fn(b) for b in algebra.basis], dtype=complex)
-        return cls(algebra, vals)
-
 
 @dataclass
 class GnsSpace:
-    """Coordinates for L2(N, trace) with left/right actions and conjugation."""
+    """Coordinates for L2(N, trace) with left/right actions."""
 
     algebra: StarAlgebra
     trace: TraceFunctional
     chol_upper: np.ndarray       # K = L L^H stored as upper factor L^H
     chol_upper_inv: np.ndarray
-    jmat: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -396,9 +352,6 @@ class GnsSpace:
         """Matrix of right multiplication by mat in hat coordinates."""
         return self._mult_matrix(np.matmul(self.algebra.basis, np.asarray(mat, dtype=complex)))
 
-    def apply_j(self, vec: np.ndarray) -> np.ndarray:
-        return self.jmat @ np.conj(np.asarray(vec, dtype=complex))
-
 
 def gns(algebra: StarAlgebra, trace: TraceFunctional) -> GnsSpace:
     """GNS coordinates via Cholesky of the trace Gram matrix."""
@@ -410,22 +363,16 @@ def gns(algebra: StarAlgebra, trace: TraceFunctional) -> GnsSpace:
     except np.linalg.LinAlgError as exc:
         raise FaithfulnessError("trace Gram matrix is not positive definite") from exc
     upper = lower.conj().T
-    upper_inv = np.linalg.inv(upper)
-    basis = algebra.basis
-    adj_coeffs = algebra.basis_flat.conj() @ _vec(basis.conj().transpose(0, 2, 1)).T
-    jmat = upper @ adj_coeffs @ np.conj(upper_inv)
-    return GnsSpace(algebra, trace, upper, upper_inv, jmat)
+    return GnsSpace(algebra, trace, upper, np.linalg.inv(upper))
 
 
 class ConditionalExpectation:
-    """Trace-preserving projection of an algebra onto a subalgebra."""
+    """The unique trace-preserving projection of an algebra onto a subalgebra."""
 
     def __init__(self, big: StarAlgebra, sub: StarAlgebra, trace: TraceFunctional):
         for mat in sub.basis:
             if not big.contains(mat):
                 raise InclusionError("subalgebra is not contained in the big algebra")
-        self.big = big
-        self.sub = sub
         self.trace = trace
         gram = np.array(
             [[trace(bi.conj().T @ bj) for bj in sub.basis] for bi in sub.basis]
@@ -446,13 +393,6 @@ class ConditionalExpectation:
         return np.einsum("k,kab->ab", coeffs, self.onb)
 
 
-def conditional_expectation(
-    big: StarAlgebra, sub: StarAlgebra, trace: TraceFunctional
-) -> ConditionalExpectation:
-    """The unique trace-preserving conditional expectation onto the subalgebra."""
-    return ConditionalExpectation(big, sub, trace)
-
-
 def center_valued_trace(
     alg: StarAlgebra, trace: TraceFunctional | None = None
 ) -> ConditionalExpectation:
@@ -463,7 +403,7 @@ def center_valued_trace(
     """
     if trace is None:
         trace = TraceFunctional.from_matrix_trace(alg)
-    return conditional_expectation(alg, center(alg), trace)
+    return ConditionalExpectation(alg, center(alg), trace)
 
 
 def twisted_group_algebra(

@@ -14,26 +14,20 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    FaithfulnessError,
     SpanError,
-    StarAlgebra,
     TraceFunctional,
     block_matrix_algebra,
     center,
-    gns,
     span_equal,
 )
-from .reporting import campaign_rng
+from .reporting import TOL_DIMENSION, campaign_rng
 from .vnmod import (
     CenterElement,
     LeftModule,
     RightModule,
-    blockwise_deviation,
     blockwise_product,
     bounded_operator,
     cdim,
-    commutant_of_action,
-    induced_trace,
     induced_trace_evaluator,
     reduce_module,
     spanning_generators,
@@ -72,15 +66,8 @@ class Bimodule:
         for lm in self.left.image_algebra.gen_matrices():
             for rm in self.right.image_algebra.gen_matrices():
                 worst = max(worst, float(np.max(np.abs(lm @ rm - rm @ lm))))
-        self.commutation_defect = worst
         if worst > commute_atol:
             raise SpanError(f"actions do not commute (defect {worst:.3e})")
-
-    def act_left(self, mat: np.ndarray) -> np.ndarray:
-        return self.left.act(mat)
-
-    def act_right(self, mat: np.ndarray) -> np.ndarray:
-        return self.right.act(mat)
 
     def cdim_product(self) -> CenterElement:
         """Blockwise cdim(left) * cdim(right), matched inside the operator space."""
@@ -106,25 +93,8 @@ def operator_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
 
 
-@dataclass
-class AlignmentReport:
-    aligned: bool
-    deviation: float
-    tolerance: float
-
-    def __bool__(self) -> bool:
-        return self.aligned
-
-    def to_dict(self) -> dict:
-        return {
-            "aligned": self.aligned,
-            "deviation": float(self.deviation),
-            "tolerance": float(self.tolerance),
-        }
-
-
-def check_alignment(bm: Bimodule, tol: float = 1e-9) -> AlignmentReport:
-    """Compare the left trace against the trace induced by the right one.
+def check_alignment(bm: Bimodule) -> float:
+    """Worst deviation of the left trace from the trace induced by the right one.
 
     The induced trace on the commutant of the right action restricts to the
     left algebra's image; alignment means the restriction reproduces the
@@ -135,7 +105,7 @@ def check_alignment(bm: Bimodule, tol: float = 1e-9) -> AlignmentReport:
     for mat, value in zip(bm.left.algebra.basis, bm.left.trace.values):
         moved = evaluate(bm.left.act(mat))
         worst = max(worst, abs(complex(value) - moved))
-    return AlignmentReport(worst <= tol, worst, tol)
+    return worst
 
 
 @dataclass
@@ -166,35 +136,29 @@ def gaussian_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def verify_hypotheses(bm: Bimodule, tol: float = 1e-8) -> dict:
+def verify_hypotheses(bm: Bimodule) -> None:
     """Check the norm-inequality hypotheses, raising on the first failure."""
     if not bm.left.faithful:
         raise HypothesisError("left action faithful", 1.0)
     if not bm.right.faithful:
         raise HypothesisError("right action faithful", 1.0)
     try:
-        gens_left = spanning_generators(bm.left)
-        gens_right = spanning_generators(bm.right)
+        spanning_generators(bm.left)
+        spanning_generators(bm.right)
     except SpanError as exc:
         raise HypothesisError("finite generation", float("nan")) from exc
     equal, defect = span_equal(
-        center(bm.left.image_algebra), center(bm.right.image_algebra), tol
+        center(bm.left.image_algebra), center(bm.right.image_algebra), 1e-8
     )
     if not equal:
         raise HypothesisError("matching centers", defect)
-    alignment = check_alignment(bm)
-    if not alignment.aligned:
-        raise HypothesisError("trace alignment", alignment.deviation)
-    return {
-        "left_generators": len(gens_left),
-        "right_generators": len(gens_right),
-        "center_defect": float(defect),
-        "alignment_deviation": float(alignment.deviation),
-    }
+    deviation = check_alignment(bm)
+    if not deviation <= TOL_DIMENSION:
+        raise HypothesisError("trace alignment", deviation)
 
 
 def verify_left_right_bounded(
-    bm: Bimodule, trials: int = 100, seed: int = 0, tol: float = 1e-9
+    bm: Bimodule, trials: int = 100, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[BoundedVectorReport]:
     """Norm inequality between the two bounded-vector operators, on random vectors.
 
@@ -228,18 +192,6 @@ def verify_left_right_bounded(
             )
         )
     return reports
-
-
-def cdim_product_identity_deviation(bm: Bimodule) -> float:
-    """Deviation in: cdim(left) * cdim(right) = cdim of the left module on
-    the GNS space of the right action's commutant."""
-    product = bm.cdim_product()
-    big = commutant_of_action(bm.right)
-    big_trace = induced_trace(bm.right, big)
-    sp = gns(big, big_trace)
-    images = np.stack([sp.left(bm.left.act(b)) for b in bm.left.algebra.basis])
-    moved = LeftModule(bm.left.algebra, bm.left.trace, images, check=False)
-    return blockwise_deviation(product, cdim(moved))
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

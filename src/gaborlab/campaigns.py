@@ -35,17 +35,26 @@ from .duality import (
 )
 from .gabor import Window
 from .groups import FiniteAbelianGroup, enumerate_subgroups
-from .reporting import Check, Report, campaign_rng, flag_check, make_bound_check
+from .reporting import (
+    TOL_DIMENSION,
+    TOL_SPAN,
+    TOL_SPECTRAL,
+    Check,
+    Report,
+    campaign_rng,
+    flag_check,
+    make_bound_check,
+)
 from .vnmod import (
     RightModule,
     basic_construction,
     blockwise_deviation,
+    blockwise_product,
     bounded_operator,
     cdim,
     cdim_blockwise,
     direct_sum,
     jones_sandwich_span,
-    pair_blocks,
     push_down,
 )
 
@@ -64,7 +73,7 @@ def _gaussian_window(group: FiniteAbelianGroup, rng: np.random.Generator) -> Win
 
 
 def bessel_duality_sweep(
-    max_order: int = DEFAULT_MAX_ORDER, trials: int = 20, seed: int = 0, tol: float = 1e-8
+    max_order: int = DEFAULT_MAX_ORDER, trials: int = 20, seed: int = 0, tol: float = TOL_SPECTRAL
 ) -> list[Check]:
     """Adjoint-lattice bound equals covolume times the lattice bound (A1)."""
     checks = []
@@ -77,7 +86,7 @@ def bessel_duality_sweep(
     return checks
 
 
-def commutant_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-10) -> list[Check]:
+def commutant_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_SPAN) -> list[Check]:
     """Shifts of the adjoint lattice span exactly the commutant (A2)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
@@ -85,7 +94,7 @@ def commutant_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-10) -> l
     return checks
 
 
-def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-9) -> list[Check]:
+def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_DIMENSION) -> list[Check]:
     """Dimensions match covolumes on every lattice, plus trace alignment (A3)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
@@ -96,7 +105,7 @@ def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = 1e-9) -> list[Ch
 
 
 def bounded_vector_sweep(
-    orders=(2, 4, 6), trials: int = 100, seed: int = 0, tol: float = 1e-8
+    orders=(2, 4, 6), trials: int = 100, seed: int = 0, tol: float = TOL_SPECTRAL
 ) -> list[Check]:
     """Operator-norm characterization of both bounds on random windows (A4)."""
     checks = []
@@ -123,7 +132,7 @@ def norm_inequality_sweep(
     instances: int = 50,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = TOL_DIMENSION,
     space_cap: int = 32,
     gabor_orders=(2, 3, 4),
 ) -> list[Check]:
@@ -181,23 +190,26 @@ def _random_element(alg: StarAlgebra, rng: np.random.Generator) -> np.ndarray:
     return alg.reconstruct(gaussian_vector(rng, alg.dimension))
 
 
-def basic_construction_sweep(trials: int = 100, seed: int = 0, tol: float = 1e-9) -> list[Check]:
+def basic_construction_sweep(
+    trials: int = 100, seed: int = 0, tol: float = TOL_DIMENSION
+) -> list[Check]:
     """Generated algebra, weighted trace identity, push-down residuals (A6)."""
     checks = []
     for idx, (label, big, sub) in enumerate(_construction_instances()):
         kappa = TraceFunctional.from_matrix_trace(big)
         ctx = basic_construction(big, sub, kappa)
+        # the two span checks keep TOL_SPAN whatever tol is
         checks.append(
             flag_check(
                 f"{label}/commutant-span",
-                ctx.commutant_defect <= 1e-10,
+                ctx.commutant_defect <= TOL_SPAN,
                 ctx.commutant_defect,
-                1e-10,
+                TOL_SPAN,
             )
         )
         sandwich = jones_sandwich_span(ctx)
         equal, defect = span_equal(sandwich, ctx.algebra)
-        checks.append(flag_check(f"{label}/sandwich-span", equal, defect, 1e-10))
+        checks.append(flag_check(f"{label}/sandwich-span", equal, defect, TOL_SPAN))
 
         ez_big = center_valued_trace(ctx.big)
         ez_gen = center_valued_trace(ctx.algebra)
@@ -223,26 +235,13 @@ def basic_construction_sweep(trials: int = 100, seed: int = 0, tol: float = 1e-9
     return checks
 
 
-def _coefficient_change_deviation(lhs, base, right) -> float:
-    """Blockwise |lhs - base*right| where all three share one center."""
-    to_base = dict(pair_blocks(lhs, base))
-    to_right = dict(pair_blocks(lhs, right))
-    return float(
-        max(
-            abs(
-                lhs.coefficients[i]
-                - base.coefficients[to_base[i]] * right.coefficients[to_right[i]]
-            )
-            for i in range(len(lhs.projections))
-        )
-    )
-
-
 def _restriction_trace(sub: StarAlgebra, kappa: TraceFunctional) -> TraceFunctional:
     return TraceFunctional(sub, np.array([kappa(b) for b in sub.basis]))
 
 
-def coefficient_change_sweep(trials: int = 1000, seed: int = 0, tol: float = 1e-9) -> list[Check]:
+def coefficient_change_sweep(
+    trials: int = 1000, seed: int = 0, tol: float = TOL_DIMENSION
+) -> list[Check]:
     """Dimension under coefficient change, and the subalgebra norm bound (A7)."""
     checks = []
     for idx, (label, big, sub) in enumerate(_construction_instances()):
@@ -263,7 +262,7 @@ def coefficient_change_sweep(trials: int = 1000, seed: int = 0, tol: float = 1e-
             ("gns", over_big, over_sub),
             ("columns", col_big, col_sub),
         ):
-            dev = _coefficient_change_deviation(cdim(h_sub), base_dim, cdim(h_big))
+            dev = blockwise_deviation(cdim(h_sub), blockwise_product(base_dim, cdim(h_big)))
             checks.append(make_bound_check(f"{label}/{mod_label}/cdim-change", dev, 0.0, tol))
 
         constant = base_dim.sup_norm()
@@ -284,7 +283,9 @@ def coefficient_change_sweep(trials: int = 1000, seed: int = 0, tol: float = 1e-
     return checks
 
 
-def cross_oracle_sweep(seed: int = 0, tol: float = 1e-9, max_order: int = 4) -> list[Check]:
+def cross_oracle_sweep(
+    seed: int = 0, tol: float = TOL_DIMENSION, max_order: int = 4
+) -> list[Check]:
     """Projection-path dimension against the block-formula oracle (A8)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
@@ -317,6 +318,13 @@ def cross_oracle_sweep(seed: int = 0, tol: float = 1e-9, max_order: int = 4) -> 
     return checks
 
 
+def _tolerances(tol: float | None) -> tuple[float, float, float]:
+    """Span, dimension and spectral tolerances: the table's, or tol for all three."""
+    if tol is None:
+        return TOL_SPAN, TOL_DIMENSION, TOL_SPECTRAL
+    return tol, tol, tol
+
+
 def determinism_probe(seed: int = 7, order: int = 4) -> list[Check]:
     """One campaign rendered twice must emit byte-identical JSON (A9, internal form)."""
     orders = (order,)
@@ -339,7 +347,7 @@ def duality_report(
     Gaussian windows. Per-window seeds hash (command, lattice index, trial)."""
     group = FiniteAbelianGroup(tuple(orders))
     lats = [lattice] if lattice is not None else enumerate_subgroups(group)
-    btol = 1e-8 if tol is None else tol
+    span_tol, dim_tol, spec_tol = _tolerances(tol)
     report = Report(
         command="duality",
         parameters={
@@ -353,17 +361,13 @@ def duality_report(
     for li, lat in enumerate(lats):
         prefix = f"lat{li:02d}/"
         bm = gabor_bimodule(lat)
-        report.extend(verify_commutant(lat, 1e-10 if tol is None else tol, prefix=prefix))
-        report.extend(
-            verify_cdim_covolume(lat, 1e-9 if tol is None else tol, prefix=prefix, bm=bm)
-        )
-        report.extend(
-            [verify_gabor_alignment(lat, 1e-9 if tol is None else tol, prefix=prefix, bm=bm)]
-        )
+        report.extend(verify_commutant(lat, span_tol, prefix=prefix))
+        report.extend(verify_cdim_covolume(lat, dim_tol, prefix=prefix, bm=bm))
+        report.extend([verify_gabor_alignment(lat, dim_tol, prefix=prefix, bm=bm)])
         for t in range(trials):
             g = _gaussian_window(group, campaign_rng(seed, "duality", li, t))
             report.extend(
-                verify_bessel_duality(g, lat, btol, prefix=f"{prefix}win{t:02d}/", bm=bm)
+                verify_bessel_duality(g, lat, spec_tol, prefix=f"{prefix}win{t:02d}/", bm=bm)
             )
     return report
 
@@ -376,33 +380,30 @@ def selftest_report(
     Per-criterion counts and the names of any failing checks land in the
     report's data block, so a red summary line can be chased down.
     """
-
-    def pick(default: float) -> float:
-        return default if tol is None else tol
-
+    span_tol, dim_tol, spec_tol = _tolerances(tol)
     small = min(4, max_order)
     sections = [
-        ("a1-bessel-duality", bessel_duality_sweep(max_order, 20, seed, pick(1e-8)), pick(1e-8)),
-        ("a2-commutant", commutant_sweep(max_order, pick(1e-10)), pick(1e-10)),
-        ("a3-cdim-covolume", cdim_sweep(max_order, pick(1e-9)), pick(1e-9)),
+        ("a1-bessel-duality", bessel_duality_sweep(max_order, 20, seed, spec_tol), spec_tol),
+        ("a2-commutant", commutant_sweep(max_order, span_tol), span_tol),
+        ("a3-cdim-covolume", cdim_sweep(max_order, dim_tol), dim_tol),
         (
             "a4-bounded-vectors",
             bounded_vector_sweep(
-                tuple(n for n in (2, 4, 6) if n <= max_order), 100, seed, pick(1e-8)
+                tuple(n for n in (2, 4, 6) if n <= max_order), 100, seed, spec_tol
             ),
-            pick(1e-8),
+            spec_tol,
         ),
         (
             "a5-norm-inequality",
             norm_inequality_sweep(
-                50, 100, seed, pick(1e-9),
+                50, 100, seed, dim_tol,
                 gabor_orders=tuple(n for n in (2, 3, 4) if n <= max_order),
             ),
-            pick(1e-9),
+            dim_tol,
         ),
-        ("a6-basic-construction", basic_construction_sweep(100, seed, pick(1e-9)), pick(1e-9)),
-        ("a7-coefficient-change", coefficient_change_sweep(1000, seed, pick(1e-9)), pick(1e-9)),
-        ("a8-cross-oracle", cross_oracle_sweep(seed, pick(1e-9), max_order=small), pick(1e-9)),
+        ("a6-basic-construction", basic_construction_sweep(100, seed, dim_tol), dim_tol),
+        ("a7-coefficient-change", coefficient_change_sweep(1000, seed, dim_tol), dim_tol),
+        ("a8-cross-oracle", cross_oracle_sweep(seed, dim_tol, max_order=small), dim_tol),
         ("a9-determinism", determinism_probe(seed, order=small), 0.0),
     ]
     report = Report(

@@ -28,7 +28,14 @@ from .groups import (
     lattice_from_dict,
     lattice_to_dict,
 )
-from .reporting import Report, flag_check, make_bound_check, make_check
+from .reporting import (
+    TOL_DIMENSION,
+    TOL_SPECTRAL,
+    Report,
+    flag_check,
+    make_bound_check,
+    make_check,
+)
 
 
 class UsageError(Exception):
@@ -133,7 +140,7 @@ def _cmd_bessel(args) -> Report:
     group = _group(args)
     lat = _load_lattice(args.lattice, group)
     g = _load_window(args.window, group)
-    tol = 1e-8 if args.tol is None else args.tol
+    tol = TOL_SPECTRAL if args.tol is None else args.tol
     report = Report(
         command="bessel",
         parameters={
@@ -160,7 +167,7 @@ def _cmd_duality(args) -> Report:
 
 
 def _cmd_bimodule(args) -> Report:
-    tol = 1e-9 if args.tol is None else args.tol
+    tol = TOL_DIMENSION if args.tol is None else args.tol
     bm = random_instance(args.seed, block_count=args.blocks)
     report = Report(
         command="bimodule",

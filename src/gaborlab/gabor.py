@@ -20,8 +20,6 @@ from .groups import (
     phase_point,
 )
 
-ATOL_ALGEBRAIC = 1e-12
-
 
 @dataclass(frozen=True)
 class Window:
@@ -43,27 +41,6 @@ class Window:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-
-@dataclass(frozen=True)
-class GaborSystem:
-    """The family of shifted windows {shift(z) g : z in the lattice}."""
-
-    window: Window
-    lattice: Lattice
-
-    def __post_init__(self):
-        if self.window.group != self.lattice.group:
-            raise InvalidElementError("window and lattice live over different groups")
-
-    def analysis(self) -> np.ndarray:
-        return analysis_matrix(self.window, self.lattice)
-
-    def frame(self) -> np.ndarray:
-        return frame_operator(self.window, self.lattice)
-
-    def bessel_bound(self) -> float:
-        return bessel_bound_opt(self.window, self.lattice)
 
 
 def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:
@@ -116,15 +93,8 @@ def bessel_bound_opt(g: Window, lat: Lattice) -> float:
 
 # -- JSON wire format ----------------------------------------------------
 
-def window_to_dict(g: Window) -> dict:
-    return {
-        "orders": list(g.group.orders),
-        "values": [[float(v.real), float(v.imag)] for v in g.values],
-    }
-
-
 def window_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Window:
-    if not isinstance(data, dict) or "values" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise InvalidElementError("window JSON must be an object with a 'values' list")
     if group is None:
         if "orders" not in data:

@@ -28,12 +28,16 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 
+# largest phase space |G|^2 that enumerate_subgroups will search
+PHASE_SPACE_CAP = 256
+
+
 class InvalidElementError(ValueError):
     """A residue tuple does not fit the group it was used with."""
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured size cap."""
+    """An enumeration would exceed its size cap."""
 
 
 def _integers(values) -> tuple[int, ...]:
@@ -239,11 +243,11 @@ def covolume(lat: Lattice) -> Fraction:
     return Fraction(lat.group.size, lat.size)
 
 
-def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = 256) -> list[Lattice]:
+def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Lattice]:
     """Every subgroup of G x G, canonically ordered and duplicate-free."""
-    if group.size ** 2 > cap:
+    if group.size ** 2 > PHASE_SPACE_CAP:
         raise ResourceLimitError(
-            f"phase space has {group.size ** 2} points, above the cap {cap}"
+            f"phase space has {group.size ** 2} points, above the cap {PHASE_SPACE_CAP}"
         )
     pts = phase_space(group)
     zero = PhasePoint(group.zero, group.zero)
@@ -268,10 +272,6 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = 256) -> list[Latti
 
 # -- JSON wire formats ---------------------------------------------------
 
-def group_to_dict(group: FiniteAbelianGroup) -> dict:
-    return {"orders": list(group.orders)}
-
-
 def group_from_dict(data: dict) -> FiniteAbelianGroup:
     if not isinstance(data, dict) or "orders" not in data:
         raise InvalidElementError("group JSON must be an object with an 'orders' list")
@@ -286,7 +286,7 @@ def lattice_to_dict(lat: Lattice) -> dict:
 
 
 def lattice_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Lattice:
-    if not isinstance(data, dict) or "generators" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise InvalidElementError("lattice JSON must be an object with a 'generators' list")
     if group is None:
         group = group_from_dict(data)

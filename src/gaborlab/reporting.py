@@ -10,6 +10,12 @@ import numpy as np
 
 from . import __version__
 
+# Default check tolerances, one per kind of identity. The CLI's --tol replaces
+# all of them at once; integer facts (sizes, dimensions) are compared exactly.
+TOL_SPAN = 1e-10  # span and commutant equalities, on orthonormal-basis residuals
+TOL_DIMENSION = 1e-9  # dimension and trace identities, norm inequalities
+TOL_SPECTRAL = 1e-8  # Bessel bounds and operator norms, relative to max(1, bound)
+
 
 @dataclass
 class Check:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import (
     RANK_RTOL,
-    SPAN_ATOL,
     ConditionalExpectation,
     FaithfulnessError,
     GnsSpace,
@@ -28,7 +27,6 @@ from .algebra import (
     center,
     center_valued_trace,
     commutant,
-    conditional_expectation,
     generate_algebra,
     gns,
     minimal_central_projections,
@@ -68,12 +66,6 @@ class CenterElement:
     def max_dev_from_scalar(self, value: float) -> float:
         return float(np.max(np.abs(self.coefficients - value)))
 
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "block_ranks": [int(round(float(np.trace(p).real))) for p in self.projections],
-        }
-
     def __repr__(self) -> str:
         vals = ", ".join(f"{c:.6g}" for c in self.coefficients)
         return f"CenterElement([{vals}])"
@@ -84,12 +76,12 @@ def pair_blocks(
     b: CenterElement,
     embed_a: Callable[[np.ndarray], np.ndarray] | None = None,
     embed_b: Callable[[np.ndarray], np.ndarray] | None = None,
-    atol: float = 1e-6,
 ) -> list[tuple[int, int]]:
     """Match the blocks of two center elements, optionally through embeddings.
 
     The embeddings map each side's projections into a common space (an
-    identity map by default). Every block must match exactly one partner.
+    identity map by default). Every block must match exactly one partner,
+    within 1e-6 relative to the projection's norm.
     """
     if len(a.projections) != len(b.projections):
         raise ValueError("center elements have different block counts")
@@ -101,7 +93,7 @@ def pair_blocks(
         hits = [
             j
             for j, q in enumerate(imgb)
-            if j not in used and np.linalg.norm(p - q) <= atol * max(1.0, float(np.linalg.norm(p)))
+            if j not in used and np.linalg.norm(p - q) <= 1e-6 * max(1.0, float(np.linalg.norm(p)))
         ]
         if len(hits) != 1:
             raise ValueError(f"block {i} matched {len(hits)} partners")
@@ -124,14 +116,6 @@ def blockwise_product(
     return CenterElement(a.projections, coeffs)
 
 
-def blockwise_sum(a: CenterElement, b: CenterElement) -> CenterElement:
-    pairs = pair_blocks(a, b)
-    coeffs = np.empty(len(pairs))
-    for i, j in pairs:
-        coeffs[i] = a.coefficients[i] + b.coefficients[j]
-    return CenterElement(a.projections, coeffs)
-
-
 def blockwise_deviation(a: CenterElement, b: CenterElement, embed_a=None, embed_b=None) -> float:
     pairs = pair_blocks(a, b, embed_a, embed_b)
     return float(max(abs(a.coefficients[i] - b.coefficients[j]) for i, j in pairs))
@@ -143,12 +127,7 @@ class _ModuleBase:
     side = "?"
 
     def __init__(
-        self,
-        algebra: StarAlgebra,
-        trace: TraceFunctional,
-        images: np.ndarray,
-        check: bool = True,
-        atol: float = 1e-10,
+        self, algebra: StarAlgebra, trace: TraceFunctional, images: np.ndarray, check: bool = True
     ):
         images = np.asarray(images, dtype=complex)
         if images.ndim != 3 or images.shape[0] != algebra.dimension:
@@ -165,17 +144,17 @@ class _ModuleBase:
         rank = int(np.sum(svals > RANK_RTOL * max(top, 1e-300)))
         self.faithful = rank == algebra.dimension
         if check:
-            self._validate(atol)
+            self._validate()
 
-    def _validate(self, atol: float) -> None:
+    def _validate(self) -> None:
         eye = np.eye(self.space_dim, dtype=complex)
-        if np.linalg.norm(self.act(self.algebra.identity()) - eye) > atol * self.space_dim:
+        if np.linalg.norm(self.act(self.algebra.identity()) - eye) > 1e-10 * self.space_dim:
             raise SpanError("identity does not act as the identity")
         adj_imgs = np.stack(
             [self.act(b.conj().T) for b in self.algebra.basis]
         )
         dev = float(np.max(np.abs(adj_imgs - self.images.conj().transpose(0, 2, 1))))
-        if dev > atol * 10:
+        if dev > 1e-9:
             raise SpanError(f"action does not respect adjoints (dev {dev:.2e})")
         gens = self.algebra.gen_matrices()
         worst = 0.0
@@ -220,11 +199,6 @@ class LeftModule(_ModuleBase):
     """A left module: the action preserves products."""
 
     side = "left"
-
-
-def tautological_left_module(alg: StarAlgebra, trace: TraceFunctional) -> LeftModule:
-    """An algebra of operators acting on its own ambient space."""
-    return LeftModule(alg, trace, alg.basis, check=False)
 
 
 def reduce_module(module: _ModuleBase) -> _ModuleBase:
@@ -508,7 +482,7 @@ def basic_construction(
 
     gens = spanning_generators(module)
     induced = induced_trace(module, algebra, gens)
-    expect = conditional_expectation(algebra, left_image, induced)
+    expect = ConditionalExpectation(algebra, left_image, induced)
     dim_value = cdim(module, gens)
     centers_ok, _ = span_equal(center(sub), center(big))
 

@@ -61,6 +61,18 @@ def test_malformed_lattice_json(capsys):
         assert code == 2
         assert report is None
         assert why in err
+    # a 'generators' or 'values' entry that is not a list is bad input, not a crash
+    code, report, err = run_cli(
+        capsys, "adjoint", "--orders", "4", "--lattice", '{"generators": 5}'
+    )
+    assert (code, report) == (2, None)
+    assert "'generators' list" in err
+    code, report, err = run_cli(
+        capsys, "bessel", "--orders", "2", "--lattice", '{"generators": [[[1], [0]]]}',
+        "--window", '{"values": 5}',
+    )
+    assert (code, report) == (2, None)
+    assert "'values' list" in err
 
 
 def test_unknown_subcommand(capsys):

@@ -21,7 +21,6 @@ from gaborlab.vnmod import (
     basic_construction,
     blockwise_deviation,
     blockwise_product,
-    blockwise_sum,
     bounded_operator,
     cdim,
     cdim_blockwise,
@@ -31,10 +30,10 @@ from gaborlab.vnmod import (
     jones_projection,
     jones_sandwich_span,
     module_projection,
+    pair_blocks,
     push_down,
     reduce_module,
     spanning_generators,
-    tautological_left_module,
 )
 
 
@@ -184,7 +183,10 @@ def test_cdim_additive_on_direct_sums():
     reg = regular_right_module(alg, kappa)
     both = direct_sum(rows, reg)
     got = cdim(both)
-    want = blockwise_sum(cdim(rows), cdim(reg))
+    a, b = cdim(rows), cdim(reg)
+    want = CenterElement(
+        a.projections, [a.coefficients[i] + b.coefficients[j] for i, j in pair_blocks(a, b)]
+    )
     assert blockwise_deviation(got, want) <= 1e-9
     assert got.coefficients == pytest.approx([1.5], abs=1e-9)
 
@@ -494,7 +496,7 @@ def test_cdim_product_with_commutant_module():
     for mod in mods:
         tilde = commutant_of_action(mod)
         tr_tilde = induced_trace(mod, tilde)
-        left = tautological_left_module(tilde, tr_tilde)
+        left = LeftModule(tilde, tr_tilde, tilde.basis, check=False)
         product = blockwise_product(
             cdim(mod), cdim(left), embed_a=mod.act, embed_b=lambda m: m
         )
