@@ -119,92 +119,71 @@ class StarAlgebra:
             return self.generators
         return tuple(self.basis)
 
-    def closure_defect(self) -> float:
-        """Max residual of basis products and adjoints against the span (slow)."""
-        worst = 0.0
-        for a in self.basis:
-            worst = max(worst, self.residual(a.conj().T))
-            for b in self.basis:
-                worst = max(worst, self.residual(a @ b))
-        return worst
 
-
-def generate_algebra(gens: Iterable[np.ndarray], ambient_dim: int | None = None) -> StarAlgebra:
+def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
     """Smallest unital self-adjoint algebra containing the generators."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
-    if gens:
-        n = gens[0].shape[0]
-        if any(g.shape != (n, n) for g in gens):
-            raise SpanError("generators must be square matrices of equal size")
-    elif ambient_dim is not None:
-        n = int(ambient_dim)
-    else:
-        raise SpanError("need at least one generator or an explicit ambient dimension")
+    if not gens:
+        raise SpanError("need at least one generator")
+    n = gens[0].shape[0]
+    if any(g.shape != (n, n) for g in gens):
+        raise SpanError("generators must be square matrices of equal size")
     closed_gens = []
     for g in gens:
         closed_gens.append(g)
         closed_gens.append(g.conj().T)
     seeds = [np.eye(n, dtype=complex)] + closed_gens
     basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
-    if closed_gens:
-        gen_arr = np.array(closed_gens)
-        while True:
-            cur = basis_flat.reshape(-1, n, n)
-            # one-sided products reach every word since the identity is present
-            prods = np.einsum("dab,gbc->dgac", cur, gen_arr).reshape(-1, n, n)
-            added = orthonormal_extension(basis_flat, _vec(prods))
-            if added.shape[0] == 0:
-                break
-            basis_flat = np.vstack([basis_flat, added])
+    gen_arr = np.array(closed_gens)
+    while True:
+        cur = basis_flat.reshape(-1, n, n)
+        # one-sided products reach every word since the identity is present
+        prods = np.einsum("dab,gbc->dgac", cur, gen_arr).reshape(-1, n, n)
+        added = orthonormal_extension(basis_flat, _vec(prods))
+        if added.shape[0] == 0:
+            break
+        basis_flat = np.vstack([basis_flat, added])
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))
 
 
-def _nullspace(rows: np.ndarray, width: int, scale: float) -> np.ndarray:
-    """Orthonormal basis (as rows) of the null space of the stacked map.
+def numerical_rank(svals: np.ndarray, scale: float = 0.0) -> int:
+    """Singular values above RANK_RTOL x max(largest one, scale).
 
-    scale carries the magnitude of the inputs the rows were built from, so
-    that singular values below RANK_RTOL*scale count as zero even when every row
-    is pure rounding noise (an all-commuting constraint set).
+    scale carries the magnitude of the inputs a matrix was built from, so
+    that pure rounding noise (an all-commuting constraint set) has rank 0.
     """
-    if rows.shape[0] < width:
-        rows = np.vstack([rows, np.zeros((width - rows.shape[0], width), dtype=complex)])
-    svals, vh = np.linalg.svd(rows, full_matrices=False)[1:]
-    top = float(svals[0]) if svals.size else 0.0
-    floor = max(top, float(scale))
-    rank = int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
-    return vh[rank:].conj()
+    floor = max(float(svals[0]) if svals.size else 0.0, scale)
+    return int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
 
 
-def commutant(alg: StarAlgebra) -> StarAlgebra:
-    """Everything commuting with the algebra, via stacked commutator maps."""
-    n = alg.ambient_dim
-    eye = np.eye(n, dtype=complex)
+def _commuting_part(alg: StarAlgebra, span: np.ndarray) -> StarAlgebra:
+    """The elements of span's linear span that commute with the algebra.
+
+    One null-space solve on the coefficients over the spanning set: each
+    generator h and its adjoint contribute the columns vec(s h - h s).
+    """
     blocks = []
     scale = 0.0
     for g in alg.gen_matrices():
         for h in (g, g.conj().T):
-            blocks.append(np.kron(eye, h.T) - np.kron(h, eye))
+            blocks.append(_vec(span @ h - h @ span).T)
             scale = max(scale, float(np.linalg.norm(h)))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, n * n), dtype=complex)
-    null_rows = _nullspace(rows, n * n, scale=scale)
-    return StarAlgebra(null_rows.reshape(-1, n, n))
+    # each h adds n^2 rows, at least as many as the unknowns, so vh is square
+    svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)[1:]
+    null_coeffs = vh[numerical_rank(svals, scale) :].conj()
+    return StarAlgebra((null_coeffs @ _vec(span)).reshape((-1,) + span.shape[1:]))
+
+
+def commutant(alg: StarAlgebra) -> StarAlgebra:
+    """Everything commuting with the algebra: the commuting part of all n x n
+    matrices, spanned by the matrix units."""
+    n = alg.ambient_dim
+    return _commuting_part(alg, np.eye(n * n, dtype=complex).reshape(-1, n, n))
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
     """The center, solved inside the algebra's own coefficient space."""
-    n = alg.ambient_dim
-    d = alg.dimension
-    blocks = []
-    scale = 0.0
-    for g in alg.gen_matrices():
-        for h in (g, g.conj().T):
-            comm = alg.basis @ h - h @ alg.basis
-            blocks.append(_vec(comm).T)
-            scale = max(scale, float(np.linalg.norm(h)))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, d), dtype=complex)
-    null_coeffs = _nullspace(rows, d, scale=scale)
-    mats = np.einsum("ci,iab->cab", null_coeffs, alg.basis)
-    return StarAlgebra(mats)
+    return _commuting_part(alg, alg.basis)
 
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:

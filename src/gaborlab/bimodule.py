@@ -29,8 +29,6 @@ from .vnmod import (
     bounded_operator,
     cdim,
     induced_trace_evaluator,
-    reduce_module,
-    spanning_generators,
 )
 
 MAX_SPACE_DIM = 64
@@ -57,9 +55,8 @@ class Bimodule:
     ):
         if left.space_dim != right.space_dim:
             raise SpanError("left and right modules live on different spaces")
-        # unfaithful sides are replaced by their reductions up front
-        self.left = left if left.faithful else reduce_module(left)
-        self.right = right if right.faithful else reduce_module(right)
+        self.left = left
+        self.right = right
         self.space_dim = left.space_dim
         self.right_is_full_commutant = right_is_full_commutant
         worst = 0.0
@@ -143,8 +140,9 @@ def verify_hypotheses(bm: Bimodule) -> None:
     if not bm.right.faithful:
         raise HypothesisError("right action faithful", 1.0)
     try:
-        spanning_generators(bm.left)
-        spanning_generators(bm.right)
+        # each side finds (and keeps) its spanning generators
+        bm.left.generators
+        bm.right.generators
     except SpanError as exc:
         raise HypothesisError("finite generation", float("nan")) from exc
     equal, defect = span_equal(

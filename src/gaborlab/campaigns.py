@@ -99,8 +99,8 @@ def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_DIMENSION) -
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
         bm = gabor_bimodule(lat)
-        checks.extend(verify_cdim_covolume(lat, tol, prefix=f"n{n}/lat{li:02d}/", bm=bm))
-        checks.append(verify_gabor_alignment(lat, prefix=f"n{n}/lat{li:02d}/", bm=bm))
+        checks.extend(verify_cdim_covolume(lat, bm, tol, prefix=f"n{n}/lat{li:02d}/"))
+        checks.append(verify_gabor_alignment(bm, prefix=f"n{n}/lat{li:02d}/"))
     return checks
 
 
@@ -362,8 +362,8 @@ def duality_report(
         prefix = f"lat{li:02d}/"
         bm = gabor_bimodule(lat)
         report.extend(verify_commutant(lat, span_tol, prefix=prefix))
-        report.extend(verify_cdim_covolume(lat, dim_tol, prefix=prefix, bm=bm))
-        report.extend([verify_gabor_alignment(lat, dim_tol, prefix=prefix, bm=bm)])
+        report.extend(verify_cdim_covolume(lat, bm, dim_tol, prefix=prefix))
+        report.extend([verify_gabor_alignment(bm, dim_tol, prefix=prefix)])
         for t in range(trials):
             g = _gaussian_window(group, campaign_rng(seed, "duality", li, t))
             report.extend(

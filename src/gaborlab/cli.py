@@ -25,6 +25,7 @@ from .groups import (
     FiniteAbelianGroup,
     covolume,
     enumerate_subgroups,
+    group_from_dict,
     lattice_from_dict,
     lattice_to_dict,
 )
@@ -66,14 +67,14 @@ def _group(args) -> FiniteAbelianGroup:
 
 def _load_lattice(arg: str, group: FiniteAbelianGroup):
     data = _load_json_arg(arg, "lattice")
-    if "orders" in data and FiniteAbelianGroup(data["orders"]) != group:
+    if "orders" in data and group_from_dict(data) != group:
         raise UsageError("lattice orders disagree with --orders")
     return lattice_from_dict(data, group)
 
 
 def _load_window(arg: str, group: FiniteAbelianGroup):
     data = _load_json_arg(arg, "window")
-    if "orders" in data and FiniteAbelianGroup(data["orders"]) != group:
+    if "orders" in data and group_from_dict(data) != group:
         raise UsageError("window orders disagree with --orders")
     return window_from_dict(data, group)
 

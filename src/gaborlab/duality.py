@@ -78,11 +78,10 @@ def verify_commutant(lat: Lattice, tol: float = TOL_SPAN, prefix: str = "") -> l
 
 
 def verify_cdim_covolume(
-    lat: Lattice, tol: float = TOL_DIMENSION, prefix: str = "", bm: Bimodule | None = None
+    lat: Lattice, bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = ""
 ) -> list[Check]:
-    """Center-valued dimension of L2(G) over the shift algebra is the covolume."""
-    if bm is None:
-        bm = gabor_bimodule(lat)
+    """Center-valued dimension of L2(G) over the shift algebra is the covolume;
+    bm is gabor_bimodule(lat)."""
     left_dim = cdim(bm.left)
     right_dim = cdim(bm.right)
     covol = float(covolume(lat))
@@ -158,10 +157,6 @@ def verify_bessel_duality(
     return checks
 
 
-def verify_gabor_alignment(
-    lat: Lattice, tol: float = TOL_DIMENSION, prefix: str = "", bm: Bimodule | None = None
-) -> Check:
-    if bm is None:
-        bm = gabor_bimodule(lat)
+def verify_gabor_alignment(bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = "") -> Check:
     deviation = check_alignment(bm)
     return flag_check(f"{prefix}trace-alignment", deviation <= tol, deviation, tol)

@@ -16,7 +16,6 @@ from .groups import (
     InvalidElementError,
     Lattice,
     PhasePoint,
-    character_value,
     phase_point,
 )
 
@@ -54,13 +53,6 @@ def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:
     return mat
 
 
-def cocycle(group: FiniteAbelianGroup, z: PhasePoint, zp: PhasePoint) -> complex:
-    """The phase making z -> tf_shift(z) projectively multiplicative."""
-    z = phase_point(group, z[0], z[1])
-    zp = phase_point(group, zp[0], zp[1])
-    return complex(character_value(group, zp.w, z.x)).conjugate()
-
-
 @lru_cache(maxsize=256)
 def shift_stack(lat: Lattice) -> np.ndarray:
     """All lattice shifts as one array, cached so window sweeps stay cheap."""
@@ -93,13 +85,9 @@ def bessel_bound_opt(g: Window, lat: Lattice) -> float:
 
 # -- JSON wire format ----------------------------------------------------
 
-def window_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Window:
+def window_from_dict(data: dict, group: FiniteAbelianGroup) -> Window:
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise InvalidElementError("window JSON must be an object with a 'values' list")
-    if group is None:
-        if "orders" not in data:
-            raise InvalidElementError("window JSON needs 'orders' when no group is given")
-        group = FiniteAbelianGroup(data["orders"])
     vals = []
     for entry in data["values"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -16,7 +16,6 @@ lattice object computes its adjoint at most once.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -114,12 +113,6 @@ class FiniteAbelianGroup:
         rows = np.asarray(rows, dtype=np.int64)
         dims = self.orders * (rows.shape[-1] // len(self.orders))
         return np.ravel_multi_index(tuple(np.moveaxis(rows, -1, 0)), dims, mode="wrap")
-
-
-def character_value(group: FiniteAbelianGroup, w: Iterable[int], x: Iterable[int]) -> complex:
-    """The character indexed by w evaluated at x: exp(2 pi i sum_j w_j x_j / N_j)."""
-    phase = int(group.pairing(group.check(x), group.check(w))[0, 0])
-    return cmath.exp(2j * math.pi * (phase / group.lcm))
 
 
 def phase_point(group: FiniteAbelianGroup, x: Iterable[int], w: Iterable[int]) -> PhasePoint:
@@ -285,11 +278,9 @@ def lattice_to_dict(lat: Lattice) -> dict:
     }
 
 
-def lattice_from_dict(data: dict, group: FiniteAbelianGroup | None = None) -> Lattice:
+def lattice_from_dict(data: dict, group: FiniteAbelianGroup) -> Lattice:
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise InvalidElementError("lattice JSON must be an object with a 'generators' list")
-    if group is None:
-        group = group_from_dict(data)
     gens = []
     for pair in data["generators"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

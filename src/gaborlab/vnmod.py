@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
-    RANK_RTOL,
     ConditionalExpectation,
     FaithfulnessError,
     GnsSpace,
@@ -25,11 +24,11 @@ from .algebra import (
     TraceFunctional,
     _vec,
     center,
-    center_valued_trace,
     commutant,
     generate_algebra,
     gns,
     minimal_central_projections,
+    numerical_rank,
     orthonormal_extension,
     span_equal,
 )
@@ -122,7 +121,12 @@ def blockwise_deviation(a: CenterElement, b: CenterElement, embed_a=None, embed_
 
 
 class _ModuleBase:
-    """Shared plumbing for left and right modules over a traced algebra."""
+    """Shared plumbing for left and right modules over a traced algebra.
+
+    What is derived from the algebra, trace and action (GNS space, image
+    algebra, central projections, spanning generators, synthesis) is
+    computed on first use and kept.
+    """
 
     side = "?"
 
@@ -140,9 +144,7 @@ class _ModuleBase:
         self.space_dim = int(images.shape[1])
         self.images_flat = _vec(images)
         svals = np.linalg.svd(self.images_flat, compute_uv=False)
-        top = float(svals[0]) if svals.size else 0.0
-        rank = int(np.sum(svals > RANK_RTOL * max(top, 1e-300)))
-        self.faithful = rank == algebra.dimension
+        self.faithful = numerical_rank(svals) == algebra.dimension
         if check:
             self._validate()
 
@@ -188,6 +190,16 @@ class _ModuleBase:
     def central_projections(self) -> list[np.ndarray]:
         return minimal_central_projections(self.algebra)
 
+    @cached_property
+    def generators(self) -> list[np.ndarray]:
+        """Vectors whose algebra orbits span the space (raises SpanError if none do)."""
+        return spanning_generators(self)
+
+    @cached_property
+    def synthesis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, p) of the synthesis map on the spanning generators."""
+        return _synthesis(self, self.generators)
+
 
 class RightModule(_ModuleBase):
     """A right module: the action reverses products."""
@@ -199,37 +211,6 @@ class LeftModule(_ModuleBase):
     """A left module: the action preserves products."""
 
     side = "left"
-
-
-def reduce_module(module: _ModuleBase) -> _ModuleBase:
-    """Cut an unfaithful module down to the central support of its action.
-
-    The algebra is compressed to the blocks that act nontrivially; the trace
-    and the action come along through the compression, which is a
-    *-isomorphism because the dropped blocks are exactly the kernel.
-    """
-    if module.faithful:
-        return module
-    alg = module.algebra
-    kept = [
-        q
-        for q in minimal_central_projections(alg)
-        if float(np.linalg.norm(module.act(q))) > 1e-8
-    ]
-    if not kept:
-        raise FaithfulnessError("the action kills the whole algebra")
-    support = np.sum(kept, axis=0)
-    evals, evecs = np.linalg.eigh(support)
-    frame = evecs[:, evals > 0.5]
-    cuts = np.einsum("ra,iab,bs->irs", frame.conj().T, alg.basis, frame)
-    flat = orthonormal_extension(None, _vec(cuts))
-    r = frame.shape[1]
-    gen_cuts = tuple(frame.conj().T @ g @ frame for g in alg.gen_matrices())
-    small = StarAlgebra(flat.reshape(-1, r, r), generators=gen_cuts)
-    preimages = np.einsum("ar,irs,sb->iab", frame, small.basis, frame.conj().T)
-    values = np.array([module.trace(m) for m in preimages], dtype=complex)
-    images = np.stack([module.act(m) for m in preimages])
-    return type(module)(small, TraceFunctional(small, values), images)
 
 
 def direct_sum(a: _ModuleBase, b: _ModuleBase) -> _ModuleBase:
@@ -270,8 +251,8 @@ def spanning_generators(module: _ModuleBase) -> list[np.ndarray]:
 
 def _synthesis(
     module: _ModuleBase, generators: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synthesis map, its polar isometry, and the kernel-complement projection.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Polar isometry u and kernel-complement projection p of the synthesis map.
 
     T sends a k-tuple of GNS vectors to the sum of their actions on the
     generators; u is the partial isometry of its polar decomposition, and
@@ -290,8 +271,7 @@ def _synthesis(
         cols.append(orbit @ sp.chol_upper_inv)
     synth = np.hstack(cols)
     u_full, svals, vh = np.linalg.svd(synth, full_matrices=False)
-    top = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > RANK_RTOL * max(top, 1e-300)))
+    rank = numerical_rank(svals)
     if rank < module.space_dim:
         raise SpanError(
             f"generators span only {rank} of {module.space_dim} dimensions"
@@ -299,12 +279,7 @@ def _synthesis(
     vr = vh[:rank]
     u = u_full[:, :rank] @ vr
     p = vr.conj().T @ vr
-    return synth, u, p
-
-
-def module_projection(module: _ModuleBase, generators: Sequence[np.ndarray]) -> np.ndarray:
-    """Projection onto the complement of the synthesis kernel in the k-fold GNS space."""
-    return _synthesis(module, generators)[2]
+    return u, p
 
 
 def _decode_multiplier(sp: GnsSpace, block: np.ndarray) -> np.ndarray:
@@ -312,26 +287,28 @@ def _decode_multiplier(sp: GnsSpace, block: np.ndarray) -> np.ndarray:
     return sp.unhat(block @ sp.hat_identity())
 
 
+def _diagonal_block_sum(mat: np.ndarray, d: int) -> np.ndarray:
+    """Sum of the d x d diagonal blocks of an operator on a k-fold GNS space."""
+    k = mat.shape[0] // d
+    return np.einsum("jajb->ab", mat.reshape(k, d, k, d))
+
+
 def cdim(
     module: _ModuleBase, generators: Sequence[np.ndarray] | None = None
 ) -> CenterElement:
-    """Center-valued dimension via the compressed-trace formula on a projection."""
+    """Center-valued dimension via the compressed-trace formula on a projection.
+
+    x decodes the diagonal blocks of p; the coefficient on each minimal
+    central projection q is Tr(q x) / Tr(q), which is the coefficient of the
+    center-valued trace of x because that expectation preserves Tr and q is
+    central.
+    """
     if not module.faithful:
-        raise FaithfulnessError("module action has a kernel; reduce the algebra first")
-    if generators is None:
-        generators = spanning_generators(module)
-    p = module_projection(module, generators)
-    sp = module.space
-    d = sp.dim
-    ez = center_valued_trace(module.algebra)
-    total = np.zeros((module.algebra.ambient_dim,) * 2, dtype=complex)
-    for j in range(len(generators)):
-        block = p[j * d : (j + 1) * d, j * d : (j + 1) * d]
-        total += ez(_decode_multiplier(sp, block))
+        raise FaithfulnessError("module action has a kernel")
+    _, p = module.synthesis if generators is None else _synthesis(module, generators)
+    x = _decode_multiplier(module.space, _diagonal_block_sum(p, module.space.dim))
     projections = module.central_projections
-    coeffs = [
-        (np.trace(q @ total) / np.trace(q)).real for q in projections
-    ]
+    coeffs = [(np.trace(q @ x) / np.trace(q)).real for q in projections]
     return CenterElement(projections, coeffs)
 
 
@@ -343,9 +320,7 @@ def cdim_blockwise(module: _ModuleBase) -> CenterElement:
         compression = module.act(q)
         space_rank = int(round(float(np.trace(compression).real)))
         cut = module.algebra.basis @ q
-        svals = np.linalg.svd(_vec(cut), compute_uv=False)
-        top = float(svals[0]) if svals.size else 0.0
-        block_dim = int(np.sum(svals > RANK_RTOL * max(top, 1e-300)))
+        block_dim = numerical_rank(np.linalg.svd(_vec(cut), compute_uv=False))
         coeffs.append(space_rank / block_dim)
     return CenterElement(projections, coeffs)
 
@@ -363,49 +338,27 @@ def bounded_operator(f: np.ndarray, module: _ModuleBase) -> np.ndarray:
     return cols @ module.space.chol_upper_inv
 
 
-def induced_trace_evaluator(
-    module: _ModuleBase, generators: Sequence[np.ndarray] | None = None
-) -> Callable[[np.ndarray], complex]:
+def induced_trace_evaluator(module: _ModuleBase) -> Callable[[np.ndarray], complex]:
     """Trace on the commutant of the action, as a plain evaluator.
 
     Transports the algebra trace tensored with the matrix trace through the
-    polar isometry of a synthesis map. Only meaningful on operators
-    commuting with the action.
+    polar isometry of the module's synthesis map. Only meaningful on
+    operators commuting with the action.
     """
-    if generators is None:
-        generators = spanning_generators(module)
-    _, u, _ = _synthesis(module, generators)
-    sp = module.space
-    d = sp.dim
-    k = len(generators)
+    u, _ = module.synthesis
     uh = u.conj().T
-    hat1 = sp.hat_identity()
-    trace = module.trace
+    sp = module.space
 
     def evaluate(op: np.ndarray) -> complex:
         moved = uh @ np.asarray(op, dtype=complex) @ u
-        total = 0j
-        for j in range(k):
-            block = moved[j * d : (j + 1) * d, j * d : (j + 1) * d]
-            total += trace(sp.unhat(block @ hat1))
-        return complex(total)
+        return module.trace(_decode_multiplier(sp, _diagonal_block_sum(moved, sp.dim)))
 
     return evaluate
 
 
-def commutant_of_action(module: _ModuleBase) -> StarAlgebra:
-    return commutant(module.image_algebra)
-
-
-def induced_trace(
-    module: _ModuleBase,
-    algebra: StarAlgebra | None = None,
-    generators: Sequence[np.ndarray] | None = None,
-) -> TraceFunctional:
-    """The induced trace as a functional on the commutant algebra."""
-    if algebra is None:
-        algebra = commutant_of_action(module)
-    evaluate = induced_trace_evaluator(module, generators)
+def induced_trace(module: _ModuleBase, algebra: StarAlgebra) -> TraceFunctional:
+    """The induced trace as a functional on an algebra inside the commutant."""
+    evaluate = induced_trace_evaluator(module)
     values = np.array([evaluate(b) for b in algebra.basis], dtype=complex)
     return TraceFunctional(algebra, values)
 
@@ -480,10 +433,9 @@ def basic_construction(
     rc = commutant(module.image_algebra)
     _, defect = span_equal(algebra, rc)
 
-    gens = spanning_generators(module)
-    induced = induced_trace(module, algebra, gens)
+    induced = induced_trace(module, algebra)
     expect = ConditionalExpectation(algebra, left_image, induced)
-    dim_value = cdim(module, gens)
+    dim_value = cdim(module)
     centers_ok, _ = span_equal(center(sub), center(big))
 
     return BasicConstruction(

@@ -3,11 +3,14 @@ import zlib
 import numpy as np
 import pytest
 
+import gaborlab.bimodule
+import gaborlab.vnmod
 from gaborlab.algebra import (
     StarAlgebra,
     TraceFunctional,
     block_matrix_algebra,
     center,
+    commutant,
     full_matrix_algebra,
     gns,
     span_equal,
@@ -34,7 +37,6 @@ from gaborlab.vnmod import (
     blockwise_deviation,
     bounded_operator,
     cdim,
-    commutant_of_action,
     induced_trace,
 )
 
@@ -151,6 +153,42 @@ def test_mismatched_centers_detected():
     assert err.value.deviation > 0
 
 
+def test_unfaithful_side_fails_its_hypothesis():
+    # the scalar left module of test_mismatched_centers_detected and the
+    # unfaithful right module of test_cdim_requires_faithful_action
+    scalars = StarAlgebra(np.eye(2)[None, :, :].astype(complex) / np.sqrt(2))
+    tau = TraceFunctional(scalars, np.array([m[0, 0] for m in scalars.basis]))
+    left = LeftModule(scalars, tau, scalars.basis)
+    alg = block_matrix_algebra([2, 1])
+    kappa = TraceFunctional.from_matrix_trace(alg)
+    right = RightModule(alg, kappa, np.stack([b[:2, :2].T for b in alg.basis]))
+    assert left.faithful and not right.faithful
+    bm = Bimodule(left, right)
+    assert bm.right is right
+    with pytest.raises(HypothesisError) as err:
+        verify_hypotheses(bm)
+    assert err.value.hypothesis == "right action faithful"
+
+
+def test_each_module_derives_generators_and_synthesis_once(monkeypatch):
+    seen = {"spanning_generators": [], "_synthesis": []}
+    for name, calls in seen.items():
+        original = getattr(gaborlab.vnmod, name)
+
+        def counted(module, *args, _original=original, _calls=calls):
+            _calls.append(module)
+            return _original(module, *args)
+
+        for mod in (gaborlab.vnmod, gaborlab.bimodule):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    bm = random_instance(3, blocks=[(2, 4, 2)])
+    verify_left_right_bounded(bm, trials=5)
+    for name, calls in seen.items():
+        assert len(calls) == 2, name
+        assert {id(m) for m in calls} == {id(bm.left), id(bm.right)}, name
+
+
 def test_hypotheses_pass_on_seeded_instance():
     bm = random_instance(7, blocks=[(2, 4, 2)])
     verify_hypotheses(bm)
@@ -208,7 +246,7 @@ def cdim_product_identity_deviation(bm):
     """Deviation in: cdim(left) * cdim(right) = cdim of the left module on
     the GNS space of the right action's commutant."""
     product = bm.cdim_product()
-    big = commutant_of_action(bm.right)
+    big = commutant(bm.right.image_algebra)
     big_trace = induced_trace(bm.right, big)
     sp = gns(big, big_trace)
     images = np.stack([sp.left(bm.left.act(b)) for b in bm.left.algebra.basis])

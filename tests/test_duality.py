@@ -105,7 +105,7 @@ def test_cdim_covolume_worked_values():
         bm = gabor_bimodule(lat)
         value = cdim(bm.left)
         assert value.max_dev_from_scalar(want) <= 1e-9
-        checks = verify_cdim_covolume(lat, bm=bm)
+        checks = verify_cdim_covolume(lat, bm)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
@@ -140,7 +140,7 @@ def test_bessel_duality_zero_window():
 
 
 def test_gabor_alignment_check():
-    check = verify_gabor_alignment(lat_square())
+    check = verify_gabor_alignment(gabor_bimodule(lat_square()))
     assert check.passed
 
 

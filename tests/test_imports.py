@@ -1,11 +1,13 @@
-"""Every name a gaborlab module imports is used in that module.
+"""Every name a gaborlab module imports is used in that module, and every
+function, class and method it defines is used somewhere in gaborlab.
 
-A stand-in for a linter's unused-import rule (F401), written with the
-stdlib ast module. `from __future__` imports are skipped, and so is any
-import whose line carries `# noqa: F401`.
+Stand-ins for a linter's unused-import rule (F401) and a dead-code check,
+written with the stdlib ast module. `from __future__` imports are skipped,
+and so is any import whose line carries `# noqa: F401`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,60 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(tree: ast.AST):
+    """Every ast.Name id and ast.Attribute attr in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def dead_symbols(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, and non-dunder methods, that no
+    ast.Name or ast.Attribute anywhere in the sources refers to outside the
+    symbol's own definition. Matching is by bare name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend(
+                    (module, f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    dead = []
+    for module, qualname, node in defs:
+        name = node.name
+        if refs[name] - Counter(referenced_names(node))[name] <= 0:
+            dead.append(f"{module}: {qualname}")
+    return sorted(dead)
+
+
+def test_detects_a_dead_symbol():
+    used = "def helper():\n    return 1\n\nprint(helper())\n"
+    assert dead_symbols({"a": used}) == []
+    recursive = "def loop(n):\n    return loop(n - 1)\n"
+    assert dead_symbols({"a": recursive}) == ["a: loop"]
+    methods = (
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 0\n"
+        "    def grow(self):\n        self.size += 1\n"
+        "    def shrink(self):\n        self.size -= 1\n"
+        "Box().grow()\n"
+    )
+    assert dead_symbols({"a": methods}) == ["a: Box.shrink"]
+    # a reference from another module counts, by attribute too
+    assert dead_symbols({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}) == []
+
+
+def test_no_dead_symbols():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_symbols(sources) == []

@@ -5,15 +5,14 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gaborlab.gabor import cocycle
 from gaborlab.groups import (
     FiniteAbelianGroup,
     adjoint_lattice,
-    character_value,
     covolume,
     lattice_from_generators,
     phase_point,
 )
+from reference import character_value, cocycle
 
 
 @st.composite

@@ -7,6 +7,7 @@ from gaborlab.algebra import (
     ampliated_matrix_algebra,
     block_matrix_algebra,
     center_valued_trace,
+    commutant,
     full_matrix_algebra,
     gns,
     span_equal,
@@ -24,16 +25,14 @@ from gaborlab.vnmod import (
     bounded_operator,
     cdim,
     cdim_blockwise,
-    commutant_of_action,
     direct_sum,
     induced_trace,
     jones_projection,
     jones_sandwich_span,
-    module_projection,
     pair_blocks,
     push_down,
-    reduce_module,
     spanning_generators,
+    _synthesis,
 )
 
 
@@ -77,7 +76,7 @@ def test_module_projection_on_regular_module():
     alg = block_matrix_algebra([2, 1])
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = regular_right_module(alg, kappa)
-    p = module_projection(mod, [mod.space.hat_identity()])
+    _, p = _synthesis(mod, [mod.space.hat_identity()])
     assert np.allclose(p, np.eye(alg.dimension), atol=1e-10)
 
 
@@ -107,7 +106,7 @@ def test_module_projection_needs_spanning_generators():
     mod = regular_right_module(alg, kappa)
     short = mod.space.hat(np.diag([1.0, 0.0])) * 0.0
     with pytest.raises(SpanError):
-        module_projection(mod, [short])
+        _synthesis(mod, [short])
 
 
 def test_spanning_generators_do_span():
@@ -115,7 +114,7 @@ def test_spanning_generators_do_span():
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = regular_right_module(alg, kappa)
     gens = spanning_generators(mod)
-    p = module_projection(mod, gens)
+    _, p = _synthesis(mod, gens)
     # projection of full rank equal to the space dimension
     assert int(round(np.trace(p).real)) == mod.space_dim
 
@@ -162,18 +161,6 @@ def test_cdim_requires_faithful_action():
     assert not mod.faithful
     with pytest.raises(FaithfulnessError):
         cdim(mod)
-
-
-def test_reduce_module_restores_faithfulness():
-    alg = block_matrix_algebra([2, 1])
-    kappa = TraceFunctional.from_matrix_trace(alg)
-    images = np.stack([b[:2, :2].T for b in alg.basis])
-    mod = RightModule(alg, kappa, images)
-    small = reduce_module(mod)
-    assert small.faithful
-    assert small.algebra.dimension == 4
-    value = cdim(small)
-    assert value.coefficients == pytest.approx([0.5], abs=1e-9)
 
 
 def test_cdim_additive_on_direct_sums():
@@ -314,7 +301,7 @@ def test_basic_construction_commutant_identity():
     kappa = TraceFunctional.from_matrix_trace(big)
     ctx = basic_construction(big, sub, kappa)
     assert ctx.commutant_defect <= 1e-10
-    rc = commutant_of_action(ctx.module)
+    rc = commutant(ctx.module.image_algebra)
     ok, dev = span_equal(ctx.algebra, rc)
     assert ok, dev
 
@@ -416,7 +403,7 @@ def test_induced_trace_on_regular_module_is_kappa():
     alg = block_matrix_algebra([2, 1])
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = regular_right_module(alg, kappa)
-    tr = induced_trace(mod)
+    tr = induced_trace(mod, commutant(mod.image_algebra))
     sp = mod.space
     rng = np.random.default_rng(27)
     for _ in range(10):
@@ -429,7 +416,7 @@ def test_induced_trace_rows_over_full_algebra():
     alg = full_matrix_algebra(n)
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = row_module(alg, kappa)
-    tr = induced_trace(mod)
+    tr = induced_trace(mod, commutant(mod.image_algebra))
     assert tr.algebra.dimension == 1
     assert tr(np.eye(n)) == pytest.approx(1.0, abs=1e-9)
 
@@ -439,7 +426,7 @@ def test_induced_trace_defining_identity():
     alg = full_matrix_algebra(2)
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = row_module(alg, kappa)
-    tr = induced_trace(mod)
+    tr = induced_trace(mod, commutant(mod.image_algebra))
     sp = mod.space
     rng = np.random.default_rng(28)
     for _ in range(100):
@@ -463,7 +450,7 @@ def test_center_trace_identity_for_bounded_vectors():
     cases.append(row_module(sum22, TraceFunctional.from_matrix_trace(sum22)))
     rng = np.random.default_rng(29)
     for mod in cases:
-        tilde = commutant_of_action(mod)
+        tilde = commutant(mod.image_algebra)
         tr_tilde = induced_trace(mod, tilde)
         ez_tilde = center_valued_trace(tilde, tr_tilde)
         ez_n = center_valued_trace(mod.algebra, mod.trace)
@@ -494,7 +481,7 @@ def test_cdim_product_with_commutant_module():
         ),
     ]
     for mod in mods:
-        tilde = commutant_of_action(mod)
+        tilde = commutant(mod.image_algebra)
         tr_tilde = induced_trace(mod, tilde)
         left = LeftModule(tilde, tr_tilde, tilde.basis, check=False)
         product = blockwise_product(
