@@ -17,6 +17,8 @@ from .groups import Lattice, PhasePoint
 # singular values / residuals below RANK_RTOL x scale count as zero
 RANK_RTOL = 1e-10
 SPAN_ATOL = 1e-10
+# seeds the random self-adjoint elements whose spectra split an algebra
+_SPLIT_SEED = 0x5EED
 
 
 class SpanError(ValueError):
@@ -175,10 +177,21 @@ def _commuting_part(alg: StarAlgebra, span: np.ndarray) -> StarAlgebra:
 
 
 def commutant(alg: StarAlgebra) -> StarAlgebra:
-    """Everything commuting with the algebra: the commuting part of all n x n
-    matrices, spanned by the matrix units."""
+    """Everything commuting with the algebra.
+
+    Whatever commutes with the algebra commutes with one generic self-adjoint
+    element a of it, so it is block diagonal over the eigenvalue clusters of
+    a. The solve runs only over the matrix units of those blocks in a's
+    eigenbasis. A cut that merges two clusters only adds unknowns, since the
+    generator constraints still bind.
+    """
     n = alg.ambient_dim
-    return _commuting_part(alg, np.eye(n * n, dtype=complex).reshape(-1, n, n))
+    evecs, cuts = _generic_eigenbasis(alg.basis, np.random.default_rng(_SPLIT_SEED))
+    units = [
+        np.einsum("ai,bj->ijab", evecs[:, lo:hi], evecs[:, lo:hi].conj()).reshape(-1, n, n)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    return _commuting_part(alg, np.concatenate(units))
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
@@ -196,6 +209,31 @@ def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple
     return (a.dimension == b.dimension and worst <= atol, worst)
 
 
+def _cluster_cuts(evals: np.ndarray) -> list[int]:
+    """Boundaries of the clusters of an ascending spectrum: a gap larger than
+    1e-6 x max(spread, 1) starts a new cluster. Returns [0, ..., evals.size]."""
+    spread = max(float(evals[-1] - evals[0]), 1.0)
+    starts = np.flatnonzero(np.diff(evals) > 1e-6 * spread) + 1
+    return [0] + starts.tolist() + [int(evals.size)]
+
+
+def _generic_eigenbasis(basis: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """Eigenvectors of a random self-adjoint element of span(basis), and the
+    cuts between its eigenvalue clusters.
+
+    The element is a Gaussian real combination of the Hermitian and the
+    skew-Hermitian parts of the basis, so it is generic in the self-adjoint
+    part of a *-closed span.
+    """
+    herm = (basis + basis.conj().transpose(0, 2, 1)) / 2.0
+    skew = (basis - basis.conj().transpose(0, 2, 1)) / 2j
+    re = rng.standard_normal(basis.shape[0])
+    im = rng.standard_normal(basis.shape[0])
+    elem = np.einsum("i,iab->ab", re, herm) + np.einsum("i,iab->ab", im, skew)
+    evals, evecs = np.linalg.eigh(elem)
+    return evecs, _cluster_cuts(evals)
+
+
 def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
     """Mutually orthogonal central projections summing to 1, one per block.
 
@@ -204,20 +242,9 @@ def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
     """
     zc = center(alg)
     want = zc.dimension
-    rng = np.random.default_rng(0x5EED)
-    herm = (zc.basis + zc.basis.conj().transpose(0, 2, 1)) / 2.0
-    skew = (zc.basis - zc.basis.conj().transpose(0, 2, 1)) / 2j
+    rng = np.random.default_rng(_SPLIT_SEED)
     for _ in range(5):
-        re = rng.standard_normal(want)
-        im = rng.standard_normal(want)
-        elem = np.einsum("i,iab->ab", re, herm) + np.einsum("i,iab->ab", im, skew)
-        evals, evecs = np.linalg.eigh(elem)
-        spread = max(float(evals[-1] - evals[0]), 1.0)
-        cuts = [0]
-        for j in range(1, evals.size):
-            if evals[j] - evals[j - 1] > 1e-6 * spread:
-                cuts.append(j)
-        cuts.append(evals.size)
+        evecs, cuts = _generic_eigenbasis(zc.basis, rng)
         if len(cuts) - 1 != want:
             continue
         projs = []

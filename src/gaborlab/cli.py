@@ -20,7 +20,7 @@ from .bimodule import (
     verify_left_right_bounded,
 )
 from .duality import gabor_bimodule, verify_bessel_duality
-from .gabor import bessel_bound_opt, window_from_dict
+from .gabor import window_from_dict
 from .groups import (
     FiniteAbelianGroup,
     covolume,
@@ -151,9 +151,11 @@ def _cmd_bessel(args) -> Report:
         },
         seed=args.seed,
     )
-    report.extend(verify_bessel_duality(g, lat, tol, bm=gabor_bimodule(lat)))
-    report.data["bessel_bound"] = bessel_bound_opt(g, lat)
-    report.data["adjoint_bessel_bound"] = bessel_bound_opt(g, lat.adjoint)
+    checks = verify_bessel_duality(g, lat, tol, bm=gabor_bimodule(lat))
+    report.extend(checks)
+    sides = {c.name: c for c in checks}
+    report.data["bessel_bound"] = sides["right-norm-bessel"].rhs
+    report.data["adjoint_bessel_bound"] = sides["bessel-duality"].lhs
     report.data["covolume"] = str(covolume(lat))
     return report
 

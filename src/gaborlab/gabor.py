@@ -6,6 +6,7 @@ L2(G) is the complex |G|-space and every shift is a unitary |G| x |G| matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,13 @@ class Window:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """Euclidean norm, taken after dividing by the largest component so
+        that squaring tiny or huge entries neither underflows nor overflows."""
+        peak = float(np.abs(self.values.view(float)).max())
+        if not peak:
+            return 0.0
+        scaled = self.values / peak
+        return peak * math.sqrt(np.vdot(scaled, scaled).real)
 
 
 def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:

@@ -14,7 +14,7 @@ from . import __version__
 # all of them at once; integer facts (sizes, dimensions) are compared exactly.
 TOL_SPAN = 1e-10  # span and commutant equalities, on orthonormal-basis residuals
 TOL_DIMENSION = 1e-9  # dimension and trace identities, norm inequalities
-TOL_SPECTRAL = 1e-8  # Bessel bounds and operator norms, relative to max(1, bound)
+TOL_SPECTRAL = 1e-8  # Bessel bounds and operator norms, relative to the bound
 
 
 @dataclass

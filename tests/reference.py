@@ -7,6 +7,9 @@ import cmath
 import math
 from typing import Iterable
 
+import numpy as np
+
+from gaborlab.algebra import StarAlgebra
 from gaborlab.groups import FiniteAbelianGroup, PhasePoint, phase_point
 
 
@@ -21,3 +24,20 @@ def cocycle(group: FiniteAbelianGroup, z: PhasePoint, zp: PhasePoint) -> complex
     z = phase_point(group, z[0], z[1])
     zp = phase_point(group, zp[0], zp[1])
     return complex(character_value(group, zp.w, z.x)).conjugate()
+
+
+def dense_commutant(alg: StarAlgebra) -> StarAlgebra:
+    """The commutant as the null space of one dense constraint matrix over all
+    n^2 matrix units: each generator h and its adjoint add the block
+    kron(I, h^T) - kron(h, I), which maps vec(X) to vec(X h - h X)."""
+    n = alg.ambient_dim
+    eye = np.eye(n, dtype=complex)
+    blocks = []
+    scale = 0.0
+    for g in alg.gen_matrices():
+        for h in (g, g.conj().T):
+            blocks.append(np.kron(eye, h.T) - np.kron(h, eye))
+            scale = max(scale, float(np.linalg.norm(h)))
+    _, svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    rank = int(np.sum(svals > 1e-10 * max(float(svals[0]), scale)))
+    return StarAlgebra(vh[rank:].conj().reshape(-1, n, n))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaborlab import algebra
 from gaborlab.algebra import (
     ConditionalExpectation,
     FaithfulnessError,
@@ -12,6 +13,7 @@ from gaborlab.algebra import (
     SpanError,
     StarAlgebra,
     TraceFunctional,
+    _cluster_cuts,
     ampliated_matrix_algebra,
     block_matrix_algebra,
     center,
@@ -24,13 +26,20 @@ from gaborlab.algebra import (
     span_equal,
     twisted_group_algebra,
 )
+from gaborlab.bimodule import random_instance
+from gaborlab.campaigns import _construction_instances
+from gaborlab.duality import shift_algebra
 from gaborlab.gabor import tf_shift
 from gaborlab.groups import (
     FiniteAbelianGroup,
     adjoint_lattice,
+    enumerate_subgroups,
     lattice_from_generators,
     phase_point,
 )
+from gaborlab.reporting import TOL_SPAN
+from gaborlab.vnmod import basic_construction
+from reference import dense_commutant
 
 Z4 = FiniteAbelianGroup((4,))
 Z24 = FiniteAbelianGroup((2, 4))
@@ -156,6 +165,74 @@ def test_double_commutant():
         back = commutant(commutant(alg))
         ok, dev = span_equal(alg, back)
         assert ok, dev
+
+
+def assert_matches_dense(alg):
+    got, want = commutant(alg), dense_commutant(alg)
+    assert got.dimension == want.dimension
+    ok, dev = span_equal(got, want, atol=TOL_SPAN)
+    assert ok, dev
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_commutant_matches_dense_on_shift_algebras(n):
+    for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
+        assert_matches_dense(shift_algebra(lat))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_commutant_matches_dense_on_right_action_images(index):
+    _, big, sub = _construction_instances()[index]
+    ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
+    assert_matches_dense(ctx.module.image_algebra)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_commutant_matches_dense_on_random_instances(seed):
+    bm = random_instance(seed)
+    assert_matches_dense(bm.left.image_algebra)
+    assert_matches_dense(bm.right.image_algebra)
+
+
+def test_commutant_with_one_merged_cluster_is_the_full_solve(monkeypatch):
+    # merging clusters only adds unknowns; merging all of them solves over
+    # every matrix unit of the eigenbasis
+    monkeypatch.setattr(algebra, "_cluster_cuts", lambda evals: [0, int(evals.size)])
+    for alg in (
+        block_matrix_algebra([2, 1]),
+        ampliated_matrix_algebra(2, 3),
+        generate_algebra(shift_gens(square_lattice())),
+    ):
+        assert_matches_dense(alg)
+
+
+def test_commutant_solves_only_the_diagonal_blocks(monkeypatch):
+    # M3 with multiplicity 4 on C^12: three clusters of 4, so 48 unknowns, not 144
+    sizes = []
+    solve = algebra._commuting_part
+
+    def spy(alg, span):
+        sizes.append(span.shape[0])
+        return solve(alg, span)
+
+    monkeypatch.setattr(algebra, "_commuting_part", spy)
+    assert commutant(ampliated_matrix_algebra(3, 4)).dimension == 16
+    assert sizes == [48]
+
+
+def test_cluster_cuts_merge_small_gaps_and_split_large_ones():
+    gap = 1e-6 * 10.0
+    assert _cluster_cuts(np.array([0.0, gap, 10.0])) == [0, 2, 3]
+    assert _cluster_cuts(np.array([0.0, 2 * gap, 10.0])) == [0, 1, 2, 3]
+    # a spread below 1 counts as 1
+    assert _cluster_cuts(np.array([0.0, 1e-6, 0.5])) == [0, 2, 3]
+    assert _cluster_cuts(np.array([0.0, 2e-6, 0.5])) == [0, 1, 2, 3]
+    assert _cluster_cuts(np.array([-3.0, -3.0 + 1e-12, 2.0, 2.0 + 1e-12])) == [0, 2, 4]
+
+
+def test_cluster_cuts_single_eigenvalue_and_zero_spread():
+    assert _cluster_cuts(np.array([4.0])) == [0, 1]
+    assert _cluster_cuts(np.array([2.0, 2.0, 2.0])) == [0, 3]
 
 
 # ---------------------------------------------------------------- center

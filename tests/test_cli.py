@@ -122,6 +122,17 @@ def test_bessel_from_files(tmp_path, capsys):
     assert report["data"]["covolume"] == "1/2"
 
 
+def test_bessel_rejects_zero_and_overflowing_windows(capsys):
+    lattice = '{"generators": [[[1], [0]]]}'
+    for scale, why in (("0", "window is zero"), ("1e200", "overflows a float")):
+        window = f'{{"values": [[{scale}, 0], [0, 0], [0, 0], [0, 0]]}}'
+        code, report, err = run_cli(
+            capsys, "bessel", "--orders", "4", "--lattice", lattice, "--window", window
+        )
+        assert (code, report) == (2, None)
+        assert why in err
+
+
 def test_bessel_tolerance_override_forces_failure(tmp_path, capsys):
     rng = np.random.default_rng(99)
     vals = rng.normal(size=4)

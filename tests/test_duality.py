@@ -15,6 +15,7 @@ from gaborlab.duality import (
 from gaborlab.gabor import Window, shift_stack
 from gaborlab.groups import (
     FiniteAbelianGroup,
+    InvalidElementError,
     ResourceLimitError,
     covolume,
     enumerate_subgroups,
@@ -131,12 +132,39 @@ def test_bessel_duality_halfline_lattice():
 
 
 def test_bessel_duality_zero_window():
+    # every bound of the zero window is 0, so no check could fail: bad input
     lat = lat_square()
     g = Window(Z4, np.zeros(4, dtype=complex))
-    checks = verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
-    assert all(c.passed for c in checks)
-    assert checks[0].lhs == 0.0
-    assert checks[0].rhs == 0.0
+    with pytest.raises(InvalidElementError, match="window is zero"):
+        verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-20, 1e100])
+def test_bessel_gate_is_relative_at_every_scale(scale):
+    # at tol 1e-30 rounding alone fails a check; a gate that is absolute for
+    # small bounds would pass a tiny window anyway
+    lat = lattice_from_generators(Z4, [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (1,))])
+    bm = gabor_bimodule(lat)
+    vals = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 4))
+    base = verify_bessel_duality(Window(Z4, vals), lat, tol=1e-30, bm=bm)
+    scaled = verify_bessel_duality(Window(Z4, vals * scale), lat, tol=1e-30, bm=bm)
+    assert not all(c.passed for c in base)
+    assert not all(c.passed for c in scaled)
+    for got, want in zip(scaled, base):
+        assert got.deviation == pytest.approx(want.deviation, abs=1e-14)
+        assert got.lhs == pytest.approx(want.lhs * scale**2, rel=1e-12)
+        assert got.rhs == pytest.approx(want.rhs * scale**2, rel=1e-12)
+    # the default tolerance passes at every scale
+    assert all(c.passed for c in verify_bessel_duality(Window(Z4, vals * scale), lat, bm=bm))
+
+
+def test_bessel_overflowing_window_is_rejected():
+    lat = lat_square()
+    for value in (1e200, 5e153):
+        # 1e200: |g|^2 overflows; 5e153: |g|^2 fits but the bounds do not
+        g = Window(Z4, np.full(4, value, dtype=complex))
+        with pytest.raises(InvalidElementError, match="overflow"):
+            verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
 
 
 def test_gabor_alignment_check():
