@@ -68,8 +68,16 @@ def _cyclic_sweep(max_order: int):
             yield n, li, lat
 
 
-def _gaussian_window(group: FiniteAbelianGroup, rng: np.random.Generator) -> Window:
-    return Window(group, gaussian_vector(rng, group.size))
+def _gaussian_windows(group: FiniteAbelianGroup, trials: int, seed: int, *key) -> list[Window]:
+    """One Gaussian window per trial t, each from its own campaign_rng(seed, *key, t)."""
+    return [
+        Window(group, gaussian_vector(campaign_rng(seed, *key, t), group.size))
+        for t in range(trials)
+    ]
+
+
+def _window_prefixes(prefix: str, trials: int) -> list[str]:
+    return [f"{prefix}win{t:02d}/" for t in range(trials)]
 
 
 def bessel_duality_sweep(
@@ -78,11 +86,9 @@ def bessel_duality_sweep(
     """Adjoint-lattice bound equals covolume times the lattice bound (A1)."""
     checks = []
     for n, li, lat in _cyclic_sweep(max_order):
-        for t in range(trials):
-            g = _gaussian_window(lat.group, campaign_rng(seed, "bessel", n, li, t))
-            checks.extend(
-                verify_bessel_duality(g, lat, tol, prefix=f"n{n}/lat{li:02d}/win{t:02d}/")
-            )
+        windows = _gaussian_windows(lat.group, trials, seed, "bessel", n, li)
+        prefixes = _window_prefixes(f"n{n}/lat{li:02d}/", trials)
+        checks.extend(verify_bessel_duality(windows, lat, tol, prefixes))
     return checks
 
 
@@ -113,13 +119,9 @@ def bounded_vector_sweep(
         group = FiniteAbelianGroup((n,))
         for li, lat in enumerate(enumerate_subgroups(group)):
             bm = gabor_bimodule(lat)
-            for t in range(trials):
-                g = _gaussian_window(group, campaign_rng(seed, "bounded", n, li, t))
-                checks.extend(
-                    verify_bessel_duality(
-                        g, lat, tol, prefix=f"n{n}/lat{li:02d}/win{t:02d}/", bm=bm
-                    )
-                )
+            windows = _gaussian_windows(group, trials, seed, "bounded", n, li)
+            prefixes = _window_prefixes(f"n{n}/lat{li:02d}/", trials)
+            checks.extend(verify_bessel_duality(windows, lat, tol, prefixes, bm=bm))
     return checks
 
 
@@ -273,12 +275,12 @@ def coefficient_change_sweep(
                 )
             )
         rng = campaign_rng(seed, "subalgebra", idx)
-        worst = 0.0
-        for _ in range(trials):
-            f = gaussian_vector(rng, big.dimension)
-            big_norm = operator_norm(bounded_operator(f, over_big))
-            sub_norm = operator_norm(bounded_operator(f, over_sub))
-            worst = max(worst, big_norm - constant * sub_norm)
+        fs = np.empty((trials, big.dimension), dtype=complex)
+        for t in range(trials):
+            fs[t] = gaussian_vector(rng, big.dimension)
+        big_norms = operator_norm(bounded_operator(fs, over_big))
+        sub_norms = operator_norm(bounded_operator(fs, over_sub))
+        worst = float(np.max(big_norms - constant * sub_norms, initial=0.0))
         checks.append(make_bound_check(f"{label}/subalgebra-norm-bound", worst, 0.0, tol))
     return checks
 
@@ -364,11 +366,10 @@ def duality_report(
         report.extend(verify_commutant(lat, span_tol, prefix=prefix))
         report.extend(verify_cdim_covolume(lat, bm, dim_tol, prefix=prefix))
         report.extend([verify_gabor_alignment(bm, dim_tol, prefix=prefix)])
-        for t in range(trials):
-            g = _gaussian_window(group, campaign_rng(seed, "duality", li, t))
-            report.extend(
-                verify_bessel_duality(g, lat, spec_tol, prefix=f"{prefix}win{t:02d}/", bm=bm)
-            )
+        windows = _gaussian_windows(group, trials, seed, "duality", li)
+        report.extend(
+            verify_bessel_duality(windows, lat, spec_tol, _window_prefixes(prefix, trials), bm=bm)
+        )
     return report
 
 

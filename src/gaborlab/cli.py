@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout and a one-line summary to
 stderr. Exit codes: 0 all checks passed, 1 some check failed, 2 bad usage or
-unreadable input. Reports carry no timestamps, so a fixed command line and
-seed reproduce them byte for byte.
+unreadable input, 3 numerical breakdown (a spectral split that never
+separated, or a LAPACK routine that did not converge). Reports carry no
+timestamps, so a fixed command line and seed reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
+from .algebra import SpectralSplitError
 from .campaigns import duality_report, selftest_report
 from .bimodule import (
     HypothesisError,
@@ -151,7 +155,7 @@ def _cmd_bessel(args) -> Report:
         },
         seed=args.seed,
     )
-    checks = verify_bessel_duality(g, lat, tol, bm=gabor_bimodule(lat))
+    checks = verify_bessel_duality([g], lat, tol, bm=gabor_bimodule(lat))
     report.extend(checks)
     sides = {c.name: c for c in checks}
     report.data["bessel_bound"] = sides["right-norm-bessel"].rhs
@@ -260,6 +264,10 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"gaborlab: {exc}", file=sys.stderr)
         return 2
+    # LinAlgError is a ValueError, so it has to be caught first
+    except (SpectralSplitError, np.linalg.LinAlgError) as exc:
+        print(f"gaborlab: numerical breakdown: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, RuntimeError) as exc:
         print(f"gaborlab: {exc}", file=sys.stderr)
         return 2

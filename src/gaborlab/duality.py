@@ -8,7 +8,7 @@ the opposite-twisted algebra, which is what makes the two actions commute.
 
 from __future__ import annotations
 
-import math
+from typing import Sequence
 
 import numpy as np
 
@@ -122,44 +122,64 @@ def verify_cdim_covolume(
 
 
 def verify_bessel_duality(
-    g: Window,
+    windows: Sequence[Window],
     lat: Lattice,
     tol: float = TOL_SPECTRAL,
-    prefix: str = "",
+    prefixes: Sequence[str] = ("",),
     bm: Bimodule | None = None,
 ) -> list[Check]:
     """The duality identity between the bound over the lattice and its adjoint,
-    plus the operator-norm characterizations of both bounds.
+    plus the operator-norm characterizations of both bounds, for each of the
+    T windows; window t's checks are named after prefixes[t] and come in
+    window order.
 
     Every side is homogeneous of degree 2 in g, so the checks are decided for
     g / |g| with a gate relative to the bound; the reported deviation is that
     relative one, and the reported sides are scaled back by |g|^2. A zero
     window, or one whose bounds overflow a float, raises InvalidElementError.
     """
-    norm = g.norm
-    if norm == 0.0:
+    if len(prefixes) != len(windows):
+        raise ValueError(f"{len(windows)} windows but {len(prefixes)} check prefixes")
+    if any(g.group != lat.group for g in windows):
+        raise InvalidElementError("window and lattice live over different groups")
+    values = np.array([g.values for g in windows]).reshape(len(windows), lat.group.size)
+    # |g|, taken after dividing by the largest component so that squaring tiny
+    # or huge entries neither underflows nor overflows
+    peaks = np.abs(values.view(float)).max(axis=1, initial=0.0)
+    if not peaks.all():
         raise InvalidElementError("the window is zero, so every Bessel bound is 0")
-    norm_sq = norm * norm
-    if not math.isfinite(norm_sq):
+    scaled = values / peaks[:, None]
+    # <s, s> per row through matmul, which rounds as np.vdot does
+    norms = peaks * np.sqrt((scaled.conj()[:, None, :] @ scaled[:, :, None])[:, 0, 0].real)
+    with np.errstate(over="ignore"):  # an overflow is bad input, raised below
+        norms_sq = norms * norms
+    if not np.isfinite(norms_sq).all():
+        norm = norms[~np.isfinite(norms_sq)][0]
         raise InvalidElementError(f"the window's squared norm overflows a float (norm {norm:.3e})")
-    unit = Window(g.group, g.values / norm)
+    units = values / norms[:, None]
     covol = float(covolume(lat))
-    bound = bessel_bound_opt(unit, lat)
-    bound_adj = bessel_bound_opt(unit, lat.adjoint)
-
-    def relative(name: str, lhs: float, rhs: float) -> Check:
-        dev = abs(lhs - rhs) / rhs
-        return Check(f"{prefix}{name}", dev <= tol, lhs * norm_sq, rhs * norm_sq, tol, dev)
-
-    checks = [relative("bessel-duality", bound_adj, covol * bound)]
+    bound = bessel_bound_opt(units, lat)
+    bound_adj = bessel_bound_opt(units, lat.adjoint)
+    sides = {"bessel-duality": (bound_adj, covol * bound)}
     if bm is not None:
-        rn = operator_norm(right_bounded_operator(unit.values, bm))
-        checks.append(relative("right-norm-bessel", rn * rn, bound))
-        ln = operator_norm(left_bounded_operator(unit.values, bm))
-        checks.append(relative("left-norm-bessel", covol * ln * ln, bound_adj))
-    if not all(math.isfinite(c.lhs) and math.isfinite(c.rhs) for c in checks):
+        rn = operator_norm(right_bounded_operator(units, bm))
+        ln = operator_norm(left_bounded_operator(units, bm))
+        sides["right-norm-bessel"] = (rn * rn, bound)
+        sides["left-norm-bessel"] = (covol * ln * ln, bound_adj)
+    # per check kind: relative deviation, and both sides scaled back by |g|^2
+    devs = np.array([np.abs(lhs - rhs) / rhs for lhs, rhs in sides.values()])
+    with np.errstate(over="ignore"):
+        reported = np.array([(lhs * norms_sq, rhs * norms_sq) for lhs, rhs in sides.values()])
+    overflow = ~np.isfinite(reported).all(axis=(0, 1))
+    if overflow.any():
+        norm = norms[overflow][0]
         raise InvalidElementError(f"the Bessel bounds of a window of norm {norm:.3e} overflow a float")
-    return checks
+    devs, reported = devs.T.tolist(), reported.transpose(2, 0, 1).tolist()
+    return [
+        Check(f"{prefix}{name}", dev <= tol, lhs, rhs, tol, dev)
+        for prefix, window_devs, window_sides in zip(prefixes, devs, reported)
+        for name, dev, (lhs, rhs) in zip(sides, window_devs, window_sides)
+    ]
 
 
 def verify_gabor_alignment(bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = "") -> Check:

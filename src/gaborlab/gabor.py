@@ -6,7 +6,6 @@ L2(G) is the complex |G|-space and every shift is a unitary |G| x |G| matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,16 +37,6 @@ class Window:
             raise InvalidElementError("window entries must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def norm(self) -> float:
-        """Euclidean norm, taken after dividing by the largest component so
-        that squaring tiny or huge entries neither underflows nor overflows."""
-        peak = float(np.abs(self.values.view(float)).max())
-        if not peak:
-            return 0.0
-        scaled = self.values / peak
-        return peak * math.sqrt(np.vdot(scaled, scaled).real)
-
 
 def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:
     """The unitary (shift by x, then modulate by w): (Mf)(t) = w(t) f(t - x)."""
@@ -66,28 +55,29 @@ def shift_stack(lat: Lattice) -> np.ndarray:
     return np.stack([tf_shift(lat.group, z) for z in lat.elements])
 
 
-def analysis_matrix(g: Window, lat: Lattice) -> np.ndarray:
-    """Rows are conj(shift(z) g) over z in the lattice, so (C f)_z = <f, shift(z) g>.
+def frame_operator(values: np.ndarray, lat: Lattice) -> np.ndarray:
+    """S = C* C for each row g of a (T, |G|) stack of window values, as (T, |G|, |G|).
 
-    The inner product is linear in the first argument.
+    C has rows conj(shift(z) g) over z in the lattice, so (C f)_z = <f, shift(z) g>
+    with the inner product linear in the first argument, and
+    <S f, f> = sum_z |<f, shift(z) g>|^2.
     """
-    if g.group != lat.group:
-        raise InvalidElementError("window and lattice live over different groups")
-    return np.conj(shift_stack(lat) @ g.values)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 2 or values.shape[1] != lat.group.size:
+        raise InvalidElementError(
+            f"windows must be a (T, {lat.group.size}) stack, got shape {values.shape}"
+        )
+    # c[t, z, a] = conj(shift(z) g_t)_a: the T analysis matrices
+    c = np.conj(shift_stack(lat) @ values.T).transpose(2, 0, 1)
+    s = c.conj().transpose(0, 2, 1) @ c
+    return (s + s.conj().transpose(0, 2, 1)) / 2.0
 
 
-def frame_operator(g: Window, lat: Lattice) -> np.ndarray:
-    """S = C* C, the positive operator with <S f, f> = sum_z |<f, shift(z) g>|^2."""
-    c = analysis_matrix(g, lat)
-    s = c.conj().T @ c
-    return (s + s.conj().T) / 2.0
-
-
-def bessel_bound_opt(g: Window, lat: Lattice) -> float:
-    """The optimal Bessel bound: largest eigenvalue of the frame operator."""
-    s = frame_operator(g, lat)
-    top = float(np.linalg.eigvalsh(s)[-1])
-    return max(top, 0.0)
+def bessel_bound_opt(values: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The optimal Bessel bound of each window in a (T, |G|) stack: the largest
+    eigenvalue of its frame operator, as a (T,) array."""
+    top = np.linalg.eigvalsh(frame_operator(values, lat))[:, -1]
+    return np.maximum(top, 0.0)
 
 
 # -- JSON wire format ----------------------------------------------------

@@ -325,16 +325,17 @@ def cdim_blockwise(module: _ModuleBase) -> CenterElement:
     return CenterElement(projections, coeffs)
 
 
-def bounded_operator(f: np.ndarray, module: _ModuleBase) -> np.ndarray:
-    """Extension of the orbit map of f to the module's GNS space.
+def bounded_operator(fs: np.ndarray, module: _ModuleBase) -> np.ndarray:
+    """Extension of the orbit map of each f in a (T, space_dim) stack to the
+    module's GNS space, as a (T, space_dim, algebra dimension) stack.
 
     Sends the class of an algebra element to its action on f; the operator
     norm is the smallest constant bounding the orbit against the trace norm.
     """
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.shape[0] != module.space_dim:
-        raise SpanError("vector has the wrong length")
-    cols = np.einsum("iab,b->ai", module.images, f)
+    fs = np.asarray(fs, dtype=complex)
+    if fs.ndim != 2 or fs.shape[1] != module.space_dim:
+        raise SpanError(f"vectors must be a (T, {module.space_dim}) stack, got shape {fs.shape}")
+    cols = np.einsum("iab,tb->tai", module.images, fs)
     return cols @ module.space.chol_upper_inv
 
 

@@ -10,7 +10,8 @@ from typing import Iterable
 import numpy as np
 
 from gaborlab.algebra import StarAlgebra
-from gaborlab.groups import FiniteAbelianGroup, PhasePoint, phase_point
+from gaborlab.gabor import tf_shift
+from gaborlab.groups import FiniteAbelianGroup, Lattice, PhasePoint, phase_point
 
 
 def character_value(group: FiniteAbelianGroup, w: Iterable[int], x: Iterable[int]) -> complex:
@@ -41,3 +42,28 @@ def dense_commutant(alg: StarAlgebra) -> StarAlgebra:
     _, svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
     rank = int(np.sum(svals > 1e-10 * max(float(svals[0]), scale)))
     return StarAlgebra(vh[rank:].conj().reshape(-1, n, n))
+
+
+def analysis_matrix(g: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Rows conj(tf_shift(z) g) over z in the lattice, built one shift at a
+    time, so (C f)_z = <f, shift(z) g> with the inner product linear in f."""
+    return np.array([np.conj(tf_shift(lat.group, z) @ g) for z in lat.elements])
+
+
+def bessel_bound_by_analysis(g: np.ndarray, lat: Lattice) -> float:
+    """The optimal Bessel bound of one window as |C|_2^2, the squared spectral
+    norm of its analysis matrix."""
+    return float(np.linalg.norm(analysis_matrix(g, lat), 2)) ** 2
+
+
+def bounded_operator_loop(fs: np.ndarray, module) -> np.ndarray:
+    """vnmod.bounded_operator one vector at a time: the orbit map of f as
+    columns, then the GNS coordinates."""
+    return np.array(
+        [np.einsum("iab,b->ai", module.images, f) @ module.space.chol_upper_inv for f in fs]
+    )
+
+
+def operator_norm_loop(mats: np.ndarray) -> np.ndarray:
+    """bimodule.operator_norm one matrix at a time."""
+    return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in mats])

@@ -39,6 +39,7 @@ from gaborlab.vnmod import (
     cdim,
     induced_trace,
 )
+from reference import bounded_operator_loop, operator_norm_loop
 
 Z4 = FiniteAbelianGroup((4,))
 
@@ -66,9 +67,9 @@ def regular_right_module(alg, kappa):
 
 def test_zero_vector_gives_zero_operators():
     bm = gabor_bimodule(halfline_lattice())
-    zero = np.zeros(bm.space_dim, dtype=complex)
-    assert operator_norm(left_bounded_operator(zero, bm)) == 0.0
-    assert operator_norm(right_bounded_operator(zero, bm)) == 0.0
+    zero = np.zeros((1, bm.space_dim), dtype=complex)
+    assert operator_norm(left_bounded_operator(zero, bm)) == [0.0]
+    assert operator_norm(right_bounded_operator(zero, bm)) == [0.0]
 
 
 def test_bounded_operator_norm_on_regular_module():
@@ -80,7 +81,7 @@ def test_bounded_operator_norm_on_regular_module():
         co = rng.normal(size=4) + 1j * rng.normal(size=4)
         n = alg.reconstruct(co)
         f = mod.space.hat(n)
-        got = operator_norm(bounded_operator(f, mod))
+        got = operator_norm(bounded_operator([f], mod))[0]
         want = np.linalg.norm(n, ord=2)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -90,17 +91,35 @@ def test_gabor_worked_instance_norms():
     bm = gabor_bimodule(lat)
     g = delta_window(Z4)
     # frame operator diag(4,0,4,0), so the optimal Bessel bound is 4
-    s = frame_operator(g, lat)
+    s = frame_operator([g.values], lat)[0]
     assert np.allclose(s, np.diag([4.0, 0, 4.0, 0]), atol=1e-12)
-    rn = operator_norm(right_bounded_operator(g.values, bm))
+    rn = operator_norm(right_bounded_operator([g.values], bm))[0]
     assert rn**2 == pytest.approx(4.0, abs=1e-9)
     # left norm squared: adjoint-side Bessel bound divided by the covolume
-    b_adj = bessel_bound_opt(g, lat.adjoint)
+    b_adj = bessel_bound_opt([g.values], lat.adjoint)[0]
     assert b_adj == pytest.approx(2.0, abs=1e-12)
     assert float(covolume(lat)) == 0.5
-    ln = operator_norm(left_bounded_operator(g.values, bm))
+    ln = operator_norm(left_bounded_operator([g.values], bm))[0]
     assert ln**2 == pytest.approx(b_adj / float(covolume(lat)), abs=1e-9)
     assert ln == pytest.approx(rn, abs=1e-9)
+
+
+def test_stacked_bounded_operator_and_norm_equal_a_per_vector_loop():
+    rng = np.random.default_rng(33)
+    instances = (
+        random_instance(3, blocks=[(2, 4, 2)]),
+        random_instance(5),
+        gabor_bimodule(halfline_lattice()),
+    )
+    for bm in instances:
+        fs = np.array([gaussian_vector(rng, bm.space_dim) for _ in range(20)])
+        for mod in (bm.left, bm.right):
+            stacked = bounded_operator(fs, mod)
+            assert np.array_equal(stacked, bounded_operator_loop(fs, mod))
+            assert np.array_equal(operator_norm(stacked), operator_norm_loop(stacked))
+    # an empty stack gives no operators, no norms and no reports
+    assert operator_norm(bounded_operator(fs[:0], bm.left)).shape == (0,)
+    assert verify_left_right_bounded(bm, trials=0) == []
 
 
 def test_left_operator_module_identity():
@@ -112,8 +131,8 @@ def test_left_operator_module_identity():
         f = gaussian_vector(rng, bm.space_dim)
         co = rng.normal(size=bm.right.algebra.dimension)
         n = bm.right.algebra.reconstruct(co)
-        lhs = left_bounded_operator(bm.right.act(n) @ f, bm)
-        rhs = left_bounded_operator(f, bm) @ sp.left(n)
+        lhs = left_bounded_operator([bm.right.act(n) @ f], bm)[0]
+        rhs = left_bounded_operator([f], bm)[0] @ sp.left(n)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -215,8 +234,8 @@ def test_norm_inequality_on_multiplicity_instance():
     # brute-force check on a few vectors
     for t in (0, 7, 23):
         f = gaussian_vector(campaign_rng(2, t), bm.space_dim)
-        ln = operator_norm(left_bounded_operator(f, bm))
-        rn = operator_norm(right_bounded_operator(f, bm))
+        ln = operator_norm(left_bounded_operator([f], bm))[0]
+        rn = operator_norm(right_bounded_operator([f], bm))[0]
         assert rn <= 4.0 * ln + 1e-9
         assert ln <= 4.0 * rn + 1e-9
 

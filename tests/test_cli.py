@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import gaborlab.cli
+from gaborlab.algebra import SpectralSplitError
 from gaborlab.cli import run
 
 SQUARE = '{"generators": [[[2], [0]], [[0], [2]]]}'
@@ -131,6 +133,27 @@ def test_bessel_rejects_zero_and_overflowing_windows(capsys):
         )
         assert (code, report) == (2, None)
         assert why in err
+
+
+def test_numerical_breakdown_exits_3(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def no_split(*args, **kwargs):
+        raise SpectralSplitError("central projections did not separate")
+
+    window = '{"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", no_convergence)
+        code, report, err = run_cli(
+            capsys, "bessel", "--orders", "4", "--lattice", HALF, "--window", window
+        )
+    assert (code, report) == (3, None)
+    assert "numerical breakdown: Eigenvalues did not converge" in err
+    monkeypatch.setattr(gaborlab.cli, "random_instance", no_split)
+    code, report, err = run_cli(capsys, "bimodule", "--random", "--seed", "3")
+    assert (code, report) == (3, None)
+    assert "numerical breakdown: central projections did not separate" in err
 
 
 def test_bessel_tolerance_override_forces_failure(tmp_path, capsys):

@@ -113,7 +113,7 @@ def test_cdim_covolume_worked_values():
 def test_bessel_duality_full_lattice():
     lat = lat_full(Z4)
     g = delta(Z4)
-    checks = verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
+    checks = verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
     assert all(c.passed for c in checks)
     by_name = {c.name: c for c in checks}
     assert by_name["bessel-duality"].lhs == pytest.approx(1.0, abs=1e-12)
@@ -124,7 +124,7 @@ def test_bessel_duality_halfline_lattice():
     gens = [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (1,))]
     lat = lattice_from_generators(Z4, gens)
     g = delta(Z4)
-    checks = verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
+    checks = verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
     assert all(c.passed for c in checks)
     by_name = {c.name: c for c in checks}
     assert by_name["bessel-duality"].lhs == pytest.approx(2.0, abs=1e-12)
@@ -136,7 +136,7 @@ def test_bessel_duality_zero_window():
     lat = lat_square()
     g = Window(Z4, np.zeros(4, dtype=complex))
     with pytest.raises(InvalidElementError, match="window is zero"):
-        verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
+        verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-20, 1e100])
@@ -146,8 +146,8 @@ def test_bessel_gate_is_relative_at_every_scale(scale):
     lat = lattice_from_generators(Z4, [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (1,))])
     bm = gabor_bimodule(lat)
     vals = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 4))
-    base = verify_bessel_duality(Window(Z4, vals), lat, tol=1e-30, bm=bm)
-    scaled = verify_bessel_duality(Window(Z4, vals * scale), lat, tol=1e-30, bm=bm)
+    base = verify_bessel_duality([Window(Z4, vals)], lat, tol=1e-30, bm=bm)
+    scaled = verify_bessel_duality([Window(Z4, vals * scale)], lat, tol=1e-30, bm=bm)
     assert not all(c.passed for c in base)
     assert not all(c.passed for c in scaled)
     for got, want in zip(scaled, base):
@@ -155,7 +155,7 @@ def test_bessel_gate_is_relative_at_every_scale(scale):
         assert got.lhs == pytest.approx(want.lhs * scale**2, rel=1e-12)
         assert got.rhs == pytest.approx(want.rhs * scale**2, rel=1e-12)
     # the default tolerance passes at every scale
-    assert all(c.passed for c in verify_bessel_duality(Window(Z4, vals * scale), lat, bm=bm))
+    assert all(c.passed for c in verify_bessel_duality([Window(Z4, vals * scale)], lat, bm=bm))
 
 
 def test_bessel_overflowing_window_is_rejected():
@@ -164,7 +164,39 @@ def test_bessel_overflowing_window_is_rejected():
         # 1e200: |g|^2 overflows; 5e153: |g|^2 fits but the bounds do not
         g = Window(Z4, np.full(4, value, dtype=complex))
         with pytest.raises(InvalidElementError, match="overflow"):
-            verify_bessel_duality(g, lat, bm=gabor_bimodule(lat))
+            verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
+
+
+def test_bessel_duality_on_a_stack_equals_one_window_at_a_time():
+    rng = np.random.default_rng(23)
+    scales = (1e-200, 1.0, 1e150, 1.0, 1e-200, 1e150)
+    for lat in enumerate_subgroups(Z4):
+        bm = gabor_bimodule(lat)
+        windows = [Window(Z4, (rng.normal(size=4) + 1j * rng.normal(size=4)) * s) for s in scales]
+        prefixes = [f"win{t:02d}/" for t in range(len(windows))]
+        stacked = verify_bessel_duality(windows, lat, prefixes=prefixes, bm=bm)
+        single = [
+            c
+            for g, prefix in zip(windows, prefixes)
+            for c in verify_bessel_duality([g], lat, prefixes=[prefix], bm=bm)
+        ]
+        assert [(c.name, c.passed) for c in stacked] == [(c.name, c.passed) for c in single]
+        assert len(stacked) == 3 * len(windows)
+        for got, want in zip(stacked, single):
+            assert got.lhs == pytest.approx(want.lhs, rel=1e-13)
+            assert got.rhs == pytest.approx(want.rhs, rel=1e-13)
+    with pytest.raises(ValueError, match="prefixes"):
+        verify_bessel_duality(windows, lat, prefixes=["one"], bm=bm)
+
+
+def test_a_zero_window_anywhere_in_a_stack_is_rejected():
+    lat = lat_square()
+    bm = gabor_bimodule(lat)
+    g = Window(Z4, np.array([1.0, 2j, -1.0, 0.5]))
+    zero = Window(Z4, np.zeros(4, dtype=complex))
+    for stack in ([zero, g, g], [g, zero, g], [g, g, zero]):
+        with pytest.raises(InvalidElementError, match="window is zero"):
+            verify_bessel_duality(stack, lat, prefixes=["a/", "b/", "c/"], bm=bm)
 
 
 def test_gabor_alignment_check():
@@ -206,5 +238,5 @@ def test_random_window_sweep_small_groups():
             for _ in range(3):
                 vals = rng.normal(size=group.size) + 1j * rng.normal(size=group.size)
                 g = Window(group, vals)
-                checks = verify_bessel_duality(g, lat, bm=bm)
+                checks = verify_bessel_duality([g], lat, bm=bm)
                 assert all(c.passed for c in checks)

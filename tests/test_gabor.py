@@ -9,7 +9,6 @@ import pytest
 
 from gaborlab.gabor import (
     Window,
-    analysis_matrix,
     bessel_bound_opt,
     frame_operator,
     tf_shift,
@@ -17,6 +16,7 @@ from gaborlab.gabor import (
 )
 from gaborlab.groups import (
     FiniteAbelianGroup,
+    InvalidElementError,
     adjoint_lattice,
     covolume,
     enumerate_subgroups,
@@ -25,7 +25,7 @@ from gaborlab.groups import (
     phase_point,
     phase_space,
 )
-from reference import cocycle
+from reference import analysis_matrix, bessel_bound_by_analysis, cocycle
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -123,38 +123,40 @@ def test_cocycle_identity():
 def test_analysis_matrix_conventions():
     g = Window(Z4, np.array([1, 2j, -1, 0.5], dtype=complex))
     triv = lattice_from_generators(Z4, [])
-    row = analysis_matrix(g, triv)
+    row = analysis_matrix(g.values, triv)
     assert row.shape == (1, 4)
     assert np.allclose(row[0], g.values.conj())
 
     zero = Window(Z4, np.zeros(4, dtype=complex))
     full = lattice_from_generators(Z4, [pp(Z4, (1,), (0,)), pp(Z4, (0,), (1,))])
-    assert np.allclose(analysis_matrix(zero, full), 0)
+    assert np.allclose(analysis_matrix(zero.values, full), 0)
 
     # (C f)_z = <f, shift(z) g>, linear in f
     f = np.array([0.3, -1j, 2, 1], dtype=complex)
-    C = analysis_matrix(g, full)
+    C = analysis_matrix(g.values, full)
     for i, z in enumerate(full.elements):
         want = np.vdot(tf_shift(Z4, z) @ g.values, f)  # vdot conjugates arg 1
         assert C[i] @ f == pytest.approx(want)
+    # and the frame operator is C* C
+    assert np.allclose(frame_operator([g.values], full)[0], C.conj().T @ C, atol=1e-12)
 
 
 def test_frame_operator_full_lattice():
     full = lattice_from_generators(Z4, [pp(Z4, (1,), (0,)), pp(Z4, (0,), (1,))])
-    S = frame_operator(delta0(Z4), full)
+    S = frame_operator([delta0(Z4).values], full)[0]
     assert np.allclose(S, 4 * np.eye(4), atol=1e-12)
 
 
 def test_frame_operator_half_lattice():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (1,))])
-    S = frame_operator(delta0(Z4), lat)
+    S = frame_operator([delta0(Z4).values], lat)[0]
     assert np.allclose(S, np.diag([4, 0, 4, 0]), atol=1e-12)
 
 
 def test_frame_operator_rank_one():
     g = Window(Z4, np.array([1, 1j, 0, -1], dtype=complex))
     triv = lattice_from_generators(Z4, [])
-    S = frame_operator(g, triv)
+    S = frame_operator([g.values], triv)[0]
     v = g.values
     assert np.allclose(S, np.outer(v, v.conj()), atol=1e-12)
 
@@ -162,11 +164,11 @@ def test_frame_operator_rank_one():
 def test_bessel_bound_worked_values():
     full = lattice_from_generators(Z4, [pp(Z4, (1,), (0,)), pp(Z4, (0,), (1,))])
     half = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (1,))])
-    g = delta0(Z4)
-    assert bessel_bound_opt(g, full) == pytest.approx(4)
-    assert bessel_bound_opt(g, half) == pytest.approx(4)
-    assert bessel_bound_opt(g, adjoint_lattice(half)) == pytest.approx(2)
-    assert bessel_bound_opt(g, adjoint_lattice(full)) == pytest.approx(1)
+    g = [delta0(Z4).values]
+    assert bessel_bound_opt(g, full) == pytest.approx([4])
+    assert bessel_bound_opt(g, half) == pytest.approx([4])
+    assert bessel_bound_opt(g, adjoint_lattice(half)) == pytest.approx([2])
+    assert bessel_bound_opt(g, adjoint_lattice(full)) == pytest.approx([1])
 
 
 def test_bessel_bound_matches_synthesis_norm():
@@ -175,8 +177,8 @@ def test_bessel_bound_matches_synthesis_norm():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
     for _ in range(10):
         g = Window(Z4, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        C = analysis_matrix(g, lat)
-        assert bessel_bound_opt(g, lat) == pytest.approx(np.linalg.norm(C, 2) ** 2)
+        C = analysis_matrix(g.values, lat)
+        assert bessel_bound_opt([g.values], lat) == pytest.approx([np.linalg.norm(C, 2) ** 2])
 
 
 def test_shift_linear_independence():
@@ -194,11 +196,32 @@ def test_bessel_duality_seeded_windows():
         for lat in enumerate_subgroups(group):
             adj = adjoint_lattice(lat)
             cv = float(covolume(lat))
-            for _ in range(5):
-                g = Window(group, rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size))
-                b = bessel_bound_opt(g, lat)
-                bo = bessel_bound_opt(g, adj)
-                assert abs(bo - cv * b) <= 1e-8 * max(1.0, b)
+            gs = [
+                rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)
+                for _ in range(5)
+            ]
+            b = bessel_bound_opt(gs, lat)
+            bo = bessel_bound_opt(gs, adj)
+            assert np.all(np.abs(bo - cv * b) <= 1e-8 * np.maximum(1.0, b))
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (5,), (6,), (2, 2)], ids=str)
+def test_stacked_bessel_bound_matches_analysis_oracle(orders):
+    # the oracle builds each window's analysis matrix row by row from tf_shift
+    # and takes |C|_2^2: no shift_stack, no frame operator, no eigvalsh
+    group = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(41)
+    for lat in enumerate_subgroups(group):
+        gs = rng.standard_normal((5, group.size)) + 1j * rng.standard_normal((5, group.size))
+        want = [bessel_bound_by_analysis(g, lat) for g in gs]
+        assert bessel_bound_opt(gs, lat) == pytest.approx(want, rel=1e-12)
+
+
+def test_frame_operator_rejects_a_stack_of_the_wrong_shape():
+    triv = lattice_from_generators(Z4, [])
+    for bad in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(InvalidElementError, match="stack"):
+            frame_operator(bad, triv)
 
 
 def test_window_json_round_trip():

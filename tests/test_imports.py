@@ -43,21 +43,48 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def referenced_names(tree: ast.AST):
-    """Every ast.Name id and ast.Attribute attr in the tree."""
+def outside_module_aliases(tree: ast.AST, modules: set[str]) -> set[str]:
+    """Names that plain `import` statements bind to modules outside the sources
+    (`np`, `math`, `json`, ...)."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] not in modules
+    }
+
+
+def attribute_base(node: ast.Attribute):
+    """The expression at the bottom of an attribute chain: `np` in np.linalg.norm."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def referenced_names(tree: ast.AST, outside: set[str] = frozenset()):
+    """Every ast.Name id and ast.Attribute attr in the tree, except attributes
+    looked up on a module alias in outside."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            base = attribute_base(node)
+            if not (isinstance(base, ast.Name) and base.id in outside):
+                yield node.attr
 
 
 def dead_symbols(sources: dict[str, str]) -> list[str]:
     """Top-level functions and classes, and non-dunder methods, that no
     ast.Name or ast.Attribute anywhere in the sources refers to outside the
-    symbol's own definition. Matching is by bare name."""
+    symbol's own definition. Matching is by bare name, but an attribute of an
+    outside module (np.linalg.norm) refers to nothing in the sources."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    modules = {name.removesuffix(".py") for name in sources}
+    outside = {name: outside_module_aliases(tree, modules) for name, tree in trees.items()}
+    refs = Counter(
+        ref for name, tree in trees.items() for ref in referenced_names(tree, outside[name])
+    )
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -73,7 +100,8 @@ def dead_symbols(sources: dict[str, str]) -> list[str]:
     dead = []
     for module, qualname, node in defs:
         name = node.name
-        if refs[name] - Counter(referenced_names(node))[name] <= 0:
+        own = Counter(referenced_names(node, outside[module]))[name]
+        if refs[name] - own <= 0:
             dead.append(f"{module}: {qualname}")
     return sorted(dead)
 
@@ -93,6 +121,15 @@ def test_detects_a_dead_symbol():
     assert dead_symbols({"a": methods}) == ["a: Box.shrink"]
     # a reference from another module counts, by attribute too
     assert dead_symbols({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}) == []
+    # an outside module's attribute of the same name does not
+    shadowed = (
+        "import numpy as np\n"
+        "class Vec:\n"
+        "    def norm(self):\n        return 0.0\n"
+        "print(Vec(), np.linalg.norm([3.0, 4.0]))\n"
+    )
+    assert dead_symbols({"a": shadowed}) == ["a: Vec.norm"]
+    assert dead_symbols({"a": shadowed + "Vec().norm()\n"}) == []
 
 
 def test_no_dead_symbols():

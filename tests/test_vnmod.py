@@ -431,7 +431,7 @@ def test_induced_trace_defining_identity():
     rng = np.random.default_rng(28)
     for _ in range(100):
         f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lf = bounded_operator(f, mod)
+        lf = bounded_operator([f], mod)[0]
         lhs = tr(lf @ lf.conj().T)
         # L_f^* L_f commutes with the right action, so it is an algebra element
         elem = sp.unhat(lf.conj().T @ lf @ sp.hat_identity())
@@ -460,7 +460,7 @@ def test_center_trace_identity_for_bounded_vectors():
         )
         for _ in range(20):
             f = rng.normal(size=mod.space_dim) + 1j * rng.normal(size=mod.space_dim)
-            lf = bounded_operator(f, mod)
+            lf = bounded_operator([f], mod)[0]
             lhs = weight @ ez_tilde(lf @ lf.conj().T)
             rhs_elem = ez_n(mod.space.unhat(lf.conj().T @ lf @ mod.space.hat_identity()))
             rhs = mod.act(rhs_elem)
