@@ -45,33 +45,42 @@ def _vec(mats: np.ndarray) -> np.ndarray:
 def orthonormal_extension(basis_flat: np.ndarray | None, candidates_flat: np.ndarray) -> np.ndarray:
     """Rows to append to an orthonormal row basis to cover the candidates.
 
-    Batched pre-filter followed by modified Gram-Schmidt with a
-    re-orthogonalization pass; deterministic given input order.
+    A batched pre-filter drops the candidates already in the span; the rest
+    go through modified Gram-Schmidt, one row at a time, with one
+    re-orthogonalisation pass. Accepted rows go into a buffer sized by the
+    dimension left free, so the loop stops once the span fills the space.
+    Deterministic given the input order.
     """
     cands = np.asarray(candidates_flat, dtype=complex)
     if cands.size == 0:
         return np.zeros((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
+    have = 0 if basis_flat is None else basis_flat.shape[0]
     scales = np.maximum(np.linalg.norm(cands, axis=1), 1.0)
-    if basis_flat is not None and basis_flat.shape[0]:
-        resid = cands - (cands @ basis_flat.conj().T) @ basis_flat
+    if have:
+        basis_conj = basis_flat.conj()
+        resid = cands - (cands @ basis_conj.T) @ basis_flat
     else:
-        resid = cands.copy()
+        resid = cands
     keep = np.linalg.norm(resid, axis=1) > (RANK_RTOL / 4.0) * scales
-    rows: list[np.ndarray] = []
+    cap = min(int(keep.sum()), cands.shape[1] - have)
+    rows = np.empty((cap, cands.shape[1]), dtype=complex)
+    rows_conj = np.empty_like(rows)
+    k = 0
     for v, scale in zip(cands[keep], scales[keep]):
+        if k == cap:
+            break
         w = v
         for _ in range(2):
-            if basis_flat is not None and basis_flat.shape[0]:
-                w = w - basis_flat.T @ (basis_flat.conj() @ w)
-            if rows:
-                new = np.array(rows)
-                w = w - new.T @ (new.conj() @ w)
+            if have:
+                w = w - basis_flat.T @ (basis_conj @ w)
+            if k:
+                w = w - rows[:k].T @ (rows_conj[:k] @ w)
         nrm = np.linalg.norm(w)
         if nrm > RANK_RTOL * scale:
-            rows.append(w / nrm)
-    if not rows:
-        return np.zeros((0, cands.shape[1]), dtype=complex)
-    return np.array(rows)
+            rows[k] = w / nrm
+            rows_conj[k] = rows[k].conj()
+            k += 1
+    return rows[:k].copy()
 
 
 class StarAlgebra:
@@ -84,10 +93,11 @@ class StarAlgebra:
         self.basis = basis
         self.ambient_dim = int(basis.shape[1])
         self.basis_flat = _vec(basis)
+        self.basis_conj = self.basis_flat.conj()
         self.generators = None if generators is None else tuple(
             np.asarray(g, dtype=complex) for g in generators
         )
-        gram = self.basis_flat.conj() @ self.basis_flat.T
+        gram = self.basis_conj @ self.basis_flat.T
         if not np.allclose(gram, np.eye(self.dimension), atol=1e-8):
             raise SpanError("basis is not Hilbert-Schmidt orthonormal")
         if not self.contains(self.identity()):
@@ -98,7 +108,7 @@ class StarAlgebra:
         return int(self.basis.shape[0])
 
     def coeffs(self, mat: np.ndarray) -> np.ndarray:
-        return self.basis_flat.conj() @ np.asarray(mat, dtype=complex).reshape(-1)
+        return self.basis_conj @ np.asarray(mat, dtype=complex).reshape(-1)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         n = self.ambient_dim
@@ -107,6 +117,11 @@ class StarAlgebra:
     def residual(self, mat: np.ndarray) -> float:
         mat = np.asarray(mat, dtype=complex)
         return float(np.linalg.norm(mat - self.reconstruct(self.coeffs(mat))))
+
+    def residuals(self, mats: np.ndarray) -> np.ndarray:
+        """Distance of each matrix of a stack to the span: one GEMM for all."""
+        flat = _vec(mats)
+        return np.linalg.norm(flat - (flat @ self.basis_conj.T) @ self.basis_flat, axis=1)
 
     def contains(self, mat: np.ndarray) -> bool:
         scale = max(1.0, float(np.linalg.norm(mat)))
@@ -136,15 +151,18 @@ def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
         closed_gens.append(g.conj().T)
     seeds = [np.eye(n, dtype=complex)] + closed_gens
     basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
-    gen_arr = np.array(closed_gens)
+    gen_arr = np.array(closed_gens)[None]
+    frontier = basis_flat
     while True:
-        cur = basis_flat.reshape(-1, n, n)
-        # one-sided products reach every word since the identity is present
-        prods = np.einsum("dab,gbc->dgac", cur, gen_arr).reshape(-1, n, n)
-        added = orthonormal_extension(basis_flat, _vec(prods))
-        if added.shape[0] == 0:
+        # one-sided products reach every word since the identity is present;
+        # the older rows' products were candidates in an earlier round, so
+        # they already lie in the span and only the rows added last round
+        # need multiplying
+        prods = np.matmul(frontier.reshape(-1, 1, n, n), gen_arr)
+        frontier = orthonormal_extension(basis_flat, _vec(prods.reshape(-1, n, n)))
+        if frontier.shape[0] == 0:
             break
-        basis_flat = np.vstack([basis_flat, added])
+        basis_flat = np.vstack([basis_flat, frontier])
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))
 
 
@@ -201,11 +219,7 @@ def center(alg: StarAlgebra) -> StarAlgebra:
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:
     """Mutual containment of two spans; returns (equal, worst residual)."""
-    worst = 0.0
-    for mat in a.basis:
-        worst = max(worst, b.residual(mat))
-    for mat in b.basis:
-        worst = max(worst, a.residual(mat))
+    worst = max(float(np.max(b.residuals(a.basis))), float(np.max(a.residuals(b.basis))))
     return (a.dimension == b.dimension and worst <= atol, worst)
 
 
@@ -287,7 +301,7 @@ class TraceFunctional:
             raise SpanError("trace needs one value per basis element")
         # Riesz matrix: trace(X) = Tr(riesz @ X) for X in the span
         self.riesz = np.einsum("i,iab->ba", self.values, algebra.basis.conj())
-        self.gram = self._gram()
+        self.gram = self.gram_matrix(algebra.basis)
         if check:
             dev = self.traciality_defect()
             if dev > 1e-10:
@@ -298,13 +312,11 @@ class TraceFunctional:
                     f"trace Gram matrix is not positive definite (min eig {evals[0]:.2e})"
                 )
 
-    def _gram(self) -> np.ndarray:
-        basis = self.algebra.basis
-        bstar = basis.conj().transpose(0, 2, 1)
-        left = np.matmul(self.riesz, bstar)          # T b_i^*
-        lflat = _vec(left)
-        rflat = _vec(basis.transpose(0, 2, 1))       # trace pairing needs b_j^T
-        return lflat @ rflat.T                        # K[i, j] = trace(T b_i^* b_j)
+    def gram_matrix(self, mats: np.ndarray) -> np.ndarray:
+        """K[i, j] = trace(m_i^* m_j) over a stack, from one stacked product."""
+        left = np.matmul(self.riesz, mats.conj().transpose(0, 2, 1))   # T m_i^*
+        # the trace pairing needs m_j^T
+        return _vec(left) @ _vec(mats.transpose(0, 2, 1)).T
 
     def traciality_defect(self) -> float:
         basis = self.algebra.basis
@@ -347,7 +359,7 @@ class GnsSpace:
         return self.hat(self.algebra.identity())
 
     def _mult_matrix(self, prods: np.ndarray) -> np.ndarray:
-        coeff_cols = self.algebra.basis_flat.conj() @ _vec(prods).T
+        coeff_cols = self.algebra.basis_conj @ _vec(prods).T
         return self.chol_upper @ coeff_cols @ self.chol_upper_inv
 
     def left(self, mat: np.ndarray) -> np.ndarray:
@@ -380,9 +392,7 @@ class ConditionalExpectation:
             if not big.contains(mat):
                 raise InclusionError("subalgebra is not contained in the big algebra")
         self.trace = trace
-        gram = np.array(
-            [[trace(bi.conj().T @ bj) for bj in sub.basis] for bi in sub.basis]
-        )
+        gram = trace.gram_matrix(sub.basis)
         gram = (gram + gram.conj().T) / 2.0
         try:
             lower = np.linalg.cholesky(gram)

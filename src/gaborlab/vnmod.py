@@ -471,7 +471,7 @@ def jones_sandwich_span(ctx: BasicConstruction) -> StarAlgebra:
     """Orthonormalized span of (left action) * jones * (left action)."""
     imgs = ctx.left_image.basis
     halves = np.matmul(imgs, ctx.jones)
-    cands = np.einsum("iab,jbc->ijac", halves, imgs)
+    cands = np.matmul(halves[:, None], imgs[None])
     d = ctx.space.dim
     flat = orthonormal_extension(None, _vec(cands.reshape(-1, d, d)))
     return StarAlgebra(flat.reshape(-1, d, d))

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from gaborlab.algebra import StarAlgebra
+from gaborlab.algebra import RANK_RTOL, SpanError, StarAlgebra, _vec, orthonormal_extension
 from gaborlab.gabor import tf_shift
 from gaborlab.groups import FiniteAbelianGroup, Lattice, PhasePoint, phase_point
 
@@ -67,3 +67,53 @@ def bounded_operator_loop(fs: np.ndarray, module) -> np.ndarray:
 def operator_norm_loop(mats: np.ndarray) -> np.ndarray:
     """bimodule.operator_norm one matrix at a time."""
     return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in mats])
+
+
+def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:
+    """algebra.orthonormal_extension with its accepted rows kept in a list and
+    restacked, and the basis conjugated again, for every candidate."""
+    cands = np.asarray(candidates_flat, dtype=complex)
+    if cands.size == 0:
+        return np.zeros((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
+    scales = np.maximum(np.linalg.norm(cands, axis=1), 1.0)
+    if basis_flat is not None and basis_flat.shape[0]:
+        resid = cands - (cands @ basis_flat.conj().T) @ basis_flat
+    else:
+        resid = cands.copy()
+    keep = np.linalg.norm(resid, axis=1) > (RANK_RTOL / 4.0) * scales
+    rows: list[np.ndarray] = []
+    for v, scale in zip(cands[keep], scales[keep]):
+        w = v
+        for _ in range(2):
+            if basis_flat is not None and basis_flat.shape[0]:
+                w = w - basis_flat.T @ (basis_flat.conj() @ w)
+            if rows:
+                new = np.array(rows)
+                w = w - new.T @ (new.conj() @ w)
+        nrm = np.linalg.norm(w)
+        if nrm > RANK_RTOL * scale:
+            rows.append(w / nrm)
+    if not rows:
+        return np.zeros((0, cands.shape[1]), dtype=complex)
+    return np.array(rows)
+
+
+def generate_algebra_full(gens) -> StarAlgebra:
+    """algebra.generate_algebra multiplying the whole basis by the generators
+    in every round, not only the rows added in the round before, with the
+    same product kernel and the same orthonormal_extension."""
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    if not gens:
+        raise SpanError("need at least one generator")
+    n = gens[0].shape[0]
+    closed_gens = [h for g in gens for h in (g, g.conj().T)]
+    seeds = [np.eye(n, dtype=complex)] + closed_gens
+    basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
+    gen_arr = np.array(closed_gens)[None]
+    while True:
+        prods = np.matmul(basis_flat.reshape(-1, 1, n, n), gen_arr)
+        added = orthonormal_extension(basis_flat, _vec(prods.reshape(-1, n, n)))
+        if added.shape[0] == 0:
+            break
+        basis_flat = np.vstack([basis_flat, added])
+    return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))

@@ -23,6 +23,7 @@ from gaborlab.algebra import (
     generate_algebra,
     gns,
     minimal_central_projections,
+    orthonormal_extension,
     span_equal,
     twisted_group_algebra,
 )
@@ -38,8 +39,9 @@ from gaborlab.groups import (
     phase_point,
 )
 from gaborlab.reporting import TOL_SPAN
-from gaborlab.vnmod import basic_construction
-from reference import dense_commutant
+from gaborlab import vnmod
+from gaborlab.vnmod import basic_construction, jones_projection, jones_sandwich_span
+from reference import dense_commutant, generate_algebra_full, orthonormal_extension_loop
 
 Z4 = FiniteAbelianGroup((4,))
 Z24 = FiniteAbelianGroup((2, 4))
@@ -111,6 +113,109 @@ def test_generation_is_stable():
         assert again.dimension == alg.dimension
 
 
+# ---------------------------------------------------------------- span layer
+
+
+def record_extensions(monkeypatch):
+    """Route every orthonormal_extension call of algebra and vnmod through a
+    recorder of (basis, candidates, rows added)."""
+    calls = []
+
+    def spy(basis_flat, candidates_flat):
+        added = orthonormal_extension(basis_flat, candidates_flat)
+        basis = None if basis_flat is None else basis_flat.copy()
+        calls.append((basis, np.array(candidates_flat, dtype=complex), added))
+        return added
+
+    monkeypatch.setattr(algebra, "orthonormal_extension", spy)
+    monkeypatch.setattr(vnmod, "orthonormal_extension", spy)
+    return calls
+
+
+def test_orthonormal_extension_equals_the_row_loop_on_every_call(monkeypatch):
+    # generate_algebra, image_algebra, spanning_generators, basic_construction
+    # and jones_sandwich_span on A6's instances and on random bimodules
+    calls = record_extensions(monkeypatch)
+    for _, big, sub in _construction_instances():
+        jones_sandwich_span(basic_construction(big, sub, TraceFunctional.from_matrix_trace(big)))
+    for seed in range(10):
+        bm = random_instance(seed)
+        for module in (bm.left, bm.right):
+            module.image_algebra
+            module.generators
+    assert len(calls) > 100
+    assert max(cands.shape[0] for _, cands, _ in calls) == 36 * 36
+    for basis, cands, added in calls:
+        assert np.array_equal(added, orthonormal_extension_loop(basis, cands))
+
+
+def test_orthonormal_extension_edge_cases():
+    rng = np.random.default_rng(31)
+    n = 6
+    cands = rng.normal(size=(9, n)) + 1j * rng.normal(size=(9, n))
+    basis = orthonormal_extension(None, cands[:3])
+    full = orthonormal_extension(None, cands)
+    in_span = rng.normal(size=(4, 3)) @ basis
+    cases = [
+        (None, np.zeros((0, n), dtype=complex)),
+        (basis, np.zeros((0, n), dtype=complex)),
+        (basis, in_span),
+        (full, cands),
+        (None, cands),
+        (basis, cands),
+        (None, cands * 1e-200),
+        (basis, cands * 1e150),
+        (None, np.vstack([cands[:2] * 1e-200, cands[2:] * 1e150])),
+    ]
+    for base, cand in cases:
+        assert np.array_equal(
+            orthonormal_extension(base, cand), orthonormal_extension_loop(base, cand)
+        )
+    assert full.shape == (n, n)
+    assert orthonormal_extension(basis, in_span).shape == (0, n)
+    assert orthonormal_extension(full, cands).shape == (0, n)
+    # nine candidates, three dimensions left
+    assert orthonormal_extension(basis, cands).shape == (3, n)
+    assert np.allclose(full.conj() @ full.T, np.eye(n), atol=1e-12)
+
+
+def test_closure_multiplies_only_the_rows_of_the_last_round(monkeypatch):
+    lat = square_lattice()
+    for gens in (
+        [np.array([[0.0, 1.0], [0.0, 0.0]])],
+        shift_gens(lat)[1:3],
+        list(block_matrix_algebra([2, 3]).gen_matrices()),
+    ):
+        calls = record_extensions(monkeypatch)
+        alg = generate_algebra(gens)
+        assert calls[0][1].shape[0] == 1 + 2 * len(gens)
+        for (_, _, before), (_, cands, _) in zip(calls, calls[1:]):
+            assert cands.shape[0] == 2 * len(gens) * before.shape[0]
+        assert calls[-1][2].shape[0] == 0
+        assert sum(added.shape[0] for _, _, added in calls) == alg.dimension
+
+
+def assert_closure_matches_full_basis(gens):
+    gens = list(gens)
+    assert np.array_equal(generate_algebra(gens).basis, generate_algebra_full(gens).basis)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closure_equals_the_full_basis_closure_on_shift_algebras(n):
+    for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
+        assert_closure_matches_full_basis(shift_algebra(lat).gen_matrices())
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_closure_equals_the_full_basis_closure_on_basic_constructions(index):
+    # A6's generators of <N, e>: the left action of N's generators and e
+    _, big, sub = _construction_instances()[index]
+    kappa = TraceFunctional.from_matrix_trace(big)
+    sp = gns(big, kappa)
+    gens = [sp.left(g) for g in big.gen_matrices()] + [jones_projection(big, sub, kappa)]
+    assert_closure_matches_full_basis(gens)
+
+
 def test_basis_orthonormality_enforced():
     bad = np.array([np.eye(2), np.eye(2)])
     with pytest.raises(SpanError):
@@ -165,6 +270,22 @@ def test_double_commutant():
         back = commutant(commutant(alg))
         ok, dev = span_equal(alg, back)
         assert ok, dev
+
+
+def test_span_equal_reports_the_largest_single_residual():
+    lat = square_lattice()
+    full = full_matrix_algebra(4)
+    for a, b in (
+        (generate_algebra(shift_gens(lat)), commutant(generate_algebra(shift_gens(lat)))),
+        (block_matrix_algebra([2, 2]), full),
+        (ampliated_matrix_algebra(2, 2), commutant(ampliated_matrix_algebra(2, 2))),
+    ):
+        worst = max([b.residual(m) for m in a.basis] + [a.residual(m) for m in b.basis])
+        equal, got = span_equal(a, b)
+        assert got == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert equal == (a.dimension == b.dimension and worst <= algebra.SPAN_ATOL)
+    assert not span_equal(block_matrix_algebra([2, 2]), full)[0]
+    assert span_equal(full, full)[0]
 
 
 def assert_matches_dense(alg):
@@ -351,6 +472,22 @@ def test_expectation_positive_on_samples():
         n = random_element(alg, rng)
         evals = np.linalg.eigvalsh(exp(n.conj().T @ n))
         assert evals.min() >= -1e-10
+
+
+def test_trace_gram_of_a_stack_equals_the_pairwise_traces():
+    alg = block_matrix_algebra([2, 3])
+    weight = np.diag([2.0, 2.0, 1.0, 1.0, 1.0])
+    kappa = trace_from_function(alg, lambda m: np.trace(weight @ m))
+    for sub in (alg, center(alg), block_matrix_algebra([2, 1, 1, 1])):
+        want = np.array([[kappa(bi.conj().T @ bj) for bj in sub.basis] for bi in sub.basis])
+        assert np.allclose(kappa.gram_matrix(sub.basis), want, rtol=0, atol=1e-13)
+
+
+def test_expectation_rejects_a_trace_degenerate_on_the_subalgebra():
+    alg = block_matrix_algebra([1, 1])
+    kappa = TraceFunctional(alg, np.array([1.0, 0.0]), check=False)
+    with pytest.raises(FaithfulnessError):
+        ConditionalExpectation(alg, alg, kappa)
 
 
 def test_expectation_requires_containment():

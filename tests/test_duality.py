@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborlab import groups
+from gaborlab import duality, groups
 from gaborlab.algebra import commutant, span_equal
 from gaborlab.campaigns import bessel_duality_sweep
 from gaborlab.duality import (
@@ -140,22 +140,33 @@ def test_bessel_duality_zero_window():
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-20, 1e100])
-def test_bessel_gate_is_relative_at_every_scale(scale):
-    # at tol 1e-30 rounding alone fails a check; a gate that is absolute for
-    # small bounds would pass a tiny window anyway
+def test_bessel_gate_is_relative_at_every_scale(scale, monkeypatch):
     lat = lattice_from_generators(Z4, [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (1,))])
     bm = gabor_bimodule(lat)
     vals = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 4))
     base = verify_bessel_duality([Window(Z4, vals)], lat, tol=1e-30, bm=bm)
     scaled = verify_bessel_duality([Window(Z4, vals * scale)], lat, tol=1e-30, bm=bm)
-    assert not all(c.passed for c in base)
-    assert not all(c.passed for c in scaled)
     for got, want in zip(scaled, base):
         assert got.deviation == pytest.approx(want.deviation, abs=1e-14)
         assert got.lhs == pytest.approx(want.lhs * scale**2, rel=1e-12)
         assert got.rhs == pytest.approx(want.rhs * scale**2, rel=1e-12)
     # the default tolerance passes at every scale
     assert all(c.passed for c in verify_bessel_duality([Window(Z4, vals * scale)], lat, bm=bm))
+
+    # an adjoint bound 1e-6 too large, relative to itself, fails a gate of
+    # 1e-8 and passes one of 1e-4 at every scale; a gate that is absolute
+    # for small bounds would pass a tiny window at both
+    exact = duality.bessel_bound_opt
+
+    def skewed(units, lattice):
+        return exact(units, lattice) * (1.0 + 1e-6 if lattice is lat.adjoint else 1.0)
+
+    monkeypatch.setattr(duality, "bessel_bound_opt", skewed)
+    for tol, passed in ((1e-8, False), (1e-4, True)):
+        checks = verify_bessel_duality([Window(Z4, vals * scale)], lat, tol=tol, bm=bm)
+        gate = {c.name: c for c in checks}["bessel-duality"]
+        assert gate.passed is passed
+        assert gate.deviation == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_bessel_overflowing_window_is_rejected():
