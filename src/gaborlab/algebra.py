@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import Lattice, PhasePoint
+from .groups import Lattice
 
 # singular values / residuals below RANK_RTOL x scale count as zero
 RANK_RTOL = 1e-10
@@ -436,19 +436,16 @@ def twisted_group_algebra(
     group = lat.group
     m = lat.size
     k = len(group.orders)
-    coords = np.array(lat.elements, dtype=np.int64).reshape(m, 2 * k)
-    pairing = group.pairing(coords[:, :k], coords[:, k:])  # [a, b] = w_b(x_a) in units of 1/L
+    pairing = group.pairing(lat.rows[:, :k], lat.rows[:, k:])  # [a, b] = w_b(x_a) in units of 1/L
     phases = np.exp(-2j * np.pi * (pairing if flavor == "plain" else pairing.T) / group.lcm)
-    # lattice elements are in canonical order, so their codes are sorted
-    codes = group.code(coords)
-    sum_idx = np.searchsorted(codes, group.code(coords[:, None, :] + coords[None, :, :]))
+    sum_idx = lat.index(lat.rows[:, None, :] + lat.rows[None, :, :])
     mats = np.zeros((m, m, m), dtype=complex)
     mats[np.arange(m)[:, None], sum_idx, np.arange(m)[None, :]] = phases
     basis = mats / np.sqrt(m)
-    gens = tuple(mats[lat.index(g)] for g in lat.generators)
+    gens = tuple(mats[lat.index(lat.generators)])
     alg = StarAlgebra(basis, generators=gens)
     values = np.zeros(m, dtype=complex)
-    values[lat.index(PhasePoint(group.zero, group.zero))] = 1.0 / np.sqrt(m)
+    values[0] = 1.0 / np.sqrt(m)  # code 0, the zero point, comes first
     return alg, TraceFunctional(alg, values)
 
 

@@ -131,12 +131,13 @@ def _cmd_adjoint(args) -> Report:
                 "size-product", float(lat.size * adj.size), float(group.size**2), 0.0
             ),
             flag_check(
-                "double-adjoint", double.element_set == lat.element_set, 0.0, 0.0
+                "double-adjoint", np.array_equal(double.codes, lat.codes), 0.0, 0.0
             ),
         ]
     )
     report.data["adjoint"] = lattice_to_dict(adj)
-    report.data["adjoint_elements"] = [[list(z.x), list(z.w)] for z in adj.elements]
+    k = len(group.orders)
+    report.data["adjoint_elements"] = [[z[:k], z[k:]] for z in adj.rows.tolist()]
     report.data["covolume"] = str(covolume(lat))
     return report
 

@@ -44,7 +44,7 @@ def shift_algebra(lat: Lattice) -> StarAlgebra:
     projectively."""
     n = lat.group.size
     basis = shift_stack(lat) / np.sqrt(n)
-    gens = tuple(basis[lat.index(g)] * np.sqrt(n) for g in lat.generators)
+    gens = tuple(basis[lat.index(lat.generators)] * np.sqrt(n))
     return StarAlgebra(basis, generators=gens)
 
 
@@ -136,7 +136,8 @@ def verify_bessel_duality(
     Every side is homogeneous of degree 2 in g, so the checks are decided for
     g / |g| with a gate relative to the bound; the reported deviation is that
     relative one, and the reported sides are scaled back by |g|^2. A zero
-    window, or one whose bounds overflow a float, raises InvalidElementError.
+    window, or one whose squared norm or bounds overflow a float or fall
+    below its smallest normal value, raises InvalidElementError.
     """
     if len(prefixes) != len(windows):
         raise ValueError(f"{len(windows)} windows but {len(prefixes)} check prefixes")
@@ -151,11 +152,9 @@ def verify_bessel_duality(
     scaled = values / peaks[:, None]
     # <s, s> per row through matmul, which rounds as np.vdot does
     norms = peaks * np.sqrt((scaled.conj()[:, None, :] @ scaled[:, :, None])[:, 0, 0].real)
-    with np.errstate(over="ignore"):  # an overflow is bad input, raised below
+    with np.errstate(over="ignore", under="ignore"):  # bad input, raised below
         norms_sq = norms * norms
-    if not np.isfinite(norms_sq).all():
-        norm = norms[~np.isfinite(norms_sq)][0]
-        raise InvalidElementError(f"the window's squared norm overflows a float (norm {norm:.3e})")
+    _reject_outside_normal_floats("the squared norm", norms_sq, norms)
     units = values / norms[:, None]
     covol = float(covolume(lat))
     bound = bessel_bound_opt(units, lat)
@@ -168,18 +167,25 @@ def verify_bessel_duality(
         sides["left-norm-bessel"] = (covol * ln * ln, bound_adj)
     # per check kind: relative deviation, and both sides scaled back by |g|^2
     devs = np.array([np.abs(lhs - rhs) / rhs for lhs, rhs in sides.values()])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         reported = np.array([(lhs * norms_sq, rhs * norms_sq) for lhs, rhs in sides.values()])
-    overflow = ~np.isfinite(reported).all(axis=(0, 1))
-    if overflow.any():
-        norm = norms[overflow][0]
-        raise InvalidElementError(f"the Bessel bounds of a window of norm {norm:.3e} overflow a float")
+    _reject_outside_normal_floats("a Bessel bound", reported, norms)
     devs, reported = devs.T.tolist(), reported.transpose(2, 0, 1).tolist()
     return [
         Check(f"{prefix}{name}", dev <= tol, lhs, rhs, tol, dev)
         for prefix, window_devs, window_sides in zip(prefixes, devs, reported)
         for name, dev, (lhs, rhs) in zip(sides, window_devs, window_sides)
     ]
+
+
+def _reject_outside_normal_floats(what: str, values: np.ndarray, norms: np.ndarray) -> None:
+    """Raise if a value of window t (last axis) overflows a float, or falls
+    below the smallest normal float and so has lost digits."""
+    tests = {"overflows": ~np.isfinite(values), "underflows": values < np.finfo(float).tiny}
+    for how, bad in tests.items():
+        hit = bad.reshape(-1, len(norms)).any(axis=0)
+        if hit.any():
+            raise InvalidElementError(f"{what} of a window of norm {norms[hit][0]:.3e} {how} a float")
 
 
 def verify_gabor_alignment(bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = "") -> Check:

@@ -11,13 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import (
-    FiniteAbelianGroup,
-    InvalidElementError,
-    Lattice,
-    PhasePoint,
-    phase_point,
-)
+from .groups import FiniteAbelianGroup, InvalidElementError, Lattice
 
 
 @dataclass(frozen=True)
@@ -38,21 +32,25 @@ class Window:
         object.__setattr__(self, "values", vals)
 
 
-def tf_shift(group: FiniteAbelianGroup, z: PhasePoint) -> np.ndarray:
-    """The unitary (shift by x, then modulate by w): (Mf)(t) = w(t) f(t - x)."""
-    z = phase_point(group, z[0], z[1])
-    n = group.size
-    ts = np.array(group.elements(), dtype=np.int64).reshape(n, -1)
-    mat = np.zeros((n, n), dtype=complex)
-    phase = group.pairing(ts, z.w)[:, 0]
-    mat[np.arange(n), group.code(ts - z.x)] = np.exp(2j * np.pi * (phase / group.lcm))
-    return mat
+def tf_shift(group: FiniteAbelianGroup, z) -> np.ndarray:
+    """The unitary (shift by x, then modulate by w): (Mf)(t) = w(t) f(t - x),
+    for one phase-space row z = (x, w); a (T, 2k) stack of rows gives the T
+    unitaries as one (T, |G|, |G|) array."""
+    single = np.ndim(z) == 1
+    zs = group.check_points([z] if single else z)
+    k, n = len(group.orders), group.size
+    ts = group.decode(np.arange(n), width=1)
+    phase = group.pairing(ts, zs[:, k:]).T
+    mats = np.zeros((len(zs), n, n), dtype=complex)
+    cols = group.code(ts - zs[:, None, :k])
+    mats[np.arange(len(zs))[:, None], np.arange(n), cols] = np.exp(2j * np.pi * (phase / group.lcm))
+    return mats[0] if single else mats
 
 
 @lru_cache(maxsize=256)
 def shift_stack(lat: Lattice) -> np.ndarray:
     """All lattice shifts as one array, cached so window sweeps stay cheap."""
-    return np.stack([tf_shift(lat.group, z) for z in lat.elements])
+    return tf_shift(lat.group, lat.rows)
 
 
 def frame_operator(values: np.ndarray, lat: Lattice) -> np.ndarray:

@@ -1,28 +1,27 @@
 """Finite abelian groups, their phase spaces, and the lattices inside them.
 
-The ambient group is G = Z_{N1} x ... x Z_{Nk} with elements stored as tuples
-of residues. The dual group is identified with G itself through exponential
-characters, so a phase-space point is a pair (x, w) of residue tuples and the
-phase space is G x G.
+The ambient group is G = Z_{N1} x ... x Z_{Nk}, and its dual is identified
+with G through exponential characters, so the phase space is G x G. A point
+(x, w), shift by x and modulate by w, is one int64 row (x_1..x_k, w_1..w_k).
 
 All phase arithmetic lives in FiniteAbelianGroup: `pairing` gives w(x) as an
-exact integer phase mod L = lcm(N_j), and `code` maps residue rows to their
-canonical (mixed-radix) position in `elements()` or `phase_space()`.
+exact integer phase mod L = lcm(N_j), `code` maps residue rows to their
+canonical (mixed-radix) positions in G or G x G, and `decode` inverts it. A
+point set is the sorted int64 array of its codes: lexicographic row order.
 
-A Lattice is defined by its generators: its element set is their span,
-closed once at construction. Its adjoint lattice is cached on it, so each
-lattice object computes its adjoint at most once.
+A Lattice is defined by its generators: its point set is their span, built
+once at construction. Its adjoint lattice is cached on it, so each lattice
+object computes its adjoint at most once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -47,13 +46,6 @@ def _integers(values) -> tuple[int, ...]:
         raise InvalidElementError(f"{values!r} is not a sequence of integers") from None
 
 
-class PhasePoint(NamedTuple):
-    """A phase-space point (x, w): shift by x, modulate by the character w."""
-
-    x: tuple[int, ...]
-    w: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """G = Z_{N1} x ... x Z_{Nk}; the operation is componentwise addition."""
@@ -71,10 +63,6 @@ class FiniteAbelianGroup:
         return math.prod(self.orders)
 
     @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
-
-    @property
     def lcm(self) -> int:
         """L = lcm(N_j): every character value is an L-th root of unity."""
         return math.lcm(*self.orders)
@@ -87,12 +75,11 @@ class FiniteAbelianGroup:
             raise InvalidElementError(f"{elem!r} is not an element of Z{self.orders}")
         return elem
 
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((p + q) % n for p, q, n in zip(a, b, self.orders))
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements in canonical (lexicographic) order."""
-        return [tuple(t) for t in itertools.product(*(range(n) for n in self.orders))]
+    def check_points(self, rows) -> np.ndarray:
+        """Phase-space points as a (T, 2k) int64 array, each row (x, w) checked."""
+        k = len(self.orders)
+        checked = [self.check(z[:k]) + self.check(z[k:]) for z in map(_integers, rows)]
+        return np.array(checked, dtype=np.int64).reshape(-1, 2 * k)
 
     def pairing(self, xs, ws) -> np.ndarray:
         """w_b(x_a) for residue rows xs and ws, as the exact integer phase
@@ -109,88 +96,71 @@ class FiniteAbelianGroup:
 
     def code(self, rows) -> np.ndarray:
         """Canonical positions of residue rows, reduced mod the orders: a row x
-        indexes elements(), a row (x, w) indexes phase_space()."""
+        is a position in G, a row (x, w) one in G x G."""
         rows = np.asarray(rows, dtype=np.int64)
         dims = self.orders * (rows.shape[-1] // len(self.orders))
         return np.ravel_multi_index(tuple(np.moveaxis(rows, -1, 0)), dims, mode="wrap")
 
-
-def phase_point(group: FiniteAbelianGroup, x: Iterable[int], w: Iterable[int]) -> PhasePoint:
-    return PhasePoint(group.check(x), group.check(w))
-
-
-def phase_space(group: FiniteAbelianGroup) -> list[PhasePoint]:
-    """All of G x G in canonical order."""
-    elems = group.elements()
-    return [PhasePoint(x, w) for x in elems for w in elems]
+    def decode(self, codes, width: int = 2) -> np.ndarray:
+        """Inverse of code: the rows at canonical positions, of width * k
+        residues (width 1 for elements of G, 2 for phase-space points)."""
+        return np.stack(np.unravel_index(codes, self.orders * width), axis=-1)
 
 
-def pp_add(group: FiniteAbelianGroup, z1: PhasePoint, z2: PhasePoint) -> PhasePoint:
-    return PhasePoint(group.add(z1.x, z2.x), group.add(z1.w, z2.w))
+def _cyclic(group: FiniteAbelianGroup, z) -> np.ndarray:
+    """The rows m * z of the cyclic subgroup <z>, one per m below its order."""
+    order = math.lcm(*(n // math.gcd(c, n) for c, n in zip(z.tolist(), group.orders * 2)))
+    return np.arange(order)[:, None] * z
 
 
-def _closure(
-    group: FiniteAbelianGroup, base: set[PhasePoint], new: Iterable[PhasePoint]
-) -> tuple[set[PhasePoint], list[PhasePoint]]:
-    """Subgroup generated by base and the new points, grown one coset at a time,
-    and the new points that enlarged it, in order.
-
-    base must already be a subgroup: closed under addition and containing
-    zero. Each new point g outside the current subgroup H is folded in as
-    H + <g> = H | (g + H) | (2g + H) | ..., stopping at the first multiple
-    k*g that lies in what has been built so far (equivalently, in H: the
-    cosets j*g + H for j < k are pairwise distinct). Every pp_add yields a
-    new element, so the cost is linear in the size of the result.
-    """
-    out = set(base)
-    used = []
-    for g in new:
-        if g in out:
-            continue
-        used.append(g)
-        sub = list(out)
-        step = g
-        while step not in out:
-            out.update(pp_add(group, step, h) for h in sub)
-            step = pp_add(group, step, g)
-    return out, used
+def _join(group: FiniteAbelianGroup, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sorted codes of the sum set {a + b : a in codes, b in rows}."""
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
+    sums = np.sort(group.code(group.decode(codes)[:, None] + rows[None]), axis=None)
+    return sums[np.concatenate(([True], sums[1:] != sums[:-1]))]
 
 
-@dataclass(frozen=True)
 class Lattice:
-    """The subgroup of phase space G x G spanned by its generators; elements
-    holds the span in canonical order."""
+    """The subgroup of phase space G x G spanned by its generators.
 
-    group: FiniteAbelianGroup
-    generators: tuple[PhasePoint, ...]
-    elements: tuple[PhasePoint, ...] = field(init=False)
+    generators holds the generator rows as given; codes holds the span as
+    sorted phase-space codes, its canonical order, and rows its points in
+    that order. Lattices are equal when their groups and generators are.
+    """
 
-    def __post_init__(self):
-        group = self.group
-        gens = tuple(phase_point(group, z[0], z[1]) for z in self.generators)
-        zero = PhasePoint(group.zero, group.zero)
-        span, _ = _closure(group, {zero}, gens)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "elements", tuple(sorted(span)))
+    def __init__(self, group: FiniteAbelianGroup, generators: Iterable):
+        gens = group.check_points(generators)
+        codes = np.zeros(1, dtype=np.int64)
+        for z in gens:
+            codes = _join(group, codes, _cyclic(group, z))
+        gens.flags.writeable = codes.flags.writeable = False
+        self.group, self.generators, self.codes = group, gens, codes
+        self._key = (group, tuple(group.code(gens).tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lattice) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @cached_property
-    def element_set(self) -> frozenset[PhasePoint]:
-        return frozenset(self.elements)
+    def rows(self) -> np.ndarray:
+        """The points as a (size, 2k) array in canonical order."""
+        rows = self.group.decode(self.codes)
+        rows.flags.writeable = False
+        return rows
 
-    def __contains__(self, z: PhasePoint) -> bool:
-        return z in self.element_set
-
-    def index(self, z: PhasePoint) -> int:
-        """Position of z in the canonical element order."""
-        return self._index_map[z]
-
-    @cached_property
-    def _index_map(self) -> dict[PhasePoint, int]:
-        return {z: i for i, z in enumerate(self.elements)}
+    def index(self, rows) -> np.ndarray:
+        """Canonical positions of lattice points given as rows."""
+        codes = self.group.code(rows)
+        pos = np.searchsorted(self.codes, codes)
+        if not np.array_equal(self.codes[np.minimum(pos, self.size - 1)], codes):
+            raise InvalidElementError("a point is not in the lattice")
+        return pos
 
     @cached_property
     def adjoint(self) -> Lattice:
@@ -198,18 +168,28 @@ class Lattice:
         return adjoint_lattice(self)
 
 
-def find_generators(group: FiniteAbelianGroup, elements: Iterable[PhasePoint]) -> tuple[PhasePoint, ...]:
-    """A generating set picked greedily in canonical order (deterministic)."""
-    target = set(elements)
-    zero = PhasePoint(group.zero, group.zero)
-    span, gens = _closure(group, {zero}, sorted(target))
-    if span != target:
-        raise InvalidElementError("element set is not closed under the group operation")
-    return tuple(gens)
+def find_generators(group: FiniteAbelianGroup, codes) -> np.ndarray:
+    """Generator rows of a point set given by its sorted codes, picked
+    greedily in canonical order (deterministic)."""
+    target = np.asarray(codes, dtype=np.int64)
+    have = np.zeros(group.size**2, dtype=bool)
+    have[0] = True
+    span, gens = np.zeros(1, dtype=np.int64), []
+    for c in target.tolist():
+        if have[c]:
+            continue
+        gens.append(c)
+        span = _join(group, span, _cyclic(group, group.decode(c)))
+        have[span] = True
+        if len(span) >= len(target):
+            break
+    if not np.array_equal(span, target):
+        raise InvalidElementError("point set is not closed under the group operation")
+    return group.decode(np.array(gens, dtype=np.int64))
 
 
-def lattice_from_generators(group: FiniteAbelianGroup, gens: Iterable[PhasePoint]) -> Lattice:
-    """The subgroup of G x G generated by gens, with canonical element order."""
+def lattice_from_generators(group: FiniteAbelianGroup, gens: Iterable) -> Lattice:
+    """The subgroup of G x G generated by the rows gens, in canonical order."""
     return Lattice(group, gens)
 
 
@@ -223,12 +203,10 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
     """
     group = lat.group
     k = len(group.orders)
-    zs = np.indices(group.orders * 2).reshape(2 * k, -1).T  # phase space, canonical order
-    gens = np.array(lat.generators, dtype=np.int64).reshape(-1, 2 * k)
-    turned = np.hstack([gens[:, k:], -gens[:, :k]])
+    zs = group.decode(np.arange(group.size**2))
+    turned = np.hstack([lat.generators[:, k:], -lat.generators[:, :k]])
     keep = np.all(FiniteAbelianGroup(group.orders * 2).pairing(zs, turned) == 0, axis=1)
-    pts = [PhasePoint(tuple(z[:k]), tuple(z[k:])) for z in zs[keep].tolist()]
-    return Lattice(group, find_generators(group, pts))
+    return Lattice(group, find_generators(group, keep.nonzero()[0]))
 
 
 def covolume(lat: Lattice) -> Fraction:
@@ -237,29 +215,41 @@ def covolume(lat: Lattice) -> Fraction:
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Lattice]:
-    """Every subgroup of G x G, canonically ordered and duplicate-free."""
-    if group.size ** 2 > PHASE_SPACE_CAP:
-        raise ResourceLimitError(
-            f"phase space has {group.size ** 2} points, above the cap {PHASE_SPACE_CAP}"
-        )
-    pts = phase_space(group)
-    zero = PhasePoint(group.zero, group.zero)
-    trivial = frozenset({zero})
-    known: set[frozenset[PhasePoint]] = {trivial}
-    frontier = [trivial]
+    """Every subgroup of G x G, canonically ordered and duplicate-free.
+
+    Breadth first from the trivial subgroup: each subgroup found is joined,
+    in one sum set, with every distinct cyclic subgroup it does not contain,
+    and the joins are told apart by their membership masks.
+    """
+    n = group.size**2
+    if n > PHASE_SPACE_CAP:
+        raise ResourceLimitError(f"phase space has {n} points, above the cap {PHASE_SPACE_CAP}")
+    # the multiples m * z for m < L cover <z> evenly, so their sorted codes name it
+    multiples = np.arange(group.lcm)[None, :, None] * group.decode(np.arange(n))[:, None]
+    named = np.sort(group.code(multiples), axis=1)
+    cyclic = np.array(list({row.tobytes(): row for row in named}.values()))
+    cyclic_rows = group.decode(cyclic)
+    trivial = np.zeros(n, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes(): trivial.nonzero()[0]}
+    frontier = list(found.values())
     while frontier:
-        grown: list[frozenset[PhasePoint]] = []
+        grown = []
         for sub in frontier:
-            for g in pts:
-                if g in sub:
-                    continue
-                bigger = frozenset(_closure(group, set(sub), [g])[0])
-                if bigger not in known:
-                    known.add(bigger)
-                    grown.append(bigger)
+            inside = np.zeros(n, dtype=bool)
+            inside[sub] = True
+            new = cyclic_rows[~inside[cyclic].all(axis=1)]
+            sums = group.code(group.decode(sub)[None, :, None] + new[:, None])
+            masks = np.zeros((len(new), n), dtype=bool)
+            masks[np.arange(len(new))[:, None, None], sums] = True
+            for mask in masks:
+                key = mask.tobytes()
+                if key not in found:
+                    found[key] = mask.nonzero()[0]
+                    grown.append(found[key])
         frontier = grown
-    lattices = [Lattice(group, find_generators(group, sub)) for sub in known]
-    lattices.sort(key=lambda lat: (lat.size, lat.elements))
+    lattices = [Lattice(group, find_generators(group, codes)) for codes in found.values()]
+    lattices.sort(key=lambda lat: (lat.size, lat.codes.tolist()))
     return lattices
 
 
@@ -272,9 +262,10 @@ def group_from_dict(data: dict) -> FiniteAbelianGroup:
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
+    k = len(lat.group.orders)
     return {
         "orders": list(lat.group.orders),
-        "generators": [[list(z.x), list(z.w)] for z in lat.generators],
+        "generators": [[z[:k], z[k:]] for z in lat.generators.tolist()],
     }
 
 
@@ -285,5 +276,5 @@ def lattice_from_dict(data: dict, group: FiniteAbelianGroup) -> Lattice:
     for pair in data["generators"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidElementError(f"generator {pair!r} is not an [x, w] pair")
-        gens.append(phase_point(group, pair[0], pair[1]))
+        gens.append(group.check(pair[0]) + group.check(pair[1]))
     return lattice_from_generators(group, gens)

@@ -4,6 +4,7 @@ Nothing in gaborlab calls these; the tests compare the program against them.
 """
 
 import cmath
+import itertools
 import math
 from typing import Iterable
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from gaborlab.algebra import RANK_RTOL, SpanError, StarAlgebra, _vec, orthonormal_extension
 from gaborlab.gabor import tf_shift
-from gaborlab.groups import FiniteAbelianGroup, Lattice, PhasePoint, phase_point
+from gaborlab.groups import FiniteAbelianGroup, Lattice
 
 
 def character_value(group: FiniteAbelianGroup, w: Iterable[int], x: Iterable[int]) -> complex:
@@ -20,11 +21,27 @@ def character_value(group: FiniteAbelianGroup, w: Iterable[int], x: Iterable[int
     return cmath.exp(2j * math.pi * (phase / group.lcm))
 
 
-def cocycle(group: FiniteAbelianGroup, z: PhasePoint, zp: PhasePoint) -> complex:
-    """The phase making z -> tf_shift(z) projectively multiplicative."""
-    z = phase_point(group, z[0], z[1])
-    zp = phase_point(group, zp[0], zp[1])
-    return complex(character_value(group, zp.w, z.x)).conjugate()
+def point(group: FiniteAbelianGroup, x: Iterable[int], w: Iterable[int]) -> tuple[int, ...]:
+    """The phase-space point (x, w) as one row tuple (x_1..x_k, w_1..w_k)."""
+    return group.check(x) + group.check(w)
+
+
+def all_points(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """Every phase-space row of G x G, in lexicographic (canonical) order."""
+    return list(itertools.product(*(range(n) for n in group.orders * 2)))
+
+
+def add(group: FiniteAbelianGroup, a, b) -> tuple[int, ...]:
+    """Componentwise sum of two elements of G, or of two phase-space rows."""
+    orders = group.orders * (len(a) // len(group.orders))
+    return tuple((p + q) % n for p, q, n in zip(a, b, orders))
+
+
+def cocycle(group: FiniteAbelianGroup, z, zp) -> complex:
+    """The phase making z -> tf_shift(z) projectively multiplicative, for
+    phase-space rows z = (x, w) and zp = (x', w'): conj(w'(x))."""
+    k = len(group.orders)
+    return complex(character_value(group, zp[k:], z[:k])).conjugate()
 
 
 def dense_commutant(alg: StarAlgebra) -> StarAlgebra:
@@ -47,7 +64,7 @@ def dense_commutant(alg: StarAlgebra) -> StarAlgebra:
 def analysis_matrix(g: np.ndarray, lat: Lattice) -> np.ndarray:
     """Rows conj(tf_shift(z) g) over z in the lattice, built one shift at a
     time, so (C f)_z = <f, shift(z) g> with the inner product linear in f."""
-    return np.array([np.conj(tf_shift(lat.group, z) @ g) for z in lat.elements])
+    return np.array([np.conj(tf_shift(lat.group, z) @ g) for z in lat.rows])
 
 
 def bessel_bound_by_analysis(g: np.ndarray, lat: Lattice) -> float:

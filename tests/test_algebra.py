@@ -36,12 +36,11 @@ from gaborlab.groups import (
     adjoint_lattice,
     enumerate_subgroups,
     lattice_from_generators,
-    phase_point,
 )
 from gaborlab.reporting import TOL_SPAN
 from gaborlab import vnmod
 from gaborlab.vnmod import basic_construction, jones_projection, jones_sandwich_span
-from reference import dense_commutant, generate_algebra_full, orthonormal_extension_loop
+from reference import add, dense_commutant, generate_algebra_full, orthonormal_extension_loop, point
 
 Z4 = FiniteAbelianGroup((4,))
 Z24 = FiniteAbelianGroup((2, 4))
@@ -49,12 +48,12 @@ Z24 = FiniteAbelianGroup((2, 4))
 
 def square_lattice():
     # {0,2} x {0,2} inside the phase space of Z_4, self-adjoint
-    gens = [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (2,))]
+    gens = [point(Z4, (2,), (0,)), point(Z4, (0,), (2,))]
     return lattice_from_generators(Z4, gens)
 
 
 def shift_gens(lat):
-    return [tf_shift(lat.group, z) for z in lat.elements]
+    return [tf_shift(lat.group, z) for z in lat.rows]
 
 
 def random_element(alg, rng):
@@ -250,7 +249,7 @@ def test_commutant_of_square_lattice_shifts():
     alg = generate_algebra(shift_gens(lat))
     adj = adjoint_lattice(lat)
     # this lattice is self-adjoint, so the commutant is the same span
-    assert sorted(adj.elements) == sorted(lat.elements)
+    assert np.array_equal(adj.codes, lat.codes)
     dual = generate_algebra(shift_gens(adj))
     com = commutant(alg)
     ok, dev = span_equal(com, dual)
@@ -684,7 +683,8 @@ def test_twisted_square_lattice_unitary():
 def fraction_cocycle(group, z, zp):
     # conj(w'(x)) straight from the definition, with exact Fraction phases,
     # so that it shares no code with the integer pairing in groups
-    t = sum(Fraction(wj * xj, nj) for wj, xj, nj in zip(zp.w, z.x, group.orders))
+    k = len(group.orders)
+    t = sum(Fraction(wj * xj, nj) for wj, xj, nj in zip(zp[k:], z[:k], group.orders))
     return cmath.exp(-2j * math.pi * float(t - math.floor(t)))
 
 
@@ -692,20 +692,19 @@ def fraction_cocycle(group, z, zp):
 def test_twisted_cocycle_identity(flavor):
     # Z2 x Z4 has L = 4 != 2, so the two coordinates carry different weights
     mixed = lattice_from_generators(
-        Z24, [phase_point(Z24, (1, 0), (0, 1)), phase_point(Z24, (0, 1), (1, 0))]
+        Z24, [point(Z24, (1, 0), (0, 1)), point(Z24, (0, 1), (1, 0))]
     )
     for lat in (square_lattice(), mixed):
         alg, _ = twisted_group_algebra(lat, flavor=flavor)
         group = lat.group
-        for i, z in enumerate(lat.elements):
-            for j, zp in enumerate(lat.elements):
+        pts = [tuple(z) for z in lat.rows.tolist()]
+        for i, z in enumerate(pts):
+            for j, zp in enumerate(pts):
                 if flavor == "plain":
                     phase = fraction_cocycle(group, z, zp)
                 else:
                     phase = fraction_cocycle(group, zp, z)
-                k = lat.index(
-                    phase_point(group, group.add(z.x, zp.x), group.add(z.w, zp.w))
-                )
+                k = pts.index(add(group, z, zp))
                 got = lam(alg, i) @ lam(alg, j)
                 want = phase * lam(alg, k)
                 assert np.linalg.norm(got - want) <= 1e-12
@@ -714,9 +713,8 @@ def test_twisted_cocycle_identity(flavor):
 def test_twisted_canonical_trace():
     lat = square_lattice()
     alg, trace = twisted_group_algebra(lat)
-    zero = phase_point(lat.group, (0,), (0,))
-    for i, z in enumerate(lat.elements):
-        want = 1.0 if z == zero else 0.0
+    for i, z in enumerate(lat.rows.tolist()):
+        want = 1.0 if z == [0, 0] else 0.0
         assert trace(lam(alg, i)) == pytest.approx(want, abs=1e-12)
 
 

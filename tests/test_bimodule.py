@@ -29,7 +29,7 @@ from gaborlab.bimodule import (
 )
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import Window, bessel_bound_opt, frame_operator
-from gaborlab.groups import FiniteAbelianGroup, covolume, lattice_from_generators, phase_point
+from gaborlab.groups import FiniteAbelianGroup, covolume, lattice_from_generators
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     LeftModule,
@@ -39,14 +39,14 @@ from gaborlab.vnmod import (
     cdim,
     induced_trace,
 )
-from reference import bounded_operator_loop, operator_norm_loop
+from reference import bounded_operator_loop, operator_norm_loop, point
 
 Z4 = FiniteAbelianGroup((4,))
 
 
 def halfline_lattice():
     # {0,2} x Z_4 over Z_4: index 2 in time, full in frequency
-    gens = [phase_point(Z4, (2,), (0,)), phase_point(Z4, (0,), (1,))]
+    gens = [point(Z4, (2,), (0,)), point(Z4, (0,), (1,))]
     return lattice_from_generators(Z4, gens)
 
 

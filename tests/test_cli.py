@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,25 @@ def test_adjoint_of_self_adjoint_lattice(capsys):
     assert report["data"]["covolume"] == "1"
     assert report["summary"]["failed"] == 0
     assert "2/2 checks passed" in err
+
+
+# sha256 of json.dumps(report["data"]["lattices"], sort_keys=True): the
+# lattice order, generators, adjoints and covolumes, fixed once for good
+LATTICES_SHA256 = {
+    "8": "bfd55d680041dbde717c339dc84624dd6a91b0a35c7b32417ee4f0e4adf4642e",
+    "2 2": "347b4af7d5436235a4d854fafb6709598c2441fbed260f8e07790d7586147f0a",
+    "2 3": "46ddd2c67203f3786ddcc0083bf193623be7cb2433e106227d1b57dcc35201bd",
+    "2 4": "71fdd042b4ebffb941b99da3f765bf829e3be6984f1ba4ebfb9c7ab76a8cce8c",
+    "3 3": "185ddffad46bce0d5fcc508d464c2a49f6330a714e8e5ff817277a45d9ed602e",
+}
+
+
+@pytest.mark.parametrize("orders", list(LATTICES_SHA256))
+def test_lattices_report_is_pinned(capsys, orders):
+    code, report, err = run_cli(capsys, "lattices", "--orders", *orders.split())
+    assert code == 0
+    text = json.dumps(report["data"]["lattices"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICES_SHA256[orders]
 
 
 def test_malformed_lattice_json(capsys):
@@ -126,7 +146,11 @@ def test_bessel_from_files(tmp_path, capsys):
 
 def test_bessel_rejects_zero_and_overflowing_windows(capsys):
     lattice = '{"generators": [[[1], [0]]]}'
-    for scale, why in (("0", "window is zero"), ("1e200", "overflows a float")):
+    for scale, why in (
+        ("0", "window is zero"),
+        ("1e200", "overflows a float"),
+        ("1e-200", "underflows a float"),
+    ):
         window = f'{{"values": [[{scale}, 0], [0, 0], [0, 0], [0, 0]]}}'
         code, report, err = run_cli(
             capsys, "bessel", "--orders", "4", "--lattice", lattice, "--window", window

@@ -22,17 +22,15 @@ from gaborlab.groups import (
     enumerate_subgroups,
     group_from_dict,
     lattice_from_generators,
-    phase_point,
-    phase_space,
 )
-from reference import analysis_matrix, bessel_bound_by_analysis, cocycle
+from reference import add, all_points, analysis_matrix, bessel_bound_by_analysis, cocycle, point
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
 
 
 def pp(group, x, w):
-    return phase_point(group, x, w)
+    return point(group, x, w)
 
 
 def delta0(group):
@@ -53,7 +51,7 @@ def test_tf_shift_translation_and_modulation():
 
 
 def test_tf_shift_unitary():
-    for z in phase_space(Z4):
+    for z in all_points(Z4):
         u = tf_shift(Z4, z)
         assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
 
@@ -68,10 +66,11 @@ def shift_by_definition(group, z):
     # (M f)(t) = w(t) f(t - x), entry by entry; shares no code with groups.pairing
     elems = list(itertools.product(*(range(n) for n in group.orders)))
     pos = {t: i for i, t in enumerate(elems)}
+    k = len(group.orders)
     mat = np.zeros((len(elems), len(elems)), dtype=complex)
     for i, t in enumerate(elems):
-        src = tuple((tj - xj) % nj for tj, xj, nj in zip(t, z.x, group.orders))
-        mat[i, pos[src]] = fraction_character(group, z.w, t)
+        src = tuple((tj - xj) % nj for tj, xj, nj in zip(t, z[:k], group.orders))
+        mat[i, pos[src]] = fraction_character(group, z[k:], t)
     return mat
 
 
@@ -79,8 +78,18 @@ def shift_by_definition(group, z):
 def test_tf_shift_matches_definition(orders):
     # in Z2 x Z4 the phase unit 1/lcm differs from 1/N_1
     group = FiniteAbelianGroup(orders)
-    for z in phase_space(group):
+    pts = all_points(group)
+    for z in pts:
         assert np.max(np.abs(tf_shift(group, z) - shift_by_definition(group, z))) <= 1e-12
+    # a stack of rows gives the same unitaries, in order
+    want = np.array([tf_shift(group, z) for z in pts])
+    assert np.array_equal(tf_shift(group, np.array(pts)), want)
+
+
+def test_tf_shift_rejects_points_outside_the_phase_space():
+    for z in ((4, 0), (0, -1), (1,), (1, 0, 0), (1.5, 0), [(0, 0), (0, 4)]):
+        with pytest.raises(InvalidElementError):
+            tf_shift(Z4, z)
 
 
 def test_cocycle_trivial_frequency():
@@ -98,25 +107,21 @@ def test_cocycle_value():
 
 def test_projectivity_all_pairs():
     """shift(z) shift(z') = cocycle(z,z') shift(z+z'), the whole phase space."""
-    from gaborlab.groups import pp_add
-
-    for z in phase_space(Z4):
+    for z in all_points(Z4):
         uz = tf_shift(Z4, z)
-        for zp in phase_space(Z4):
+        for zp in all_points(Z4):
             lhs = uz @ tf_shift(Z4, zp)
-            rhs = cocycle(Z4, z, zp) * tf_shift(Z4, pp_add(Z4, z, zp))
+            rhs = cocycle(Z4, z, zp) * tf_shift(Z4, add(Z4, z, zp))
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_cocycle_identity():
-    from gaborlab.groups import pp_add
-
     rng = np.random.default_rng(1)
-    pts = phase_space(Z4)
+    pts = all_points(Z4)
     for _ in range(50):
         z1, z2, z3 = (pts[rng.integers(len(pts))] for _ in range(3))
-        lhs = cocycle(Z4, z1, z2) * cocycle(Z4, pp_add(Z4, z1, z2), z3)
-        rhs = cocycle(Z4, z1, pp_add(Z4, z2, z3)) * cocycle(Z4, z2, z3)
+        lhs = cocycle(Z4, z1, z2) * cocycle(Z4, add(Z4, z1, z2), z3)
+        rhs = cocycle(Z4, z1, add(Z4, z2, z3)) * cocycle(Z4, z2, z3)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -134,7 +139,7 @@ def test_analysis_matrix_conventions():
     # (C f)_z = <f, shift(z) g>, linear in f
     f = np.array([0.3, -1j, 2, 1], dtype=complex)
     C = analysis_matrix(g.values, full)
-    for i, z in enumerate(full.elements):
+    for i, z in enumerate(full.rows):
         want = np.vdot(tf_shift(Z4, z) @ g.values, f)  # vdot conjugates arg 1
         assert C[i] @ f == pytest.approx(want)
     # and the frame operator is C* C
@@ -183,7 +188,7 @@ def test_bessel_bound_matches_synthesis_norm():
 
 def test_shift_linear_independence():
     for lat in enumerate_subgroups(Z4):
-        mats = np.stack([tf_shift(Z4, z) for z in lat.elements])
+        mats = np.stack([tf_shift(Z4, z) for z in lat.rows])
         flat = mats.reshape(lat.size, -1)
         svals = np.linalg.svd(flat, compute_uv=False)
         assert svals[-1] > 1e-10 * svals[0]
@@ -215,6 +220,39 @@ def test_stacked_bessel_bound_matches_analysis_oracle(orders):
         gs = rng.standard_normal((5, group.size)) + 1j * rng.standard_normal((5, group.size))
         want = [bessel_bound_by_analysis(g, lat) for g in gs]
         assert bessel_bound_opt(gs, lat) == pytest.approx(want, rel=1e-12)
+
+
+def dft_matrix(group):
+    # (F f)(w) = |G|^(-1/2) sum_t f(t) conj(w(t)), entry by entry from exact
+    # Fraction phases; shares no code with groups.pairing or the duality layer
+    elems = list(itertools.product(*(range(n) for n in group.orders)))
+    mat = np.array([[fraction_character(group, w, t).conjugate() for t in elems] for w in elems])
+    return mat / np.sqrt(group.size)
+
+
+def fourier_turn(lat):
+    # J(x, w) = (w, -x): the lattice that F maps the shifts of lat onto
+    k = len(lat.group.orders)
+    rows = np.hstack([lat.rows[:, k:], (-lat.rows[:, :k]) % lat.group.orders])
+    return lattice_from_generators(lat.group, rows)
+
+
+@pytest.mark.parametrize(
+    "orders", [(n,) for n in range(2, 9)] + [(2, 2), (2, 3)], ids=lambda o: "x".join(map(str, o))
+)
+def test_fourier_covariance(orders):
+    # F shift(x, w) F* is shift(w, -x) up to a phase, so J maps adjoints to
+    # adjoints, and the window F g over J lat has the Bessel bound of g over lat
+    group = FiniteAbelianGroup(orders)
+    F = dft_matrix(group)
+    assert np.allclose(F @ F.conj().T, np.eye(group.size), atol=1e-12)
+    rng = np.random.default_rng(29)
+    for lat in enumerate_subgroups(group):
+        turned = fourier_turn(lat)
+        assert np.array_equal(fourier_turn(lat.adjoint).codes, turned.adjoint.codes)
+        gs = rng.standard_normal((3, group.size)) + 1j * rng.standard_normal((3, group.size))
+        want = bessel_bound_opt(gs, lat)
+        assert bessel_bound_opt(gs @ F.T, turned) == pytest.approx(want, rel=1e-12)
 
 
 def test_frame_operator_rejects_a_stack_of_the_wrong_shape():

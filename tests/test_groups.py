@@ -9,7 +9,7 @@ import pytest
 from gaborlab.groups import (
     FiniteAbelianGroup,
     InvalidElementError,
-    PhasePoint,
+    Lattice,
     ResourceLimitError,
     adjoint_lattice,
     covolume,
@@ -19,10 +19,8 @@ from gaborlab.groups import (
     lattice_from_dict,
     lattice_from_generators,
     lattice_to_dict,
-    phase_point,
-    phase_space,
 )
-from reference import character_value
+from reference import add, all_points, character_value, point
 
 Z4 = FiniteAbelianGroup((4,))
 Z2 = FiniteAbelianGroup((2,))
@@ -30,7 +28,11 @@ Z23 = FiniteAbelianGroup((2, 3))
 
 
 def pp(group, x, w):
-    return phase_point(group, x, w)
+    return point(group, x, w)
+
+
+def point_set(lat):
+    return set(map(tuple, lat.rows.tolist()))
 
 
 def test_character_trivial():
@@ -54,7 +56,7 @@ def test_character_multiplicative():
         w = tuple(rng.integers(0, o) for o in Z23.orders)
         x1 = tuple(rng.integers(0, o) for o in Z23.orders)
         x2 = tuple(rng.integers(0, o) for o in Z23.orders)
-        lhs = character_value(Z23, w, Z23.add(x1, x2))
+        lhs = character_value(Z23, w, add(Z23, x1, x2))
         rhs = character_value(Z23, w, x1) * character_value(Z23, w, x2)
         assert abs(lhs - rhs) <= 1e-12
 
@@ -66,14 +68,14 @@ def test_character_rejects_out_of_range():
 
 def test_lattice_from_generators_closure():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
-    got = {(z.x[0], z.w[0]) for z in lat.elements}
-    assert got == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    assert point_set(lat) == {(0, 0), (2, 0), (0, 2), (2, 2)}
 
 
 def test_lattice_empty_generators():
     lat = lattice_from_generators(Z4, [])
     assert lat.size == 1
-    assert lat.elements[0] == PhasePoint((0,), (0,))
+    assert lat.codes.tolist() == [0]
+    assert lat.rows.tolist() == [[0, 0]]
 
 
 def test_lattice_full():
@@ -85,8 +87,9 @@ def commutation_pairing_trivial(group, z1, z2):
     # exact test for w2(x1) == w1(x2), with its own lcm bookkeeping so that
     # it shares no code with FiniteAbelianGroup.pairing
     lcm = math.lcm(*group.orders)
+    k = len(group.orders)
     acc = 0
-    for x1j, w1j, x2j, w2j, nj in zip(z1.x, z1.w, z2.x, z2.w, group.orders):
+    for x1j, w1j, x2j, w2j, nj in zip(z1[:k], z1[k:], z2[:k], z2[k:], group.orders):
         acc += (w2j * x1j - w1j * x2j) * (lcm // nj)
     return acc % lcm == 0
 
@@ -97,8 +100,8 @@ def brute_force_adjoint(lat):
     group = lat.group
     return {
         z
-        for z in phase_space(group)
-        if all(commutation_pairing_trivial(group, z, w) for w in lat.elements)
+        for z in all_points(group)
+        if all(commutation_pairing_trivial(group, z, w) for w in lat.rows.tolist())
     }
 
 
@@ -113,7 +116,7 @@ def brute_force_adjoint(lat):
 def test_adjoint_against_brute_force(gens, expect_size):
     lat = lattice_from_generators(Z4, [pp(Z4, x, w) for x, w in gens])
     adj = adjoint_lattice(lat)
-    assert adj.element_set == brute_force_adjoint(lat)
+    assert point_set(adj) == brute_force_adjoint(lat)
     assert adj.size == expect_size
 
 
@@ -123,18 +126,18 @@ def test_adjoint_against_brute_force(gens, expect_size):
 def test_adjoint_against_brute_force_every_lattice(orders):
     for lat in enumerate_subgroups(FiniteAbelianGroup(orders)):
         want = brute_force_adjoint(lat)
-        assert adjoint_lattice(lat).element_set == want
-        assert lat.adjoint.element_set == want
+        assert point_set(adjoint_lattice(lat)) == want
+        assert point_set(lat.adjoint) == want
         assert lat.adjoint is lat.adjoint
 
 
 def test_adjoint_worked_values():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (1,))])
     adj = adjoint_lattice(lat)
-    assert {(z.x[0], z.w[0]) for z in adj.elements} == {(0, 0), (0, 2)}
+    assert point_set(adj) == {(0, 0), (0, 2)}
 
     sa = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
-    assert adjoint_lattice(sa).element_set == sa.element_set
+    assert np.array_equal(adjoint_lattice(sa).codes, sa.codes)
 
 
 def test_covolume_values():
@@ -159,6 +162,67 @@ def test_subgroup_counts():
         assert len(enumerate_subgroups(FiniteAbelianGroup((n,)))) == count
 
 
+def gaussian_binomial(m, k, p):
+    # [m choose k]_p, the number of k-dimensional subspaces of F_p^m
+    num = math.prod(p ** (m - i) - 1 for i in range(k))
+    den = math.prod(p ** (k - i) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "orders,count",
+    [((2,), 5), ((3,), 6), ((5,), 8), ((7,), 10), ((2, 2), 67), ((3, 3), 212)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_elementary_abelian_subgroup_counts(orders, count):
+    # the phase space of Z_p^r is F_p^(2r); its subgroups are its subspaces
+    p, m = orders[0], 2 * len(orders)
+    assert sum(gaussian_binomial(m, k, p) for k in range(m + 1)) == count
+    assert len(enumerate_subgroups(FiniteAbelianGroup(orders))) == count
+
+
+def test_decode_inverts_code():
+    for orders in ((4,), (2, 3), (2, 2, 3)):
+        group = FiniteAbelianGroup(orders)
+        pts = np.array(all_points(group))
+        codes = group.code(pts)
+        assert codes.tolist() == list(range(group.size**2))
+        assert np.array_equal(group.decode(codes), pts)
+        elems = group.decode(np.arange(group.size), width=1)
+        assert elems.tolist() == [list(z[: len(orders)]) for z in pts[:: group.size]]
+
+
+def test_lattices_are_equal_and_hashed_by_group_and_generators():
+    a = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
+    b = Lattice(Z4, np.array([[2, 0], [0, 2]]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Lattice(Z4, [(0, 2), (2, 0)])
+    assert a != Lattice(FiniteAbelianGroup((2, 2)), [(1, 0, 0, 0)])
+    assert b.generators.dtype == np.int64 and not b.generators.flags.writeable
+    assert not b.codes.flags.writeable
+
+
+def test_lattice_rejects_bad_generators():
+    for gens in ([(4, 0)], [(0, -1)], [(1,)], [(1, 0, 0)], [(1.5, 0)], [("1", 0)], [3]):
+        with pytest.raises(InvalidElementError):
+            Lattice(Z4, gens)
+
+
+def test_index_finds_lattice_points_and_rejects_others():
+    lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (1,))])
+    assert lat.index(lat.rows).tolist() == list(range(lat.size))
+    assert lat.index([(6, 5)]).tolist() == [lat.rows.tolist().index([2, 1])]
+    for outside in ([(1, 0)], [(3, 3)], [(2, 0), (1, 1)]):
+        with pytest.raises(InvalidElementError):
+            lat.index(outside)
+
+
+def test_find_generators_rejects_a_set_that_is_not_a_subgroup():
+    for codes in ([0, 1], [1, 2], [0, 4, 8]):
+        with pytest.raises(InvalidElementError):
+            find_generators(Z4, codes)
+
+
 def test_enumeration_contains_extremes():
     lats = enumerate_subgroups(Z4)
     sizes = {lat.size for lat in lats}
@@ -176,7 +240,7 @@ def test_adjoint_involution_and_size_product():
         for lat in enumerate_subgroups(group):
             adj = adjoint_lattice(lat)
             assert lat.size * adj.size == group.size**2
-            assert adjoint_lattice(adj).element_set == lat.element_set
+            assert np.array_equal(adjoint_lattice(adj).codes, lat.codes)
             assert covolume(lat) * covolume(adj) == 1
 
 
@@ -189,10 +253,10 @@ def test_lattice_json_round_trip():
     lat = lattice_from_generators(Z4, [pp(Z4, (2,), (0,)), pp(Z4, (0,), (2,))])
     data = json.loads(json.dumps(lattice_to_dict(lat)))
     back = lattice_from_dict(data, group_from_dict(data))
-    assert back.element_set == lat.element_set
+    assert back == lat
     # and with the group supplied separately, orders may be omitted
     back2 = lattice_from_dict({"generators": data["generators"]}, Z4)
-    assert back2.element_set == lat.element_set
+    assert back2 == lat
 
 
 def test_lattice_json_rejects_garbage():
@@ -218,14 +282,13 @@ def test_lattice_json_rejects_garbage():
 # A breadth-first closure: each round adds every frontier point to every
 # point found so far. It is quadratic in the subgroup size but plainly
 # correct, and it keeps its own componentwise addition so that it shares no
-# code with the coset closure in groups._closure.
+# code with the sum-set joins in groups.
 
 def bfs_closure(group, base, new):
+    orders = group.orders * 2
+
     def add(a, b):
-        return (
-            tuple((p + q) % n for p, q, n in zip(a[0], b[0], group.orders)),
-            tuple((p + q) % n for p, q, n in zip(a[1], b[1], group.orders)),
-        )
+        return tuple((p + q) % n for p, q, n in zip(a, b, orders))
 
     out = set(base)
     frontier = [z for z in new if z not in out]
@@ -245,7 +308,7 @@ def bfs_closure(group, base, new):
 def bfs_generators(group, elements):
     # the greedy canonical-order pick of find_generators, on the oracle closure
     target = set(elements)
-    zero = (group.zero, group.zero)
+    zero = (0,) * (2 * len(group.orders))
     gens, have = [], {zero}
     for z in sorted(target):
         if z not in have:
@@ -263,12 +326,15 @@ ORACLE_GROUPS = [(n,) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (2, 2, 2)
 @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=lambda o: "x".join(map(str, o)))
 def test_closure_matches_bfs_oracle(orders):
     group = FiniteAbelianGroup(orders)
-    pts = phase_space(group)
+    pts = all_points(group)
+    zero = pts[0]
     rng = random.Random(repr(orders))
     gen_sets = [[z] for z in pts]
     gen_sets += [rng.sample(pts, count) for count in (2, 3) for _ in range(12)]
     for gens in gen_sets:
-        want = bfs_closure(group, [(group.zero, group.zero)], gens)
+        want = bfs_closure(group, [zero], gens)
         lat = lattice_from_generators(group, gens)
-        assert lat.element_set == want
-        assert find_generators(group, lat.elements) == bfs_generators(group, want)
+        # the span, in canonical (lexicographic) order
+        assert [tuple(z) for z in lat.rows.tolist()] == sorted(want)
+        got = find_generators(group, lat.codes)
+        assert [tuple(z) for z in got.tolist()] == list(bfs_generators(group, want))
