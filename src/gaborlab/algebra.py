@@ -100,8 +100,9 @@ class StarAlgebra:
         gram = self.basis_conj @ self.basis_flat.T
         if not np.allclose(gram, np.eye(self.dimension), atol=1e-8):
             raise SpanError("basis is not Hilbert-Schmidt orthonormal")
-        if not self.contains(self.identity()):
-            raise SpanError("identity is not in the span")
+        # center() needs its commutators with the generators inside the span
+        if not self.contains(np.array((self.identity(),) + (self.generators or ()))):
+            raise SpanError("the identity or a recorded generator is not in the span")
 
     @property
     def dimension(self) -> int:
@@ -121,11 +122,12 @@ class StarAlgebra:
     def residuals(self, mats: np.ndarray) -> np.ndarray:
         """Distance of each matrix of a stack to the span: one GEMM for all."""
         flat = _vec(mats)
-        return np.linalg.norm(flat - (flat @ self.basis_conj.T) @ self.basis_flat, axis=1)
+        return np.linalg.norm(flat - (flat @ self.basis_conj.T) @ self.basis_flat, axis=-1)
 
-    def contains(self, mat: np.ndarray) -> bool:
-        scale = max(1.0, float(np.linalg.norm(mat)))
-        return self.residual(mat) <= SPAN_ATOL * scale
+    def contains(self, mats: np.ndarray) -> bool:
+        """Whether a matrix, or every matrix of a stack, lies in the span."""
+        scales = np.maximum(1.0, np.linalg.norm(_vec(mats), axis=-1))
+        return bool(np.all(self.residuals(mats) <= SPAN_ATOL * scales))
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
@@ -176,20 +178,28 @@ def numerical_rank(svals: np.ndarray, scale: float = 0.0) -> int:
     return int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
 
 
-def _commuting_part(alg: StarAlgebra, span: np.ndarray) -> StarAlgebra:
+def _commuting_part(alg: StarAlgebra, span: np.ndarray, coords: StarAlgebra | None = None) -> StarAlgebra:
     """The elements of span's linear span that commute with the algebra.
 
-    One null-space solve on the coefficients over the spanning set: each
-    generator h and its adjoint contribute the columns vec(s h - h s).
+    One null-space solve on the coefficients over the spanning set: the
+    Hermitian and skew parts h of each generator above RANK_RTOL x its norm
+    contribute the columns vec(s h - h s), or, when coords holds all of them,
+    their coordinates there (an isometry, so the same singular values).
     """
-    blocks = []
+    blocks = [np.zeros((0, span.shape[0]), dtype=complex)]
     scale = 0.0
     for g in alg.gen_matrices():
-        for h in (g, g.conj().T):
-            blocks.append(_vec(span @ h - h @ span).T)
-            scale = max(scale, float(np.linalg.norm(h)))
-    # each h adds n^2 rows, at least as many as the unknowns, so vh is square
-    svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)[1:]
+        floor = RANK_RTOL * float(np.linalg.norm(g))
+        for h in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2j):
+            size = float(np.linalg.norm(h))
+            if size > floor:
+                block = _vec(span @ h - h @ span).T
+                blocks.append(block if coords is None else coords.basis_conj @ block)
+                scale = max(scale, size)
+    stack = np.vstack(blocks)
+    if stack.shape[0] > stack.shape[1]:  # R-SVD (Chan 1982): U is never formed
+        stack = np.linalg.qr(stack, mode="r")
+    svals, vh = np.linalg.svd(stack)[1:]
     null_coeffs = vh[numerical_rank(svals, scale) :].conj()
     return StarAlgebra((null_coeffs @ _vec(span)).reshape((-1,) + span.shape[1:]))
 
@@ -213,8 +223,8 @@ def commutant(alg: StarAlgebra) -> StarAlgebra:
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
-    """The center, solved inside the algebra's own coefficient space."""
-    return _commuting_part(alg, alg.basis)
+    """The center, solved in the algebra's own coordinates, which hold every commutator."""
+    return _commuting_part(alg, alg.basis, alg)
 
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:
@@ -388,9 +398,8 @@ class ConditionalExpectation:
     """The unique trace-preserving projection of an algebra onto a subalgebra."""
 
     def __init__(self, big: StarAlgebra, sub: StarAlgebra, trace: TraceFunctional):
-        for mat in sub.basis:
-            if not big.contains(mat):
-                raise InclusionError("subalgebra is not contained in the big algebra")
+        if not big.contains(sub.basis):
+            raise InclusionError("subalgebra is not contained in the big algebra")
         self.trace = trace
         gram = trace.gram_matrix(sub.basis)
         gram = (gram + gram.conj().T) / 2.0

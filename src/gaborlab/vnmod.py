@@ -368,9 +368,8 @@ def jones_projection(
     big: StarAlgebra, sub: StarAlgebra, trace: TraceFunctional
 ) -> np.ndarray:
     """Projection of the big algebra's GNS space onto the subalgebra's copy."""
-    for mat in sub.basis:
-        if not big.contains(mat):
-            raise InclusionError("subalgebra is not contained in the big algebra")
+    if not big.contains(sub.basis):
+        raise InclusionError("subalgebra is not contained in the big algebra")
     sp = gns(big, trace)
     hats = np.column_stack([sp.hat(m) for m in sub.basis])
     q, r = np.linalg.qr(hats)

@@ -228,6 +228,24 @@ def test_identity_must_lie_in_span():
         StarAlgebra(e12[None, :, :])
 
 
+def test_recorded_generators_must_lie_in_span():
+    e13 = np.zeros((3, 3), dtype=complex)
+    e13[0, 2] = 1.0
+    basis = block_matrix_algebra([2, 1]).basis
+    assert StarAlgebra(basis, generators=(np.eye(3),)).dimension == 5
+    with pytest.raises(SpanError, match="generator"):
+        StarAlgebra(basis, generators=(np.eye(3), e13))
+
+
+def test_contains_a_stack_means_every_matrix():
+    alg = block_matrix_algebra([2, 1])
+    e13 = np.zeros((3, 3), dtype=complex)
+    e13[0, 2] = 1.0
+    assert alg.contains(alg.basis)
+    assert alg.contains(np.eye(3)) and not alg.contains(e13)
+    assert not alg.contains(np.concatenate([alg.basis, e13[None]]))
+
+
 # ---------------------------------------------------------------- commutant
 
 
@@ -326,6 +344,43 @@ def test_commutant_with_one_merged_cluster_is_the_full_solve(monkeypatch):
         assert_matches_dense(alg)
 
 
+def test_no_constraints_leave_the_whole_span():
+    # a zero generator has neither a Hermitian nor a skew part to constrain by
+    alg = generate_algebra([np.zeros((3, 3))])
+    assert alg.dimension == 1
+    assert center(alg).dimension == 1
+    assert commutant(alg).dimension == 9
+    assert_matches_dense(alg)
+
+
+def test_hermitian_generators_add_one_block_each(monkeypatch):
+    # every generator of M2 + M1 is Hermitian (diag and the 2-cycle), and the
+    # diagonal algebra comes from a single Hermitian generator
+    for alg, center_dim in (
+        (block_matrix_algebra([2, 1]), 2),
+        (generate_algebra([np.diag([1.0, 2.0, 3.0])]), 3),
+    ):
+        assert all(np.allclose(g, g.conj().T) for g in alg.gen_matrices())
+        zen = center(alg)
+        assert zen.dimension == center_dim
+        assert alg.contains(zen.basis) and dense_commutant(alg).contains(zen.basis)
+        assert_matches_dense(alg)
+    # the tall stacks reach the QR: dim rows per generator for the center
+    # (coordinates), n^2 for the commutant, and no skew blocks
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode):
+        shapes.append(a.shape)
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    alg = block_matrix_algebra([2, 1])
+    center(alg)
+    commutant(alg)
+    assert shapes == [(4 * 5, 5), (4 * 9, 3)]
+
+
 def test_commutant_solves_only_the_diagonal_blocks(monkeypatch):
     # M3 with multiplicity 4 on C^12: three clusters of 4, so 48 unknowns, not 144
     sizes = []
@@ -394,6 +449,24 @@ def test_central_projection_count_matches_center_dim():
         zen = center(alg)
         projs = minimal_central_projections(alg)
         assert len(projs) == zen.dimension
+
+
+@pytest.mark.parametrize(
+    "orders", [(n,) for n in range(2, 9)] + [(2, 2), (2, 3)], ids=lambda o: "x".join(map(str, o))
+)
+def test_center_structure_matches_the_symplectic_radical(orders):
+    # the center of a lattice's shift algebra is spanned by the shifts over
+    # R = lat & adjoint, and all |R| blocks are full matrix algebras of one size
+    group = FiniteAbelianGroup(orders)
+    for lat in enumerate_subgroups(group):
+        radical = np.intersect1d(lat.codes, lat.adjoint.codes).size
+        alg = shift_algebra(lat)
+        assert center(alg).dimension == radical
+        projs = minimal_central_projections(alg)
+        assert len(projs) == radical
+        ranks = [int(round(float(np.trace(p).real))) for p in projs]
+        assert ranks == [group.size // radical] * radical
+        assert math.isqrt(lat.size // radical) ** 2 * radical == lat.size
 
 
 # ------------------------------------------------- conditional expectations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaborlab.algebra import (
+    InclusionError,
     StarAlgebra,
     TraceFunctional,
     ampliated_matrix_algebra,
@@ -240,6 +241,13 @@ def test_jones_projection_onto_diagonal():
     off = np.zeros((2, 2), dtype=complex)
     off[0, 1] = 1.0
     assert np.linalg.norm(e @ sp.hat(off)) <= 1e-10
+
+
+def test_jones_projection_requires_containment():
+    big = block_matrix_algebra([2, 1])
+    kappa = TraceFunctional.from_matrix_trace(big)
+    with pytest.raises(InclusionError):
+        jones_projection(big, full_matrix_algebra(3), kappa)
 
 
 def test_jones_projection_fixes_identity():
