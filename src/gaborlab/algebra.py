@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gabor import shift_stack
 from .groups import Lattice
 
 # singular values / residuals below RANK_RTOL x scale count as zero
@@ -434,27 +435,22 @@ def center_valued_trace(
 def twisted_group_algebra(
     lat: Lattice, flavor: str = "plain"
 ) -> tuple[StarAlgebra, TraceFunctional]:
-    """The projective regular representation algebra of a lattice on l2(lat).
+    """The twisted group algebra of a lattice: the span of its shifts on L2(G).
 
-    flavor "plain" twists by the phase-space cocycle c, "opposite" by the
-    reversed cocycle. Returns the algebra together with its canonical
-    tracial state (value 1 at the identity shift, 0 elsewhere).
+    flavor "plain" twists by the cocycle of pi(z) pi(z') = c(z, z') pi(z + z');
+    "opposite" spans the transposed shifts, whose products reverse, so it
+    twists by the reversed cocycle. Returns the algebra together with its
+    canonical tracial state (value 1 at the identity shift, 0 elsewhere).
     """
     if flavor not in ("plain", "opposite"):
         raise ValueError(f"flavor must be 'plain' or 'opposite', got {flavor!r}")
-    group = lat.group
-    m = lat.size
-    k = len(group.orders)
-    pairing = group.pairing(lat.rows[:, :k], lat.rows[:, k:])  # [a, b] = w_b(x_a) in units of 1/L
-    phases = np.exp(-2j * np.pi * (pairing if flavor == "plain" else pairing.T) / group.lcm)
-    sum_idx = lat.index(lat.rows[:, None, :] + lat.rows[None, :, :])
-    mats = np.zeros((m, m, m), dtype=complex)
-    mats[np.arange(m)[:, None], sum_idx, np.arange(m)[None, :]] = phases
-    basis = mats / np.sqrt(m)
-    gens = tuple(mats[lat.index(lat.generators)])
-    alg = StarAlgebra(basis, generators=gens)
-    values = np.zeros(m, dtype=complex)
-    values[0] = 1.0 / np.sqrt(m)  # code 0, the zero point, comes first
+    shifts = shift_stack(lat)
+    if flavor == "opposite":
+        shifts = shifts.transpose(0, 2, 1)
+    n = lat.group.size
+    alg = StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
+    values = np.zeros(lat.size, dtype=complex)
+    values[0] = 1.0 / np.sqrt(n)  # code 0, the zero point, comes first
     return alg, TraceFunctional(alg, values)
 
 

@@ -54,6 +54,7 @@ from .vnmod import (
     cdim,
     cdim_blockwise,
     direct_sum,
+    gns_right_module,
     jones_sandwich_span,
     push_down,
 )
@@ -61,8 +62,8 @@ from .vnmod import (
 DEFAULT_MAX_ORDER = 8
 
 
-def _cyclic_sweep(max_order: int):
-    for n in range(2, max_order + 1):
+def _cyclic_sweep(orders):
+    for n in orders:
         group = FiniteAbelianGroup((n,))
         for li, lat in enumerate(enumerate_subgroups(group)):
             yield n, li, lat
@@ -85,7 +86,7 @@ def bessel_duality_sweep(
 ) -> list[Check]:
     """Adjoint-lattice bound equals covolume times the lattice bound (A1)."""
     checks = []
-    for n, li, lat in _cyclic_sweep(max_order):
+    for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         windows = _gaussian_windows(lat.group, trials, seed, "bessel", n, li)
         prefixes = _window_prefixes(f"n{n}/lat{li:02d}/", trials)
         checks.extend(verify_bessel_duality(windows, lat, tol, prefixes))
@@ -95,7 +96,7 @@ def bessel_duality_sweep(
 def commutant_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_SPAN) -> list[Check]:
     """Shifts of the adjoint lattice span exactly the commutant (A2)."""
     checks = []
-    for n, li, lat in _cyclic_sweep(max_order):
+    for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         checks.extend(verify_commutant(lat, tol, prefix=f"n{n}/lat{li:02d}/"))
     return checks
 
@@ -103,7 +104,7 @@ def commutant_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_SPAN) -
 def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_DIMENSION) -> list[Check]:
     """Dimensions match covolumes on every lattice, plus trace alignment (A3)."""
     checks = []
-    for n, li, lat in _cyclic_sweep(max_order):
+    for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         bm = gabor_bimodule(lat)
         checks.extend(verify_cdim_covolume(lat, bm, tol, prefix=f"n{n}/lat{li:02d}/"))
         checks.append(verify_gabor_alignment(bm, prefix=f"n{n}/lat{li:02d}/"))
@@ -115,13 +116,11 @@ def bounded_vector_sweep(
 ) -> list[Check]:
     """Operator-norm characterization of both bounds on random windows (A4)."""
     checks = []
-    for n in orders:
-        group = FiniteAbelianGroup((n,))
-        for li, lat in enumerate(enumerate_subgroups(group)):
-            bm = gabor_bimodule(lat)
-            windows = _gaussian_windows(group, trials, seed, "bounded", n, li)
-            prefixes = _window_prefixes(f"n{n}/lat{li:02d}/", trials)
-            checks.extend(verify_bessel_duality(windows, lat, tol, prefixes, bm=bm))
+    for n, li, lat in _cyclic_sweep(orders):
+        bm = gabor_bimodule(lat)
+        windows = _gaussian_windows(lat.group, trials, seed, "bounded", n, li)
+        prefixes = _window_prefixes(f"n{n}/lat{li:02d}/", trials)
+        checks.extend(verify_bessel_duality(windows, lat, tol, prefixes, bm=bm))
     return checks
 
 
@@ -155,19 +154,17 @@ def norm_inequality_sweep(
         checks.append(flag_check(f"{name}hypotheses", True, 0.0, tol))
         worst = max((r.slack for r in reports), default=0.0)
         checks.append(make_bound_check(f"{name}norm-inequality", worst, 0.0, tol))
-    for n in gabor_orders:
-        group = FiniteAbelianGroup((n,))
-        for li, lat in enumerate(enumerate_subgroups(group)):
-            bm = gabor_bimodule(lat)
-            reports = verify_left_right_bounded(
-                bm, trials=20, seed=_child_seed(seed, "gabor", n * 100 + li), tol=tol
-            )
-            worst_eq = max(
-                (r.equality_deviation / max(1.0, r.left_norm) for r in reports), default=0.0
-            )
-            checks.append(
-                make_bound_check(f"gabor-n{n}/lat{li:02d}/norm-equality", worst_eq, 0.0, tol)
-            )
+    for n, li, lat in _cyclic_sweep(gabor_orders):
+        bm = gabor_bimodule(lat)
+        reports = verify_left_right_bounded(
+            bm, trials=20, seed=_child_seed(seed, "gabor", n * 100 + li), tol=tol
+        )
+        worst_eq = max(
+            (r.equality_deviation / max(1.0, r.left_norm) for r in reports), default=0.0
+        )
+        checks.append(
+            make_bound_check(f"gabor-n{n}/lat{li:02d}/norm-equality", worst_eq, 0.0, tol)
+        )
     return checks
 
 
@@ -237,10 +234,6 @@ def basic_construction_sweep(
     return checks
 
 
-def _restriction_trace(sub: StarAlgebra, kappa: TraceFunctional) -> TraceFunctional:
-    return TraceFunctional(sub, np.array([kappa(b) for b in sub.basis]))
-
-
 def coefficient_change_sweep(
     trials: int = 1000, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[Check]:
@@ -248,18 +241,13 @@ def coefficient_change_sweep(
     checks = []
     for idx, (label, big, sub) in enumerate(_construction_instances()):
         kappa = TraceFunctional.from_matrix_trace(big)
-        kappa_sub = _restriction_trace(sub, kappa)
         sp = gns(big, kappa)
-        over_big = RightModule(
-            big, kappa, np.stack([sp.right(b) for b in big.basis]), check=False
-        )
-        over_sub = RightModule(
-            sub, kappa_sub, np.stack([sp.right(b) for b in sub.basis]), check=False
-        )
+        over_big = gns_right_module(sp, big)
+        over_sub = gns_right_module(sp, sub)
         base_dim = cdim(over_sub)
 
         col_big = RightModule(big, kappa, big.basis.transpose(0, 2, 1), check=False)
-        col_sub = RightModule(sub, kappa_sub, sub.basis.transpose(0, 2, 1), check=False)
+        col_sub = RightModule(sub, over_sub.trace, sub.basis.transpose(0, 2, 1), check=False)
         for mod_label, h_big, h_sub in (
             ("gns", over_big, over_sub),
             ("columns", col_big, col_sub),
@@ -290,18 +278,14 @@ def cross_oracle_sweep(
 ) -> list[Check]:
     """Projection-path dimension against the block-formula oracle (A8)."""
     checks = []
-    for n, li, lat in _cyclic_sweep(max_order):
+    for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         bm = gabor_bimodule(lat)
         for side, mod in (("left", bm.left), ("right", bm.right)):
             dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
             checks.append(make_bound_check(f"gabor-n{n}/lat{li:02d}/{side}", dev, 0.0, tol))
     for label, big, sub in _construction_instances():
         kappa = TraceFunctional.from_matrix_trace(big)
-        kappa_sub = _restriction_trace(sub, kappa)
-        sp = gns(big, kappa)
-        gns_over_sub = RightModule(
-            sub, kappa_sub, np.stack([sp.right(b) for b in sub.basis]), check=False
-        )
+        gns_over_sub = gns_right_module(gns(big, kappa), sub)
         mods = {
             "gns-over-sub": gns_over_sub,
             "columns-over-big": RightModule(

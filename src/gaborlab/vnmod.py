@@ -152,9 +152,10 @@ class _ModuleBase:
         eye = np.eye(self.space_dim, dtype=complex)
         if np.linalg.norm(self.act(self.algebra.identity()) - eye) > 1e-10 * self.space_dim:
             raise SpanError("identity does not act as the identity")
-        adj_imgs = np.stack(
-            [self.act(b.conj().T) for b in self.algebra.basis]
-        )
+        # column j holds the coefficients of basis[j]^*, so row j below is its image
+        basis = self.algebra.basis
+        adj_coeffs = self.algebra.basis_conj @ _vec(basis.conj().transpose(0, 2, 1)).T
+        adj_imgs = (adj_coeffs.T @ self.images_flat).reshape(self.images.shape)
         dev = float(np.max(np.abs(adj_imgs - self.images.conj().transpose(0, 2, 1))))
         if dev > 1e-9:
             raise SpanError(f"action does not respect adjoints (dev {dev:.2e})")
@@ -293,9 +294,7 @@ def _diagonal_block_sum(mat: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("jajb->ab", mat.reshape(k, d, k, d))
 
 
-def cdim(
-    module: _ModuleBase, generators: Sequence[np.ndarray] | None = None
-) -> CenterElement:
+def cdim(module: _ModuleBase) -> CenterElement:
     """Center-valued dimension via the compressed-trace formula on a projection.
 
     x decodes the diagonal blocks of p; the coefficient on each minimal
@@ -305,7 +304,7 @@ def cdim(
     """
     if not module.faithful:
         raise FaithfulnessError("module action has a kernel")
-    _, p = module.synthesis if generators is None else _synthesis(module, generators)
+    _, p = module.synthesis
     x = _decode_multiplier(module.space, _diagonal_block_sum(p, module.space.dim))
     projections = module.central_projections
     coeffs = [(np.trace(q @ x) / np.trace(q)).real for q in projections]
@@ -362,6 +361,13 @@ def induced_trace(module: _ModuleBase, algebra: StarAlgebra) -> TraceFunctional:
     evaluate = induced_trace_evaluator(module)
     values = np.array([evaluate(b) for b in algebra.basis], dtype=complex)
     return TraceFunctional(algebra, values)
+
+
+def gns_right_module(space: GnsSpace, sub: StarAlgebra) -> RightModule:
+    """The GNS space of an algebra as a right module over a subalgebra, traced
+    by the restriction of the algebra's trace."""
+    sub_trace = TraceFunctional(sub, np.array([space.trace(b) for b in sub.basis], dtype=complex))
+    return RightModule(sub, sub_trace, np.stack([space.right(b) for b in sub.basis]))
 
 
 def jones_projection(
@@ -425,10 +431,7 @@ def basic_construction(
     )
     left_image = StarAlgebra(left_flat.reshape(-1, d, d), generators=tuple(left_gens))
 
-    sub_values = np.array([trace(b) for b in sub.basis], dtype=complex)
-    sub_trace = TraceFunctional(sub, sub_values)
-    right_imgs = np.stack([sp.right(b) for b in sub.basis])
-    module = RightModule(sub, sub_trace, right_imgs)
+    module = gns_right_module(sp, sub)
 
     rc = commutant(module.image_algebra)
     _, defect = span_equal(algebra, rc)

@@ -29,7 +29,6 @@ from gaborlab.algebra import (
 )
 from gaborlab.bimodule import random_instance
 from gaborlab.campaigns import _construction_instances
-from gaborlab.duality import shift_algebra
 from gaborlab.gabor import tf_shift
 from gaborlab.groups import (
     FiniteAbelianGroup,
@@ -202,7 +201,7 @@ def assert_closure_matches_full_basis(gens):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closure_equals_the_full_basis_closure_on_shift_algebras(n):
     for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
-        assert_closure_matches_full_basis(shift_algebra(lat).gen_matrices())
+        assert_closure_matches_full_basis(twisted_group_algebra(lat)[0].gen_matrices())
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -315,7 +314,7 @@ def assert_matches_dense(alg):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_commutant_matches_dense_on_shift_algebras(n):
     for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
-        assert_matches_dense(shift_algebra(lat))
+        assert_matches_dense(twisted_group_algebra(lat)[0])
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -460,7 +459,7 @@ def test_center_structure_matches_the_symplectic_radical(orders):
     group = FiniteAbelianGroup(orders)
     for lat in enumerate_subgroups(group):
         radical = np.intersect1d(lat.codes, lat.adjoint.codes).size
-        alg = shift_algebra(lat)
+        alg = twisted_group_algebra(lat)[0]
         assert center(alg).dimension == radical
         projs = minimal_central_projections(alg)
         assert len(projs) == radical
@@ -740,8 +739,8 @@ def test_twisted_trivial_lattice():
 
 
 def lam(alg, i):
-    # basis is normalized; the representing unitaries carry a sqrt(|lattice|)
-    return alg.basis[i] * np.sqrt(alg.dimension)
+    # basis is normalized; the representing unitaries carry a sqrt(|G|)
+    return alg.basis[i] * np.sqrt(alg.ambient_dim)
 
 
 def test_twisted_square_lattice_unitary():
@@ -763,12 +762,15 @@ def fraction_cocycle(group, z, zp):
 
 @pytest.mark.parametrize("flavor", ["plain", "opposite"])
 def test_twisted_cocycle_identity(flavor):
-    # Z2 x Z4 has L = 4 != 2, so the two coordinates carry different weights
+    # every lattice of Z2-Z6, Z2^2 and Z2 x Z3; Z2 x Z4 has L = 4 != 2, so the
+    # two coordinates carry different weights
     mixed = lattice_from_generators(
         Z24, [point(Z24, (1, 0), (0, 1)), point(Z24, (0, 1), (1, 0))]
     )
-    for lat in (square_lattice(), mixed):
+    groups = [FiniteAbelianGroup(o) for o in [(n,) for n in range(2, 7)] + [(2, 2), (2, 3)]]
+    for lat in [mixed] + [lat for g in groups for lat in enumerate_subgroups(g)]:
         alg, _ = twisted_group_algebra(lat, flavor=flavor)
+        assert alg.dimension == lat.size
         group = lat.group
         pts = [tuple(z) for z in lat.rows.tolist()]
         for i, z in enumerate(pts):

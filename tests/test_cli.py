@@ -49,6 +49,26 @@ def test_lattices_report_is_pinned(capsys, orders):
     assert hashlib.sha256(text.encode()).hexdigest() == LATTICES_SHA256[orders]
 
 
+# sha256 of json.dumps([[[name, passed] per check], summary], sort_keys=True)
+# for `duality --orders ... --trials 3 --seed 5`: which checks run, in which
+# order, and whether each passes, independent of the deviations' last digits
+DUALITY_CHECKS_SHA256 = {
+    "2 2": "c376c5cdebfac4bf18e525c06632eb5682c91d732a98259eec627ad0780229c3",
+    "2 3": "a2dc0845816b825c50860bb9d654ef28ff81e661ba04142177da167e749ecdbd",
+}
+
+
+@pytest.mark.parametrize("orders", list(DUALITY_CHECKS_SHA256))
+def test_duality_check_names_and_flags_are_pinned(capsys, orders):
+    code, report, err = run_cli(
+        capsys, "duality", "--orders", *orders.split(), "--trials", "3", "--seed", "5"
+    )
+    assert code == 0
+    flags = [[c["name"], c["passed"]] for c in report["checks"]]
+    text = json.dumps([flags, report["summary"]], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUALITY_CHECKS_SHA256[orders]
+
+
 def test_malformed_lattice_json(capsys):
     code, report, err = run_cli(
         capsys, "adjoint", "--orders", "4", "--lattice", '{"generators": [[[2], [0]]'

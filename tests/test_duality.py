@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from gaborlab import duality, groups
-from gaborlab.algebra import commutant, span_equal
+from gaborlab.algebra import commutant, span_equal, twisted_group_algebra
 from gaborlab.campaigns import bessel_duality_sweep
 from gaborlab.duality import (
     gabor_bimodule,
-    shift_algebra,
     verify_bessel_duality,
     verify_cdim_covolume,
     verify_commutant,
@@ -85,7 +84,7 @@ def test_bimodule_group_cap():
 
 
 def test_shift_algebra_basis_is_orthonormal():
-    alg = shift_algebra(lat_square())
+    alg = twisted_group_algebra(lat_square())[0]
     flat = alg.basis_flat
     gram = flat.conj() @ flat.T
     assert np.allclose(gram, np.eye(4), atol=1e-12)

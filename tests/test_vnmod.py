@@ -27,6 +27,7 @@ from gaborlab.vnmod import (
     cdim,
     cdim_blockwise,
     direct_sum,
+    gns_right_module,
     induced_trace,
     jones_projection,
     jones_sandwich_span,
@@ -51,10 +52,7 @@ def regular_right_module(alg, kappa):
 
 def regular_over_sub(big, sub, kappa_big):
     """GNS space of the big algebra as a right module over a subalgebra."""
-    sp = gns(big, kappa_big)
-    sub_trace = TraceFunctional(sub, np.array([kappa_big(b) for b in sub.basis]))
-    images = np.stack([sp.right(b) for b in sub.basis])
-    return RightModule(sub, sub_trace, images)
+    return gns_right_module(gns(big, kappa_big), sub)
 
 
 def random_element(alg, rng):
@@ -85,19 +83,20 @@ def test_module_projection_row_module_single_generator():
     alg = full_matrix_algebra(2)
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = row_module(alg, kappa)
-    e1 = np.array([1.0, 0.0])
-    value = cdim(mod, [e1])
+    mod.generators = [np.array([1.0, 0.0])]
+    value = cdim(mod)
     assert value.coefficients == pytest.approx([0.5], abs=1e-9)
 
 
 def test_module_projection_redundant_generators():
     alg = full_matrix_algebra(2)
     kappa = TraceFunctional.from_matrix_trace(alg)
-    mod = row_module(alg, kappa)
     e1 = np.array([1.0, 0.0])
-    zero = np.zeros(2)
-    lean = cdim(mod, [e1])
-    padded = cdim(mod, [e1, e1, zero])
+    lean_mod, padded_mod = row_module(alg, kappa), row_module(alg, kappa)
+    lean_mod.generators = [e1]
+    padded_mod.generators = [e1, e1, np.zeros(2)]
+    lean = cdim(lean_mod)
+    padded = cdim(padded_mod)
     assert blockwise_deviation(lean, padded) <= 1e-9
 
 
@@ -195,8 +194,10 @@ def test_cdim_generator_independent():
     gens = spanning_generators(mod)
     rng = np.random.default_rng(21)
     extra = rng.normal(size=mod.space_dim) + 1j * rng.normal(size=mod.space_dim)
-    a = cdim(mod, gens)
-    b = cdim(mod, list(gens) + [extra])
+    padded = regular_right_module(alg, kappa)
+    padded.generators = list(gens) + [extra]
+    a = cdim(mod)
+    b = cdim(padded)
     assert blockwise_deviation(a, b) <= 1e-9
 
 
