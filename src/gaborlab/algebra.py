@@ -15,7 +15,7 @@ import numpy as np
 from .gabor import shift_stack
 from .groups import Lattice
 
-# singular values / residuals below RANK_RTOL x scale count as zero
+# singular values, residuals and block norms below RANK_RTOL x scale count as zero
 RANK_RTOL = 1e-10
 SPAN_ATOL = 1e-10
 # seeds the random self-adjoint elements whose spectra split an algebra
@@ -35,7 +35,7 @@ class FaithfulnessError(ValueError):
 
 
 class SpectralSplitError(RuntimeError):
-    """Random central elements kept producing unresolvable eigenvalue clusters."""
+    """Random elements kept failing to split the algebra into its central blocks."""
 
 
 def _vec(mats: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ class StarAlgebra:
         gram = self.basis_conj @ self.basis_flat.T
         if not np.allclose(gram, np.eye(self.dimension), atol=1e-8):
             raise SpanError("basis is not Hilbert-Schmidt orthonormal")
-        # center() needs its commutators with the generators inside the span
+        # modules test their actions on the recorded generators, as elements of the span
         if not self.contains(np.array((self.identity(),) + (self.generators or ()))):
             raise SpanError("the identity or a recorded generator is not in the span")
 
@@ -115,10 +115,6 @@ class StarAlgebra:
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         n = self.ambient_dim
         return (np.asarray(coeffs, dtype=complex) @ self.basis_flat).reshape(n, n)
-
-    def residual(self, mat: np.ndarray) -> float:
-        mat = np.asarray(mat, dtype=complex)
-        return float(np.linalg.norm(mat - self.reconstruct(self.coeffs(mat))))
 
     def residuals(self, mats: np.ndarray) -> np.ndarray:
         """Distance of each matrix of a stack to the span: one GEMM for all."""
@@ -169,63 +165,72 @@ def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))
 
 
-def numerical_rank(svals: np.ndarray, scale: float = 0.0) -> int:
-    """Singular values above RANK_RTOL x max(largest one, scale).
-
-    scale carries the magnitude of the inputs a matrix was built from, so
-    that pure rounding noise (an all-commuting constraint set) has rank 0.
-    """
-    floor = max(float(svals[0]) if svals.size else 0.0, scale)
+def numerical_rank(svals: np.ndarray) -> int:
+    """Singular values above RANK_RTOL x the largest one."""
+    floor = float(svals[0]) if svals.size else 0.0
     return int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
 
 
-def _commuting_part(alg: StarAlgebra, span: np.ndarray, coords: StarAlgebra | None = None) -> StarAlgebra:
-    """The elements of span's linear span that commute with the algebra.
+def _decompose(alg: StarAlgebra) -> list[np.ndarray]:
+    """The algebra as a direct sum of M_d (x) I_m: one (d, n, m) stack of
+    isometries W_1..W_d per central block.
 
-    One null-space solve on the coefficients over the spanning set: the
-    Hermitian and skew parts h of each generator above RANK_RTOL x its norm
-    contribute the columns vec(s h - h s), or, when coords holds all of them,
-    their coordinates there (an isometry, so the same singular values).
+    W_k maps C^m onto the range of the block's k-th minimal projection, and
+    the W_k are matched so that sum_k W_k X W_k^* is I_d (x) X. The ranges
+    are the eigenvalue clusters of a generic self-adjoint element a. In a's
+    eigenbasis a second generic element b is 0 between the clusters of two
+    central blocks and c U, U unitary, between two clusters of one block; the
+    one rank decision is which of these blocks are linked (above RANK_RTOL
+    x |b|). A cluster that merged two ranges leaves a linked block that is
+    not a multiple of a unitary, and the split is drawn again.
     """
-    blocks = [np.zeros((0, span.shape[0]), dtype=complex)]
-    scale = 0.0
-    for g in alg.gen_matrices():
-        floor = RANK_RTOL * float(np.linalg.norm(g))
-        for h in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2j):
-            size = float(np.linalg.norm(h))
-            if size > floor:
-                block = _vec(span @ h - h @ span).T
-                blocks.append(block if coords is None else coords.basis_conj @ block)
-                scale = max(scale, size)
-    stack = np.vstack(blocks)
-    if stack.shape[0] > stack.shape[1]:  # R-SVD (Chan 1982): U is never formed
-        stack = np.linalg.qr(stack, mode="r")
-    svals, vh = np.linalg.svd(stack)[1:]
-    null_coeffs = vh[numerical_rank(svals, scale) :].conj()
-    return StarAlgebra((null_coeffs @ _vec(span)).reshape((-1,) + span.shape[1:]))
+    rng = np.random.default_rng(_SPLIT_SEED)
+    for _ in range(5):
+        evecs, cuts = _generic_eigenbasis(alg.basis, rng)
+        b = alg.reconstruct(rng.standard_normal(alg.dimension) + 1j * rng.standard_normal(alg.dimension))
+        rot = evecs.conj().T @ b @ evecs
+        starts, sizes = cuts[:-1], np.diff(cuts)
+        weight = np.add.reduceat(np.add.reduceat(np.abs(rot) ** 2, starts, axis=0), starts, axis=1)
+        linked = np.sqrt(weight) > RANK_RTOL * np.linalg.norm(b)
+        # each cluster's first linked cluster; the links must group the clusters
+        roots = linked.argmax(axis=0)
+        if not np.array_equal(linked, roots[:, None] == roots[None, :]):
+            continue
+        stacks = []
+        for root in np.flatnonzero(roots == np.arange(roots.size)):
+            members = np.flatnonzero(roots == root)
+            d, m = members.size, int(sizes[root])
+            if np.any(sizes[members] != m):
+                break
+            cols = np.concatenate([np.arange(cuts[k], cuts[k + 1]) for k in members])
+            pairs = rot[np.ix_(cols, cols)].reshape(d, m, d, m).transpose(0, 2, 1, 3)
+            units = pairs * (np.sqrt(m) / np.linalg.norm(pairs, axis=(2, 3)))[..., None, None]
+            defect = np.matmul(units, units.conj().transpose(0, 1, 3, 2)) - np.eye(m)
+            if np.max(np.abs(defect)) > 1e-8:
+                break
+            ranges = evecs[:, cols].reshape(-1, d, m).transpose(1, 0, 2)
+            stacks.append(np.matmul(ranges, units[:, 0]))
+        else:
+            return stacks
+    raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
 
 
 def commutant(alg: StarAlgebra) -> StarAlgebra:
-    """Everything commuting with the algebra.
-
-    Whatever commutes with the algebra commutes with one generic self-adjoint
-    element a of it, so it is block diagonal over the eigenvalue clusters of
-    a. The solve runs only over the matrix units of those blocks in a's
-    eigenbasis. A cut that merges two clusters only adds unknowns, since the
-    generator constraints still bind.
-    """
+    """Everything commuting with the algebra: I_d (x) M_m on each central
+    block, spanned by sum_k W_k E_pq W_k^* / sqrt(d) over the matrix units
+    E_pq, which are HS-orthonormal by construction."""
     n = alg.ambient_dim
-    evecs, cuts = _generic_eigenbasis(alg.basis, np.random.default_rng(_SPLIT_SEED))
-    units = [
-        np.einsum("ai,bj->ijab", evecs[:, lo:hi], evecs[:, lo:hi].conj()).reshape(-1, n, n)
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
-    return _commuting_part(alg, np.concatenate(units))
+    basis = []
+    for w in _decompose(alg):
+        cols = w.transpose(2, 1, 0)  # [p, a, k]: column p of every W_k
+        units = np.matmul(cols[:, None], cols.conj().transpose(0, 2, 1)[None])
+        basis.append(units.reshape(-1, n, n) / np.sqrt(w.shape[0]))
+    return StarAlgebra(np.concatenate(basis))
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
-    """The center, solved in the algebra's own coordinates, which hold every commutator."""
-    return _commuting_part(alg, alg.basis, alg)
+    """The center: the minimal central projections, each of unit HS norm."""
+    return StarAlgebra(np.array([p / np.linalg.norm(p) for p in minimal_central_projections(alg)]))
 
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:
@@ -260,40 +265,20 @@ def _generic_eigenbasis(basis: np.ndarray, rng: np.random.Generator) -> tuple[np
 
 
 def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
-    """Mutually orthogonal central projections summing to 1, one per block.
-
-    Spectral grouping of a random self-adjoint central element; retries with
-    fresh coefficients when eigenvalue clusters fail to separate.
-    """
-    zc = center(alg)
-    want = zc.dimension
-    rng = np.random.default_rng(_SPLIT_SEED)
-    for _ in range(5):
-        evecs, cuts = _generic_eigenbasis(zc.basis, rng)
-        if len(cuts) - 1 != want:
-            continue
-        projs = []
-        ok = True
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            block = evecs[:, lo:hi]
-            proj = block @ block.conj().T
-            if zc.residual(proj) > 1e-8 * max(1.0, float(np.linalg.norm(proj))):
-                ok = False
-                break
-            projs.append(proj)
-        if not ok:
-            continue
-        projs.sort(
-            key=lambda p: (
-                int(round(float(np.trace(p).real))),
-                _first_support_index(p),
-                np.round(p, 9).tobytes(),
-            )
+    """Mutually orthogonal central projections summing to 1, one per block:
+    P = sum_k W_k W_k^* over each block of the decomposition."""
+    projs = []
+    for w in _decompose(alg):
+        cols = w.transpose(1, 0, 2).reshape(w.shape[1], -1)
+        projs.append(cols @ cols.conj().T)
+    projs.sort(
+        key=lambda p: (
+            int(round(float(np.trace(p).real))),
+            _first_support_index(p),
+            np.round(p, 9).tobytes(),
         )
-        return projs
-    raise SpectralSplitError(
-        f"could not isolate {want} central blocks after 5 random splits"
     )
+    return projs
 
 
 def _first_support_index(proj: np.ndarray) -> int:
@@ -432,15 +417,12 @@ def center_valued_trace(
     return ConditionalExpectation(alg, center(alg), trace)
 
 
-def twisted_group_algebra(
-    lat: Lattice, flavor: str = "plain"
-) -> tuple[StarAlgebra, TraceFunctional]:
+def twisted_group_algebra(lat: Lattice, flavor: str = "plain") -> StarAlgebra:
     """The twisted group algebra of a lattice: the span of its shifts on L2(G).
 
     flavor "plain" twists by the cocycle of pi(z) pi(z') = c(z, z') pi(z + z');
     "opposite" spans the transposed shifts, whose products reverse, so it
-    twists by the reversed cocycle. Returns the algebra together with its
-    canonical tracial state (value 1 at the identity shift, 0 elsewhere).
+    twists by the reversed cocycle.
     """
     if flavor not in ("plain", "opposite"):
         raise ValueError(f"flavor must be 'plain' or 'opposite', got {flavor!r}")
@@ -448,10 +430,7 @@ def twisted_group_algebra(
     if flavor == "opposite":
         shifts = shifts.transpose(0, 2, 1)
     n = lat.group.size
-    alg = StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
-    values = np.zeros(lat.size, dtype=complex)
-    values[0] = 1.0 / np.sqrt(n)  # code 0, the zero point, comes first
-    return alg, TraceFunctional(alg, values)
+    return StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
 
 
 def block_matrix_algebra(sizes: Sequence[int]) -> StarAlgebra:

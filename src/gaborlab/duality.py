@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import commutant, twisted_group_algebra
+from .algebra import TraceFunctional, commutant, twisted_group_algebra
 from .bimodule import (
     Bimodule,
     check_alignment,
@@ -49,9 +49,11 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
     group = lat.group
     if group.size > GROUP_CAP:
         raise ResourceLimitError(f"group size {group.size} exceeds the cap {GROUP_CAP}")
-    left_alg, tau = twisted_group_algebra(lat, "plain")
-    right_alg, kappa_unit = twisted_group_algebra(lat.adjoint, "opposite")
-    kappa = kappa_unit.scaled(float(covolume(lat)))
+    left_alg = twisted_group_algebra(lat, "plain")
+    right_alg = twisted_group_algebra(lat.adjoint, "opposite")
+    # every shift but the identity is traceless, so the canonical state is Tr / |G|
+    tau = TraceFunctional.from_matrix_trace(left_alg).scaled(1.0 / group.size)
+    kappa = TraceFunctional.from_matrix_trace(right_alg).scaled(float(covolume(lat)) / group.size)
     left = LeftModule(left_alg, tau, left_alg.basis)
     right = RightModule(right_alg, kappa, right_alg.basis.transpose(0, 2, 1))
     return Bimodule(left, right, commute_atol=1e-12, right_is_full_commutant=True)
@@ -59,8 +61,8 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
 
 def verify_commutant(lat: Lattice, tol: float = TOL_SPAN, prefix: str = "") -> list[Check]:
     """The commutant of the lattice shifts is spanned by the adjoint shifts."""
-    mine = twisted_group_algebra(lat)[0]
-    theirs = twisted_group_algebra(lat.adjoint)[0]
+    mine = twisted_group_algebra(lat)
+    theirs = twisted_group_algebra(lat.adjoint)
     computed = commutant(mine)
     checks = [
         make_check(f"{prefix}commutant-dim", computed.dimension, theirs.dimension, 0.0)

@@ -5,6 +5,7 @@ they complete. Each test drives the corresponding seeded campaign at its
 stated tolerance and fails if any check inside the campaign fails.
 """
 
+import hashlib
 import json
 import time
 
@@ -97,3 +98,14 @@ def test_a9_selftest_byte_determinism(capsys):
     assert identical, "selftest reports differ between runs"
     report = json.loads(out1)
     assert report["summary"]["failed"] == 0
+    # check names, pass flags, summary and per-criterion counts, pinned across versions
+    contract = json.dumps(
+        [
+            [[check["name"], check["passed"]] for check in report["checks"]],
+            report["summary"],
+            report["data"]["criteria"],
+        ],
+        sort_keys=True,
+    )
+    digest = hashlib.sha256(contract.encode()).hexdigest()
+    assert digest == "caf6006846d162cce4bdb5d88ed6268d83af4fa383374bc589182f18e75c7045"

@@ -29,6 +29,7 @@ from gaborlab.algebra import (
 )
 from gaborlab.bimodule import random_instance
 from gaborlab.campaigns import _construction_instances
+from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import tf_shift
 from gaborlab.groups import (
     FiniteAbelianGroup,
@@ -64,9 +65,9 @@ def closure_defect(alg):
     """Max residual of basis products and adjoints against the span (slow)."""
     worst = 0.0
     for a in alg.basis:
-        worst = max(worst, alg.residual(a.conj().T))
+        worst = max(worst, float(alg.residuals(a.conj().T)))
         for b in alg.basis:
-            worst = max(worst, alg.residual(a @ b))
+            worst = max(worst, float(alg.residuals(a @ b)))
     return worst
 
 
@@ -201,7 +202,7 @@ def assert_closure_matches_full_basis(gens):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closure_equals_the_full_basis_closure_on_shift_algebras(n):
     for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
-        assert_closure_matches_full_basis(twisted_group_algebra(lat)[0].gen_matrices())
+        assert_closure_matches_full_basis(twisted_group_algebra(lat).gen_matrices())
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -296,7 +297,9 @@ def test_span_equal_reports_the_largest_single_residual():
         (block_matrix_algebra([2, 2]), full),
         (ampliated_matrix_algebra(2, 2), commutant(ampliated_matrix_algebra(2, 2))),
     ):
-        worst = max([b.residual(m) for m in a.basis] + [a.residual(m) for m in b.basis])
+        worst = max(
+            [float(b.residuals(m)) for m in a.basis] + [float(a.residuals(m)) for m in b.basis]
+        )
         equal, got = span_equal(a, b)
         assert got == pytest.approx(worst, rel=1e-12, abs=1e-15)
         assert equal == (a.dimension == b.dimension and worst <= algebra.SPAN_ATOL)
@@ -314,7 +317,7 @@ def assert_matches_dense(alg):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_commutant_matches_dense_on_shift_algebras(n):
     for lat in enumerate_subgroups(FiniteAbelianGroup((n,))):
-        assert_matches_dense(twisted_group_algebra(lat)[0])
+        assert_matches_dense(twisted_group_algebra(lat))
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -331,20 +334,36 @@ def test_commutant_matches_dense_on_random_instances(seed):
     assert_matches_dense(bm.right.image_algebra)
 
 
-def test_commutant_with_one_merged_cluster_is_the_full_solve(monkeypatch):
-    # merging clusters only adds unknowns; merging all of them solves over
-    # every matrix unit of the eigenbasis
-    monkeypatch.setattr(algebra, "_cluster_cuts", lambda evals: [0, int(evals.size)])
+def test_a_merged_first_split_is_drawn_again(monkeypatch):
+    # a cluster that merges two ranges fails the unitarity test, so the
+    # decomposition draws again; the second draw splits with the real cuts
+    cuts = algebra._cluster_cuts
     for alg in (
         block_matrix_algebra([2, 1]),
         ampliated_matrix_algebra(2, 3),
         generate_algebra(shift_gens(square_lattice())),
     ):
+        draws = []
+
+        def merge_first(evals):
+            draws.append(evals.size)
+            return [0, int(evals.size)] if len(draws) == 1 else cuts(evals)
+
+        monkeypatch.setattr(algebra, "_cluster_cuts", merge_first)
         assert_matches_dense(alg)
+        assert len(draws) == 2
+
+
+def test_a_split_that_always_merges_raises(monkeypatch):
+    monkeypatch.setattr(algebra, "_cluster_cuts", lambda evals: [0, int(evals.size)])
+    for alg in (block_matrix_algebra([2, 1]), ampliated_matrix_algebra(2, 3)):
+        for reader in (commutant, center, minimal_central_projections):
+            with pytest.raises(algebra.SpectralSplitError):
+                reader(alg)
 
 
 def test_no_constraints_leave_the_whole_span():
-    # a zero generator has neither a Hermitian nor a skew part to constrain by
+    # a zero generator generates only the scalars, whose commutant is everything
     alg = generate_algebra([np.zeros((3, 3))])
     assert alg.dimension == 1
     assert center(alg).dimension == 1
@@ -352,7 +371,7 @@ def test_no_constraints_leave_the_whole_span():
     assert_matches_dense(alg)
 
 
-def test_hermitian_generators_add_one_block_each(monkeypatch):
+def test_hermitian_generators_give_the_dense_commutant():
     # every generator of M2 + M1 is Hermitian (diag and the 2-cycle), and the
     # diagonal algebra comes from a single Hermitian generator
     for alg, center_dim in (
@@ -364,34 +383,30 @@ def test_hermitian_generators_add_one_block_each(monkeypatch):
         assert zen.dimension == center_dim
         assert alg.contains(zen.basis) and dense_commutant(alg).contains(zen.basis)
         assert_matches_dense(alg)
-    # the tall stacks reach the QR: dim rows per generator for the center
-    # (coordinates), n^2 for the commutant, and no skew blocks
-    shapes = []
-    qr = np.linalg.qr
-
-    def spy(a, mode):
-        shapes.append(a.shape)
-        return qr(a, mode)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    alg = block_matrix_algebra([2, 1])
-    center(alg)
-    commutant(alg)
-    assert shapes == [(4 * 5, 5), (4 * 9, 3)]
 
 
-def test_commutant_solves_only_the_diagonal_blocks(monkeypatch):
-    # M3 with multiplicity 4 on C^12: three clusters of 4, so 48 unknowns, not 144
-    sizes = []
-    solve = algebra._commuting_part
-
-    def spy(alg, span):
-        sizes.append(span.shape[0])
-        return solve(alg, span)
-
-    monkeypatch.setattr(algebra, "_commuting_part", spy)
+def test_ampliation_is_one_block():
+    # M3 with multiplicity 4 on C^12: three ranges of rank 4 in one central
+    # block, whose commutant is I_3 (x) M_4
+    (w,) = algebra._decompose(ampliated_matrix_algebra(3, 4))
+    assert w.shape == (3, 12, 4)
+    ranges = w.transpose(1, 0, 2).reshape(12, 12)
+    assert np.allclose(ranges.conj().T @ ranges, np.eye(12), atol=1e-12)
     assert commutant(ampliated_matrix_algebra(3, 4)).dimension == 16
-    assert sizes == [48]
+
+
+def test_the_span_not_the_recorded_generators_decides():
+    # the two diagonal generators of M2 + M1 generate only the diagonal, but
+    # center and commutant describe the span, M2 + M1
+    alg = block_matrix_algebra([2, 1])
+    diags = (alg.generators[0], alg.generators[2])
+    partial = StarAlgebra(alg.basis, generators=diags)
+    zen = center(partial)
+    assert zen.dimension == 2
+    assert len(minimal_central_projections(partial)) == 2
+    com = commutant(partial)
+    assert com.dimension == 2
+    assert com.contains(zen.basis)
 
 
 def test_cluster_cuts_merge_small_gaps_and_split_large_ones():
@@ -451,7 +466,9 @@ def test_central_projection_count_matches_center_dim():
 
 
 @pytest.mark.parametrize(
-    "orders", [(n,) for n in range(2, 9)] + [(2, 2), (2, 3)], ids=lambda o: "x".join(map(str, o))
+    "orders",
+    [(n,) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (3, 3)],
+    ids=lambda o: "x".join(map(str, o)),
 )
 def test_center_structure_matches_the_symplectic_radical(orders):
     # the center of a lattice's shift algebra is spanned by the shifts over
@@ -459,8 +476,9 @@ def test_center_structure_matches_the_symplectic_radical(orders):
     group = FiniteAbelianGroup(orders)
     for lat in enumerate_subgroups(group):
         radical = np.intersect1d(lat.codes, lat.adjoint.codes).size
-        alg = twisted_group_algebra(lat)[0]
+        alg = twisted_group_algebra(lat)
         assert center(alg).dimension == radical
+        assert commutant(alg).dimension == lat.adjoint.size
         projs = minimal_central_projections(alg)
         assert len(projs) == radical
         ranks = [int(round(float(np.trace(p).real))) for p in projs]
@@ -733,9 +751,9 @@ def test_gns_rejects_degenerate_trace():
 
 def test_twisted_trivial_lattice():
     lat = lattice_from_generators(Z4, [])
-    alg, trace = twisted_group_algebra(lat)
-    assert alg.dimension == 1
-    assert trace(alg.identity()) == pytest.approx(1.0)
+    left = gabor_bimodule(lat).left
+    assert left.algebra.dimension == 1
+    assert left.trace(left.algebra.identity()) == pytest.approx(1.0)
 
 
 def lam(alg, i):
@@ -745,7 +763,7 @@ def lam(alg, i):
 
 def test_twisted_square_lattice_unitary():
     lat = square_lattice()
-    alg, trace = twisted_group_algebra(lat)
+    alg = twisted_group_algebra(lat)
     assert alg.dimension == 4
     for i in range(alg.dimension):
         u = lam(alg, i)
@@ -769,7 +787,7 @@ def test_twisted_cocycle_identity(flavor):
     )
     groups = [FiniteAbelianGroup(o) for o in [(n,) for n in range(2, 7)] + [(2, 2), (2, 3)]]
     for lat in [mixed] + [lat for g in groups for lat in enumerate_subgroups(g)]:
-        alg, _ = twisted_group_algebra(lat, flavor=flavor)
+        alg = twisted_group_algebra(lat, flavor=flavor)
         assert alg.dimension == lat.size
         group = lat.group
         pts = [tuple(z) for z in lat.rows.tolist()]
@@ -787,10 +805,10 @@ def test_twisted_cocycle_identity(flavor):
 
 def test_twisted_canonical_trace():
     lat = square_lattice()
-    alg, trace = twisted_group_algebra(lat)
+    left = gabor_bimodule(lat).left
     for i, z in enumerate(lat.rows.tolist()):
         want = 1.0 if z == [0, 0] else 0.0
-        assert trace(lam(alg, i)) == pytest.approx(want, abs=1e-12)
+        assert left.trace(lam(left.algebra, i)) == pytest.approx(want, abs=1e-12)
 
 
 def test_twisted_rejects_unknown_flavor():

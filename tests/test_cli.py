@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import gaborlab.algebra
 import gaborlab.cli
-from gaborlab.algebra import SpectralSplitError
 from gaborlab.cli import run
 
 SQUARE = '{"generators": [[[2], [0]], [[0], [2]]]}'
@@ -183,9 +183,6 @@ def test_numerical_breakdown_exits_3(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def no_split(*args, **kwargs):
-        raise SpectralSplitError("central projections did not separate")
-
     window = '{"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", no_convergence)
@@ -194,10 +191,11 @@ def test_numerical_breakdown_exits_3(capsys, monkeypatch):
         )
     assert (code, report) == (3, None)
     assert "numerical breakdown: Eigenvalues did not converge" in err
-    monkeypatch.setattr(gaborlab.cli, "random_instance", no_split)
+    # a spectral split that merges every cluster fails on every draw
+    monkeypatch.setattr(gaborlab.algebra, "_cluster_cuts", lambda evals: [0, int(evals.size)])
     code, report, err = run_cli(capsys, "bimodule", "--random", "--seed", "3")
     assert (code, report) == (3, None)
-    assert "numerical breakdown: central projections did not separate" in err
+    assert "numerical breakdown" in err
 
 
 def test_bessel_tolerance_override_forces_failure(tmp_path, capsys):

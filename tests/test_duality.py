@@ -84,7 +84,7 @@ def test_bimodule_group_cap():
 
 
 def test_shift_algebra_basis_is_orthonormal():
-    alg = twisted_group_algebra(lat_square())[0]
+    alg = twisted_group_algebra(lat_square())
     flat = alg.basis_flat
     gram = flat.conj() @ flat.T
     assert np.allclose(gram, np.eye(4), atol=1e-12)
