@@ -20,6 +20,8 @@ RANK_RTOL = 1e-10
 SPAN_ATOL = 1e-10
 # seeds the random self-adjoint elements whose spectra split an algebra
 _SPLIT_SEED = 0x5EED
+# candidates that orthonormal_extension projects with one GEMM
+_CHUNK = 32
 
 
 class SpanError(ValueError):
@@ -43,44 +45,69 @@ def _vec(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(mats.shape[:-2] + (mats.shape[-1] * mats.shape[-2],))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a complex matrix, as one real dot
+    product per row (np.linalg.norm would square a full copy first)."""
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def orthonormal_extension(basis_flat: np.ndarray | None, candidates_flat: np.ndarray) -> np.ndarray:
     """Rows to append to an orthonormal row basis to cover the candidates.
 
-    A batched pre-filter drops the candidates already in the span; the rest
-    go through modified Gram-Schmidt, one row at a time, with one
-    re-orthogonalisation pass. Accepted rows go into a buffer sized by the
-    dimension left free, so the loop stops once the span fills the space.
-    Deterministic given the input order.
+    A batched pre-filter drops the candidates already in the span. The rest
+    go through block Gram-Schmidt with one re-orthogonalisation pass (CGS2,
+    "twice is enough"), _CHUNK candidates at a time: GEMMs project each chunk
+    off the basis and off the rows accepted so far, the rows left in the span
+    are dropped, and only the survivors go through the row-wise pass against
+    the rows accepted inside the chunk. Accepted rows go into a buffer sized
+    by the dimension left free, so the work stops once the span fills the
+    space. Deterministic given the input order.
     """
     cands = np.asarray(candidates_flat, dtype=complex)
     if cands.size == 0:
         return np.zeros((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
     have = 0 if basis_flat is None else basis_flat.shape[0]
-    scales = np.maximum(np.linalg.norm(cands, axis=1), 1.0)
+    norms = _row_norms(cands)
+    scales = np.maximum(norms, 1.0)
     if have:
         basis_conj = basis_flat.conj()
         resid = cands - (cands @ basis_conj.T) @ basis_flat
+        norms = _row_norms(resid)
     else:
         resid = cands
-    keep = np.linalg.norm(resid, axis=1) > (RANK_RTOL / 4.0) * scales
-    cap = min(int(keep.sum()), cands.shape[1] - have)
+    keep = norms > (RANK_RTOL / 4.0) * scales
+    # the pre-filter's residuals are the first pass against the basis
+    resid, scales = resid[keep], scales[keep]
+    cap = min(resid.shape[0], cands.shape[1] - have)
     rows = np.empty((cap, cands.shape[1]), dtype=complex)
     rows_conj = np.empty_like(rows)
     k = 0
-    for v, scale in zip(cands[keep], scales[keep]):
+    for start in range(0, resid.shape[0], _CHUNK):
         if k == cap:
             break
-        w = v
-        for _ in range(2):
-            if have:
-                w = w - basis_flat.T @ (basis_conj @ w)
+        w, chunk_scales = resid[start : start + _CHUNK], scales[start : start + _CHUNK]
+        if k or have:
             if k:
-                w = w - rows[:k].T @ (rows_conj[:k] @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > RANK_RTOL * scale:
-            rows[k] = w / nrm
-            rows_conj[k] = rows[k].conj()
-            k += 1
+                w = w - (w @ rows_conj[:k].T) @ rows[:k]
+            if have:
+                w = w - (w @ basis_conj.T) @ basis_flat
+            if k:
+                w = w - (w @ rows_conj[:k].T) @ rows[:k]
+            live = _row_norms(w) > RANK_RTOL * chunk_scales
+            w, chunk_scales = w[live], chunk_scales[live]
+        first = k
+        for v, scale in zip(w, chunk_scales):
+            if k > first:
+                for _ in range(2):
+                    v = v - rows[first:k].T @ (rows_conj[first:k] @ v)
+            nrm = np.linalg.norm(v)
+            if nrm > RANK_RTOL * scale:
+                rows[k] = v / nrm
+                rows_conj[k] = rows[k].conj()
+                k += 1
+                if k == cap:
+                    break
     return rows[:k].copy()
 
 
@@ -113,8 +140,10 @@ class StarAlgebra:
         return self.basis_conj @ np.asarray(mat, dtype=complex).reshape(-1)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
+        """The element with these coefficients, or one per row of a (..., dim) stack."""
+        coeffs = np.asarray(coeffs, dtype=complex)
         n = self.ambient_dim
-        return (np.asarray(coeffs, dtype=complex) @ self.basis_flat).reshape(n, n)
+        return (coeffs @ self.basis_flat).reshape(coeffs.shape[:-1] + (n, n))
 
     def residuals(self, mats: np.ndarray) -> np.ndarray:
         """Distance of each matrix of a stack to the span: one GEMM for all."""
@@ -320,8 +349,9 @@ class TraceFunctional:
         pair = _vec(comm) @ _vec(basis.transpose(0, 2, 1)).T
         return float(np.max(np.abs(pair)))
 
-    def __call__(self, mat: np.ndarray) -> complex:
-        return complex(np.tensordot(self.riesz, np.asarray(mat, dtype=complex), axes=([0, 1], [1, 0])))
+    def __call__(self, mat: np.ndarray):
+        """The trace of a matrix, or an array of traces of a stack."""
+        return _vec(np.swapaxes(mat, -1, -2)) @ self.riesz.reshape(-1)
 
     def scaled(self, factor: float) -> "TraceFunctional":
         return TraceFunctional(self.algebra, self.values * factor, check=False)
@@ -349,22 +379,27 @@ class GnsSpace:
         return self.chol_upper @ self.algebra.coeffs(mat)
 
     def unhat(self, vec: np.ndarray) -> np.ndarray:
-        return self.algebra.reconstruct(self.chol_upper_inv @ np.asarray(vec, dtype=complex))
+        """The element with these hat coordinates, or one per row of a stack."""
+        return self.algebra.reconstruct(np.asarray(vec, dtype=complex) @ self.chol_upper_inv.T)
 
     def hat_identity(self) -> np.ndarray:
         return self.hat(self.algebra.identity())
 
     def _mult_matrix(self, prods: np.ndarray) -> np.ndarray:
-        coeff_cols = self.algebra.basis_conj @ _vec(prods).T
+        # prods[..., j] is the product with basis j; its coefficients form column j
+        coeff_cols = np.swapaxes(_vec(prods) @ self.algebra.basis_conj.T, -1, -2)
         return self.chol_upper @ coeff_cols @ self.chol_upper_inv
 
     def left(self, mat: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by mat in hat coordinates."""
-        return self._mult_matrix(np.matmul(np.asarray(mat, dtype=complex), self.algebra.basis))
+        """Matrix of left multiplication by mat in hat coordinates; a stack of
+        matrices gives a stack of multiplication matrices."""
+        mat = np.asarray(mat, dtype=complex)
+        return self._mult_matrix(np.matmul(mat[..., None, :, :], self.algebra.basis))
 
     def right(self, mat: np.ndarray) -> np.ndarray:
-        """Matrix of right multiplication by mat in hat coordinates."""
-        return self._mult_matrix(np.matmul(self.algebra.basis, np.asarray(mat, dtype=complex)))
+        """Matrix of right multiplication by mat in hat coordinates, stacked like left."""
+        mat = np.asarray(mat, dtype=complex)
+        return self._mult_matrix(np.matmul(self.algebra.basis, mat[..., None, :, :]))
 
 
 def gns(algebra: StarAlgebra, trace: TraceFunctional) -> GnsSpace:
@@ -395,13 +430,14 @@ class ConditionalExpectation:
             raise FaithfulnessError("trace is degenerate on the subalgebra") from exc
         transform = np.linalg.inv(lower.conj().T)
         self.onb = np.einsum("ik,iab->kab", transform, sub.basis)
-        # pairing tensors: value_k(X) = sum_ab weight_k[a,b] X[b,a]
-        self._weights = np.matmul(self.trace.riesz, self.onb.conj().transpose(0, 2, 1))
+        # pairing rows: value_k(X) = sum_ab weight_k[a,b] X[b,a] = pairing[k] . vec(X^T)
+        self._pairing = _vec(np.matmul(self.trace.riesz, self.onb.conj().transpose(0, 2, 1)))
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
+        """The expectation of a matrix, or of every matrix of a stack."""
         mat = np.asarray(mat, dtype=complex)
-        coeffs = np.tensordot(self._weights, mat, axes=([1, 2], [1, 0]))
-        return np.einsum("k,kab->ab", coeffs, self.onb)
+        coeffs = _vec(np.swapaxes(mat, -1, -2)) @ self._pairing.T
+        return (coeffs @ _vec(self.onb)).reshape(mat.shape)
 
 
 def center_valued_trace(

@@ -103,12 +103,8 @@ def check_alignment(bm: Bimodule) -> float:
     left algebra's image; alignment means the restriction reproduces the
     left trace on every basis element.
     """
-    evaluate = induced_trace_evaluator(bm.right)
-    worst = 0.0
-    for mat, value in zip(bm.left.algebra.basis, bm.left.trace.values):
-        moved = evaluate(bm.left.act(mat))
-        worst = max(worst, abs(complex(value) - moved))
-    return worst
+    moved = induced_trace_evaluator(bm.right)(bm.left.images)
+    return float(np.max(np.abs(bm.left.trace.values - moved), initial=0.0))
 
 
 @dataclass
@@ -289,9 +285,7 @@ def random_instance(
                 idx += 1
         offs += m * n
     # the aligned left trace is the induced one, read off through the action
-    evaluate = induced_trace_evaluator(right)
-    tau_vals = np.array([evaluate(img) for img in left_images], dtype=complex)
-    tau = TraceFunctional(left_alg, tau_vals)
+    tau = TraceFunctional(left_alg, induced_trace_evaluator(right)(left_images))
     left = LeftModule(left_alg, tau, left_images)
     full = all(m == d for _, m, d in blocks)
     return Bimodule(left, right, right_is_full_commutant=full)

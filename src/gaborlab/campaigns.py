@@ -185,8 +185,11 @@ def _construction_instances() -> list[tuple[str, StarAlgebra, StarAlgebra]]:
     ]
 
 
-def _random_element(alg: StarAlgebra, rng: np.random.Generator) -> np.ndarray:
-    return alg.reconstruct(gaussian_vector(rng, alg.dimension))
+def _gaussian_stack(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Complex Gaussian array of the given shape, drawn from rng exactly as
+    successive gaussian_vector(rng, shape[-1]) calls would draw its rows."""
+    pairs = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+    return pairs[..., 0, :] + 1j * pairs[..., 1, :]
 
 
 def basic_construction_sweep(
@@ -214,22 +217,18 @@ def basic_construction_sweep(
         ez_gen = center_valued_trace(ctx.algebra)
         weight = ctx.encode_left(ctx.dim_value.matrix)
         rng = campaign_rng(seed, "construction", idx)
-        worst_tr = 0.0
-        for _ in range(trials):
-            n1 = _random_element(ctx.big, rng)
-            n2 = _random_element(ctx.big, rng)
-            lhs = weight @ ez_gen(ctx.encode_left(n1) @ ctx.jones @ ctx.encode_left(n2))
-            rhs = ctx.encode_left(ez_big(n1 @ n2))
-            scale = max(1.0, float(np.linalg.norm(rhs)))
-            worst_tr = max(worst_tr, float(np.linalg.norm(lhs - rhs)) / scale)
+        # every trial draws n1, then n2; all trials run as one (trials, ...) stack
+        pairs = ctx.big.reconstruct(_gaussian_stack(rng, trials, 2, ctx.big.dimension))
+        n1, n2 = pairs[:, 0], pairs[:, 1]
+        lhs = weight @ ez_gen(ctx.encode_left(n1) @ ctx.jones @ ctx.encode_left(n2))
+        rhs = ctx.encode_left(ez_big(n1 @ n2))
+        scales = np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2)))
+        worst_tr = np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)) / scales, initial=0.0)
         checks.append(make_bound_check(f"{label}/weighted-trace-identity", worst_tr, 0.0, tol))
 
-        worst_pd = 0.0
-        for _ in range(trials):
-            a = _random_element(ctx.algebra, rng)
-            pushed = push_down(a, ctx)
-            resid = a @ ctx.jones - ctx.encode_left(pushed) @ ctx.jones
-            worst_pd = max(worst_pd, float(np.linalg.norm(resid)))
+        a = ctx.algebra.reconstruct(_gaussian_stack(rng, trials, ctx.algebra.dimension))
+        resid = a @ ctx.jones - ctx.encode_left(push_down(a, ctx)) @ ctx.jones
+        worst_pd = np.max(np.linalg.norm(resid, axis=(1, 2)), initial=0.0)
         checks.append(make_bound_check(f"{label}/push-down-residual", worst_pd, 0.0, tol))
     return checks
 
@@ -262,10 +261,7 @@ def coefficient_change_sweep(
                     f"{label}/constant-is-4", abs(constant - 4.0) <= tol, abs(constant - 4.0), tol
                 )
             )
-        rng = campaign_rng(seed, "subalgebra", idx)
-        fs = np.empty((trials, big.dimension), dtype=complex)
-        for t in range(trials):
-            fs[t] = gaussian_vector(rng, big.dimension)
+        fs = _gaussian_stack(campaign_rng(seed, "subalgebra", idx), trials, big.dimension)
         big_norms = operator_norm(bounded_operator(fs, over_big))
         sub_norms = operator_norm(bounded_operator(fs, over_sub))
         worst = float(np.max(big_norms - constant * sub_norms, initial=0.0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -15,6 +16,24 @@ from . import __version__
 TOL_SPAN = 1e-10  # span and commutant equalities, on orthonormal-basis residuals
 TOL_DIMENSION = 1e-9  # dimension and trace identities, norm inequalities
 TOL_SPECTRAL = 1e-8  # Bessel bounds and operator norms, relative to the bound
+
+
+# one check as json.dumps(check.to_dict(), sort_keys=True, indent=2) writes it
+# inside a report's checks list
+_CHECK_JSON = (
+    '{\n      "deviation": %s,\n      "lhs": %s,\n      "name": %s,\n      "passed": %s,'
+    '\n      "rhs": %s,\n      "tolerance": %s\n    }'
+)
+
+
+def _json_float(value) -> str:
+    """A float as json.dumps writes it (NaN and the infinities included)."""
+    value = float(value)
+    if value != value:
+        return "NaN"
+    if value in (float("inf"), float("-inf")):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(value)
 
 
 @dataclass
@@ -80,11 +99,11 @@ class Report:
     def all_passed(self) -> bool:
         return self.passed == self.total
 
-    def to_dict(self) -> dict:
+    def _frame(self) -> dict:
+        """The report without its checks."""
         body = {
             "command": self.command,
             "parameters": self.parameters,
-            "checks": [c.to_dict() for c in self.checks],
             "summary": {
                 "total": self.total,
                 "passed": self.passed,
@@ -97,8 +116,34 @@ class Report:
             body["data"] = self.data
         return body
 
+    def to_dict(self) -> dict:
+        return {**self._frame(), "checks": [c.to_dict() for c in self.checks]}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """json.dumps(self.to_dict(), sort_keys=True, indent=2), byte for byte.
+
+        With an indent, json.dumps runs its pure-Python encoder, which is slow
+        on a long checks list. Every check has the same six keys, so the
+        checks are written from one template and spliced into the encoding of
+        the rest, where "checks" sorts first and its empty list opens the text.
+        """
+        text = json.dumps({**self._frame(), "checks": []}, sort_keys=True, indent=2)
+        if not self.checks:
+            return text
+        items = ",\n    ".join(
+            _CHECK_JSON
+            % (
+                _json_float(c.deviation),
+                _json_float(c.lhs),
+                encode_basestring_ascii(c.name),
+                "true" if c.passed else "false",
+                _json_float(c.rhs),
+                _json_float(c.tolerance),
+            )
+            for c in self.checks
+        )
+        cut = text.index("[") + 1
+        return text[:cut] + "\n    " + items + "\n  " + text[cut:]
 
     def summary_line(self) -> str:
         state = "PASS" if self.all_passed else "FAIL"

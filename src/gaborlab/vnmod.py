@@ -284,7 +284,8 @@ def _synthesis(
 
 
 def _decode_multiplier(sp: GnsSpace, block: np.ndarray) -> np.ndarray:
-    """Element whose multiplication matrix (either side) is the given block."""
+    """Element whose multiplication matrix (either side) is the given block,
+    or one element per block of a stack."""
     return sp.unhat(block @ sp.hat_identity())
 
 
@@ -332,10 +333,12 @@ def bounded_operator(fs: np.ndarray, module: _ModuleBase) -> np.ndarray:
     norm is the smallest constant bounding the orbit against the trace norm.
     """
     fs = np.asarray(fs, dtype=complex)
-    if fs.ndim != 2 or fs.shape[1] != module.space_dim:
-        raise SpanError(f"vectors must be a (T, {module.space_dim}) stack, got shape {fs.shape}")
-    cols = np.einsum("iab,tb->tai", module.images, fs)
-    return cols @ module.space.chol_upper_inv
+    h, d = module.space_dim, module.algebra.dimension
+    if fs.ndim != 2 or fs.shape[1] != h:
+        raise SpanError(f"vectors must be a (T, {h}) stack, got shape {fs.shape}")
+    # cols[t, a, i] = sum_b images[i, a, b] fs[t, b]: one GEMM for the stack
+    cols = fs @ module.images.transpose(2, 1, 0).reshape(h, h * d)
+    return cols.reshape(-1, h, d) @ module.space.chol_upper_inv
 
 
 def induced_trace_evaluator(module: _ModuleBase) -> Callable[[np.ndarray], complex]:
@@ -343,31 +346,32 @@ def induced_trace_evaluator(module: _ModuleBase) -> Callable[[np.ndarray], compl
 
     Transports the algebra trace tensored with the matrix trace through the
     polar isometry of the module's synthesis map. Only meaningful on
-    operators commuting with the action.
+    operators commuting with the action. A stack of operators gives an
+    array of values.
     """
     u, _ = module.synthesis
-    uh = u.conj().T
     sp = module.space
+    # u = [u_1 ... u_k] in blocks of d columns: the diagonal blocks of u^* op u
+    # sum to sum_j u_j^* op u_j, one contraction over the rows of every u_j
+    blocks_h = u.reshape(-1, sp.dim).conj().T
 
-    def evaluate(op: np.ndarray) -> complex:
-        moved = uh @ np.asarray(op, dtype=complex) @ u
-        return module.trace(_decode_multiplier(sp, _diagonal_block_sum(moved, sp.dim)))
+    def evaluate(op: np.ndarray):
+        moved = (np.asarray(op, dtype=complex) @ u).reshape(np.shape(op)[:-2] + (-1, sp.dim))
+        return module.trace(_decode_multiplier(sp, blocks_h @ moved))
 
     return evaluate
 
 
 def induced_trace(module: _ModuleBase, algebra: StarAlgebra) -> TraceFunctional:
     """The induced trace as a functional on an algebra inside the commutant."""
-    evaluate = induced_trace_evaluator(module)
-    values = np.array([evaluate(b) for b in algebra.basis], dtype=complex)
-    return TraceFunctional(algebra, values)
+    return TraceFunctional(algebra, induced_trace_evaluator(module)(algebra.basis))
 
 
 def gns_right_module(space: GnsSpace, sub: StarAlgebra) -> RightModule:
     """The GNS space of an algebra as a right module over a subalgebra, traced
     by the restriction of the algebra's trace."""
-    sub_trace = TraceFunctional(sub, np.array([space.trace(b) for b in sub.basis], dtype=complex))
-    return RightModule(sub, sub_trace, np.stack([space.right(b) for b in sub.basis]))
+    sub_trace = TraceFunctional(sub, space.trace(sub.basis))
+    return RightModule(sub, sub_trace, space.right(sub.basis))
 
 
 def jones_projection(
@@ -404,7 +408,7 @@ class BasicConstruction:
     centers_match: bool
 
     def decode_left(self, op: np.ndarray) -> np.ndarray:
-        """Recover n from its left multiplication matrix."""
+        """Recover n from its left multiplication matrix (or each n of a stack)."""
         return _decode_multiplier(self.space, op)
 
     def encode_left(self, mat: np.ndarray) -> np.ndarray:
@@ -426,9 +430,7 @@ def basic_construction(
     algebra = generate_algebra(list(left_gens) + [e])
 
     d = big.dimension
-    left_flat = orthonormal_extension(
-        None, _vec(np.stack([sp.left(b) for b in big.basis]))
-    )
+    left_flat = orthonormal_extension(None, _vec(sp.left(big.basis)))
     left_image = StarAlgebra(left_flat.reshape(-1, d, d), generators=tuple(left_gens))
 
     module = gns_right_module(sp, sub)
@@ -459,7 +461,8 @@ def basic_construction(
 
 
 def push_down(op: np.ndarray, ctx: BasicConstruction) -> np.ndarray:
-    """The unique n with op * e = n * e, by the weighted-expectation formula."""
+    """The unique n with op * e = n * e, by the weighted-expectation formula;
+    a stack of operators gives the stack of their n."""
     if not ctx.centers_match:
         raise PreconditionError("push-down needs matching centers")
     if ctx.dim_value.coefficients.size == 0 or ctx.dim_value.coefficients.min() <= 0:

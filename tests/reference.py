@@ -87,8 +87,10 @@ def operator_norm_loop(mats: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:
-    """algebra.orthonormal_extension with its accepted rows kept in a list and
-    restacked, and the basis conjugated again, for every candidate."""
+    """algebra.orthonormal_extension one candidate at a time: modified
+    Gram-Schmidt with one re-orthogonalisation pass against the basis and all
+    rows accepted so far, which are kept in a list and restacked for every
+    candidate."""
     cands = np.asarray(candidates_flat, dtype=complex)
     if cands.size == 0:
         return np.zeros((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)

@@ -131,6 +131,14 @@ def record_extensions(monkeypatch):
     return calls
 
 
+def assert_same_extension(rows, loop_rows):
+    """The chunked kernel against the row loop: the same rank decision, and
+    rows equal up to rounding (the GEMMs sum in another order)."""
+    assert rows.shape == loop_rows.shape
+    if rows.size:
+        assert np.max(np.abs(rows - loop_rows)) <= 1e-13
+
+
 def test_orthonormal_extension_equals_the_row_loop_on_every_call(monkeypatch):
     # generate_algebra, image_algebra, spanning_generators, basic_construction
     # and jones_sandwich_span on A6's instances and on random bimodules
@@ -145,7 +153,7 @@ def test_orthonormal_extension_equals_the_row_loop_on_every_call(monkeypatch):
     assert len(calls) > 100
     assert max(cands.shape[0] for _, cands, _ in calls) == 36 * 36
     for basis, cands, added in calls:
-        assert np.array_equal(added, orthonormal_extension_loop(basis, cands))
+        assert_same_extension(added, orthonormal_extension_loop(basis, cands))
 
 
 def test_orthonormal_extension_edge_cases():
@@ -167,7 +175,7 @@ def test_orthonormal_extension_edge_cases():
         (None, np.vstack([cands[:2] * 1e-200, cands[2:] * 1e150])),
     ]
     for base, cand in cases:
-        assert np.array_equal(
+        assert_same_extension(
             orthonormal_extension(base, cand), orthonormal_extension_loop(base, cand)
         )
     assert full.shape == (n, n)
@@ -175,6 +183,33 @@ def test_orthonormal_extension_edge_cases():
     assert orthonormal_extension(full, cands).shape == (0, n)
     # nine candidates, three dimensions left
     assert orthonormal_extension(basis, cands).shape == (3, n)
+    assert np.allclose(full.conj() @ full.T, np.eye(n), atol=1e-12)
+
+
+def test_orthonormal_extension_across_chunks():
+    # three chunks of candidates; every third one depends on its predecessor
+    # (in the same chunk, or in the chunk before at a boundary) and on one
+    # far back; the independent ones overfill the free dimensions, and the
+    # space fills in the middle of the third chunk
+    chunk = algebra._CHUNK
+    count, have = 3 * chunk, 10
+    independent = [i for i in range(count) if i % 3 != 2]
+    free = sum(1 for i in independent if i <= 2 * chunk + chunk // 2)
+    last = independent[free - 1]  # the candidate that fills the space
+    assert last // chunk == 2 and 0 < last % chunk < chunk - 1 and free < len(independent)
+    n = have + free
+    rng = np.random.default_rng(34)
+    start = rng.normal(size=(have, n)) + 1j * rng.normal(size=(have, n))
+    basis = orthonormal_extension(None, start)
+    cands = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    for i in range(2, count, 3):
+        cands[i] = (0.5 - 2j) * cands[i - 1] + 3.0 * cands[i // 3]
+    rows = orthonormal_extension(basis, cands)
+    assert rows.shape == (free, n)
+    assert_same_extension(rows, orthonormal_extension_loop(basis, cands))
+    # the rows come from the first independent candidates, in order
+    assert_same_extension(rows, orthonormal_extension(basis, cands[independent[:free]]))
+    full = np.vstack([basis, rows])
     assert np.allclose(full.conj() @ full.T, np.eye(n), atol=1e-12)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import gaborlab.algebra
 import gaborlab.cli
+from gaborlab.campaigns import duality_report
 from gaborlab.cli import run
+from gaborlab.reporting import Check, Report, flag_check
 
 SQUARE = '{"generators": [[[2], [0]], [[0], [2]]]}'
 HALF = '{"generators": [[[2], [0]], [[0], [1]]]}'
@@ -229,6 +231,28 @@ def test_duality_reports_are_byte_identical(capsys):
     report = json.loads(out1)
     assert report["summary"]["failed"] == 0
     assert report["seed"] == 7
+
+
+def test_report_json_is_json_dumps_byte_for_byte():
+    # to_json writes the checks without json's pure-Python indenting encoder
+    def dumps(report):
+        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+    real = duality_report((2, 2), trials=20, seed=3)
+    text = real.to_json()
+    assert len(text) > 900_000
+    assert text == dumps(real)
+    odd = Report("selftest", {"tol": None, "orders": [2]}, seed=1, data={"criteria": {"a": [1]}})
+    odd.extend(
+        [
+            Check('say "hi" \\ bye', True, float("nan"), float("inf"), -0.0, float("-inf")),
+            Check("ü/é/π/\u2028/\n/\t/\x00", False, np.float64(1e-300), 5e-324, 1e308, -0.0),
+            flag_check("plain", np.bool_(True), 0.0, 1e-9),
+        ]
+    )
+    assert odd.to_json() == dumps(odd)
+    empty = Report("lattices", {})
+    assert empty.to_json() == dumps(empty)
 
 
 def test_duality_single_lattice(capsys):

@@ -13,6 +13,9 @@ from gaborlab.algebra import (
     gns,
     span_equal,
 )
+from gaborlab.bimodule import gaussian_vector
+from gaborlab.campaigns import _construction_instances, _gaussian_stack
+from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     CenterElement,
     FaithfulnessError,
@@ -29,6 +32,7 @@ from gaborlab.vnmod import (
     direct_sum,
     gns_right_module,
     induced_trace,
+    induced_trace_evaluator,
     jones_projection,
     jones_sandwich_span,
     pair_blocks,
@@ -403,6 +407,80 @@ def test_push_down_needs_matching_centers():
     assert not ctx.centers_match
     with pytest.raises(PreconditionError):
         push_down(ctx.jones, ctx)
+
+
+# ------------------------------------------------------- A6 and A7 on stacks
+
+
+def assert_stack_is_the_loop(fn, mats):
+    """fn on a whole stack against fn on one matrix (or vector) at a time."""
+    stacked = fn(mats)
+    loop = np.array([fn(m) for m in mats])
+    assert stacked.shape == loop.shape
+    assert np.max(np.abs(stacked - loop)) <= 1e-13 * max(1.0, float(np.max(np.abs(loop))))
+
+
+def test_stacked_forms_equal_a_per_matrix_loop():
+    big = full_matrix_algebra(4)
+    sub = ampliated_matrix_algebra(2, 2)
+    kappa = TraceFunctional.from_matrix_trace(big)
+    ctx = basic_construction(big, sub, kappa)
+    sp = ctx.space
+    rng = np.random.default_rng(35)
+    ns = np.array([random_element(big, rng) for _ in range(7)])
+    # elements of the generated algebra commute with the right action over sub
+    ops = np.array([random_element(ctx.algebra, rng) for _ in range(7)])
+    vecs = rng.normal(size=(7, sp.dim)) + 1j * rng.normal(size=(7, sp.dim))
+    for fn, mats in (
+        (sp.left, ns),
+        (sp.right, ns),
+        (sp.unhat, vecs),
+        (kappa, ns),
+        (ctx.expect_onto_big, ops),
+        (center_valued_trace(ctx.algebra), ops),
+        (ctx.decode_left, sp.left(ns)),
+        (lambda a: push_down(a, ctx), ops),
+        (induced_trace_evaluator(ctx.module), ops),
+    ):
+        assert_stack_is_the_loop(fn, mats)
+    assert np.allclose(ctx.decode_left(sp.left(ns)), ns, atol=1e-12)
+    assert push_down(ops[:0], ctx).shape == (0, 4, 4)
+
+
+def test_stacked_push_down_keeps_its_preconditions():
+    big = block_matrix_algebra([2, 1])
+    scalars = StarAlgebra(np.eye(3)[None, :, :].astype(complex) / np.sqrt(3))
+    ctx = basic_construction(big, scalars, TraceFunctional.from_matrix_trace(big))
+    with pytest.raises(PreconditionError, match="matching centers"):
+        push_down(np.stack([ctx.jones] * 3), ctx)
+    big = full_matrix_algebra(4)
+    kappa = TraceFunctional.from_matrix_trace(big)
+    ctx = basic_construction(big, ampliated_matrix_algebra(2, 2), kappa)
+    projections = ctx.dim_value.projections
+    ctx.dim_value = CenterElement(projections, np.zeros(len(projections)))
+    with pytest.raises(PreconditionError, match="strictly positive"):
+        push_down(np.stack([ctx.jones] * 3), ctx)
+
+
+def test_stacked_draws_are_the_per_trial_draws():
+    # A6 draws n1 then n2 for each trial, then one element per push-down
+    # trial; A7 draws 1000 vectors. The stacks are those very draws.
+    for idx, (_, big, sub) in enumerate(_construction_instances()):
+        ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
+        stacked = campaign_rng(3, "construction", idx)
+        pairs = _gaussian_stack(stacked, 100, 2, big.dimension)
+        pushes = _gaussian_stack(stacked, 100, ctx.algebra.dimension)
+        loop = campaign_rng(3, "construction", idx)
+        for t in range(100):
+            assert np.array_equal(pairs[t, 0], gaussian_vector(loop, big.dimension))
+            assert np.array_equal(pairs[t, 1], gaussian_vector(loop, big.dimension))
+        for t in range(100):
+            assert np.array_equal(pushes[t], gaussian_vector(loop, ctx.algebra.dimension))
+
+        fs = _gaussian_stack(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
+        loop = campaign_rng(3, "subalgebra", idx)
+        want = np.array([gaussian_vector(loop, big.dimension) for _ in range(1000)])
+        assert np.array_equal(fs, want)
 
 
 # ------------------------------------------------------------ induced trace
