@@ -131,8 +131,12 @@ class BoundedVectorReport:
         return data
 
 
-def gaussian_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def gaussian_vector(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A complex Gaussian vector of length shape[-1]; a longer shape gives an
+    array of them, drawn from rng exactly as successive one-vector calls would
+    draw its rows (real parts, then imaginary parts, one vector at a time)."""
+    pairs = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+    return pairs[..., 0, :] + 1j * pairs[..., 1, :]
 
 
 def verify_hypotheses(bm: Bimodule) -> None:

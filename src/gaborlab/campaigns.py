@@ -185,13 +185,6 @@ def _construction_instances() -> list[tuple[str, StarAlgebra, StarAlgebra]]:
     ]
 
 
-def _gaussian_stack(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Complex Gaussian array of the given shape, drawn from rng exactly as
-    successive gaussian_vector(rng, shape[-1]) calls would draw its rows."""
-    pairs = rng.standard_normal(shape[:-1] + (2, shape[-1]))
-    return pairs[..., 0, :] + 1j * pairs[..., 1, :]
-
-
 def basic_construction_sweep(
     trials: int = 100, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[Check]:
@@ -218,7 +211,7 @@ def basic_construction_sweep(
         weight = ctx.encode_left(ctx.dim_value.matrix)
         rng = campaign_rng(seed, "construction", idx)
         # every trial draws n1, then n2; all trials run as one (trials, ...) stack
-        pairs = ctx.big.reconstruct(_gaussian_stack(rng, trials, 2, ctx.big.dimension))
+        pairs = ctx.big.reconstruct(gaussian_vector(rng, trials, 2, ctx.big.dimension))
         n1, n2 = pairs[:, 0], pairs[:, 1]
         lhs = weight @ ez_gen(ctx.encode_left(n1) @ ctx.jones @ ctx.encode_left(n2))
         rhs = ctx.encode_left(ez_big(n1 @ n2))
@@ -226,7 +219,7 @@ def basic_construction_sweep(
         worst_tr = np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)) / scales, initial=0.0)
         checks.append(make_bound_check(f"{label}/weighted-trace-identity", worst_tr, 0.0, tol))
 
-        a = ctx.algebra.reconstruct(_gaussian_stack(rng, trials, ctx.algebra.dimension))
+        a = ctx.algebra.reconstruct(gaussian_vector(rng, trials, ctx.algebra.dimension))
         resid = a @ ctx.jones - ctx.encode_left(push_down(a, ctx)) @ ctx.jones
         worst_pd = np.max(np.linalg.norm(resid, axis=(1, 2)), initial=0.0)
         checks.append(make_bound_check(f"{label}/push-down-residual", worst_pd, 0.0, tol))
@@ -261,7 +254,7 @@ def coefficient_change_sweep(
                     f"{label}/constant-is-4", abs(constant - 4.0) <= tol, abs(constant - 4.0), tol
                 )
             )
-        fs = _gaussian_stack(campaign_rng(seed, "subalgebra", idx), trials, big.dimension)
+        fs = gaussian_vector(campaign_rng(seed, "subalgebra", idx), trials, big.dimension)
         big_norms = operator_norm(bounded_operator(fs, over_big))
         sub_norms = operator_norm(bounded_operator(fs, over_sub))
         worst = float(np.max(big_norms - constant * sub_norms, initial=0.0))

@@ -14,7 +14,7 @@ from gaborlab.algebra import (
     span_equal,
 )
 from gaborlab.bimodule import gaussian_vector
-from gaborlab.campaigns import _construction_instances, _gaussian_stack
+from gaborlab.campaigns import _construction_instances
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     CenterElement,
@@ -462,25 +462,33 @@ def test_stacked_push_down_keeps_its_preconditions():
         push_down(np.stack([ctx.jones] * 3), ctx)
 
 
+def one_draw(rng, dim):
+    """The per-trial draw the stacks replace: real parts, then imaginary parts."""
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 def test_stacked_draws_are_the_per_trial_draws():
     # A6 draws n1 then n2 for each trial, then one element per push-down
     # trial; A7 draws 1000 vectors. The stacks are those very draws.
     for idx, (_, big, sub) in enumerate(_construction_instances()):
         ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
         stacked = campaign_rng(3, "construction", idx)
-        pairs = _gaussian_stack(stacked, 100, 2, big.dimension)
-        pushes = _gaussian_stack(stacked, 100, ctx.algebra.dimension)
+        pairs = gaussian_vector(stacked, 100, 2, big.dimension)
+        pushes = gaussian_vector(stacked, 100, ctx.algebra.dimension)
         loop = campaign_rng(3, "construction", idx)
         for t in range(100):
-            assert np.array_equal(pairs[t, 0], gaussian_vector(loop, big.dimension))
-            assert np.array_equal(pairs[t, 1], gaussian_vector(loop, big.dimension))
+            assert np.array_equal(pairs[t, 0], one_draw(loop, big.dimension))
+            assert np.array_equal(pairs[t, 1], one_draw(loop, big.dimension))
         for t in range(100):
-            assert np.array_equal(pushes[t], gaussian_vector(loop, ctx.algebra.dimension))
+            assert np.array_equal(pushes[t], one_draw(loop, ctx.algebra.dimension))
 
-        fs = _gaussian_stack(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
+        fs = gaussian_vector(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
         loop = campaign_rng(3, "subalgebra", idx)
-        want = np.array([gaussian_vector(loop, big.dimension) for _ in range(1000)])
+        want = np.array([one_draw(loop, big.dimension) for _ in range(1000)])
         assert np.array_equal(fs, want)
+        # one vector is the first row of a stack
+        one = gaussian_vector(campaign_rng(3, "subalgebra", idx), big.dimension)
+        assert np.array_equal(one, want[0])
 
 
 # ------------------------------------------------------------ induced trace
