@@ -244,17 +244,19 @@ def _decompose(alg: StarAlgebra) -> list[np.ndarray]:
     raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
 
 
+def matrix_units(w: np.ndarray) -> np.ndarray:
+    """The matrix units W_a W_b^* of one block M_d (x) I_m, in (a, b) order,
+    from its (d, n, m) stack of isometries W_1..W_d."""
+    n = w.shape[1]
+    return np.matmul(w[:, None], w.conj().transpose(0, 2, 1)[None]).reshape(-1, n, n)
+
+
 def commutant(alg: StarAlgebra) -> StarAlgebra:
-    """Everything commuting with the algebra: I_d (x) M_m on each central
-    block, spanned by sum_k W_k E_pq W_k^* / sqrt(d) over the matrix units
-    E_pq, which are HS-orthonormal by construction."""
-    n = alg.ambient_dim
-    basis = []
-    for w in _decompose(alg):
-        cols = w.transpose(2, 1, 0)  # [p, a, k]: column p of every W_k
-        units = np.matmul(cols[:, None], cols.conj().transpose(0, 2, 1)[None])
-        basis.append(units.reshape(-1, n, n) / np.sqrt(w.shape[0]))
-    return StarAlgebra(np.concatenate(basis))
+    """Everything commuting with the algebra. The commutant of M_d (x) I_m is
+    I_d (x) M_m: the same isometries with d and m swapped, whose units
+    sum_k W_k E_pq W_k^* / sqrt(d) are HS-orthonormal by construction."""
+    blocks = [matrix_units(w.transpose(2, 1, 0)) / np.sqrt(w.shape[0]) for w in _decompose(alg)]
+    return StarAlgebra(np.concatenate(blocks))
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
@@ -405,6 +407,8 @@ class GnsSpace:
 def gns(algebra: StarAlgebra, trace: TraceFunctional) -> GnsSpace:
     """GNS coordinates via Cholesky of the trace Gram matrix."""
     if trace.algebra is not algebra:
+        if not np.array_equal(trace.algebra.basis, algebra.basis):
+            raise SpanError("the trace is stored against another algebra's basis")
         trace = TraceFunctional(algebra, trace.values, check=False)
     gram = (trace.gram + trace.gram.conj().T) / 2.0
     try:
@@ -469,29 +473,27 @@ def twisted_group_algebra(lat: Lattice, flavor: str = "plain") -> StarAlgebra:
     return StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
 
 
+def _standard_blocks(shapes: Sequence[tuple[int, int]]) -> StarAlgebra:
+    """The direct sum of M_d (x) I_m over (d, m) in shapes, on consecutive
+    coordinates, with two generators per block: sum_a (a+1) E_aa and the
+    cyclic shift E_(a+1)a."""
+    if not shapes or any(d < 1 or m < 1 for d, m in shapes):
+        raise SpanError("block sizes and multiplicities must be positive")
+    cols = np.eye(sum(d * m for d, m in shapes), dtype=complex)
+    basis, gens = [], []
+    for d, m in shapes:
+        w, cols = cols[:, : d * m].reshape(-1, d, m).transpose(1, 0, 2), cols[:, d * m :]
+        units = matrix_units(w)
+        basis.append(units / np.sqrt(m))
+        steps = np.arange(d)
+        diag, shift = units[steps * (d + 1)], units[(steps + 1) % d * d + steps]
+        gens += [np.tensordot(steps + 1.0, diag, axes=1), shift.sum(0)]
+    return StarAlgebra(np.concatenate(basis), generators=tuple(gens))
+
+
 def block_matrix_algebra(sizes: Sequence[int]) -> StarAlgebra:
     """Direct sum of full matrix blocks, with a two-per-block generating set."""
-    sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise SpanError("block sizes must be positive")
-    total = sum(sizes)
-    units = []
-    gens = []
-    offset = 0
-    for s in sizes:
-        for a in range(s):
-            for b in range(s):
-                mat = np.zeros((total, total), dtype=complex)
-                mat[offset + a, offset + b] = 1.0
-                units.append(mat)
-        diag = np.zeros((total, total), dtype=complex)
-        shift = np.zeros((total, total), dtype=complex)
-        for a in range(s):
-            diag[offset + a, offset + a] = a + 1
-            shift[offset + (a + 1) % s, offset + a] = 1.0
-        gens.extend([diag, shift])
-        offset += s
-    return StarAlgebra(np.stack(units), generators=tuple(gens))
+    return _standard_blocks([(int(s), 1) for s in sizes])
 
 
 def full_matrix_algebra(n: int) -> StarAlgebra:
@@ -500,15 +502,4 @@ def full_matrix_algebra(n: int) -> StarAlgebra:
 
 def ampliated_matrix_algebra(block: int, copies: int) -> StarAlgebra:
     """Copies of a full matrix algebra along the diagonal: a |-> a (x) identity."""
-    if block < 1 or copies < 1:
-        raise SpanError("block size and multiplicity must be positive")
-    eye = np.eye(copies, dtype=complex)
-    basis = []
-    for a in range(block):
-        for b in range(block):
-            unit = np.zeros((block, block), dtype=complex)
-            unit[a, b] = 1.0
-            basis.append(np.kron(unit, eye) / np.sqrt(copies))
-    diag = np.kron(np.diag(np.arange(1, block + 1).astype(complex)), eye)
-    shift = np.kron(np.roll(np.eye(block, dtype=complex), 1, axis=0), eye)
-    return StarAlgebra(np.stack(basis), generators=(diag, shift))
+    return _standard_blocks([(block, copies)])

@@ -18,6 +18,7 @@ from .algebra import (
     TraceFunctional,
     block_matrix_algebra,
     center,
+    matrix_units,
     span_equal,
 )
 from .reporting import TOL_DIMENSION, campaign_rng
@@ -247,47 +248,31 @@ def random_instance(
         if sum(n * m for n, m, _ in blocks) > space_cap:
             raise ValueError("requested blocks exceed the space cap")
 
-    space_dim = sum(n * m for n, m, _ in blocks)
+    offsets = np.cumsum([0] + [n * m for n, m, _ in blocks])
+    space_dim = int(offsets[-1])
     right_alg = block_matrix_algebra([n for n, _, _ in blocks])
     left_alg = block_matrix_algebra([d for _, _, d in blocks])
 
-    # right action: on each block, matrices act on the row factor of C^m (x) C^n
-    right_images = np.zeros((right_alg.dimension, space_dim, space_dim), dtype=complex)
-    idx = 0
-    offs = 0
-    for n, m, _ in blocks:
-        for a in range(n):
-            for b in range(n):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[a, b] = 1.0
-                right_images[idx, offs : offs + m * n, offs : offs + m * n] = np.kron(
-                    np.eye(m), unit.T
-                )
-                idx += 1
-        offs += m * n
-    kappa_vals = []
-    for n, _, _ in blocks:
-        w = float(rng.uniform(0.5, 2.0))
-        kappa_vals.extend(w if a == b else 0.0 for a in range(n) for b in range(n))
-    kappa = TraceFunctional(right_alg, np.array(kappa_vals, dtype=complex))
-    right = RightModule(right_alg, kappa, right_images)
+    # right action: on each block, M_n acts on the row factor of C^m (x) C^n,
+    # as the transposed units of the stack I_m (x) e_a
+    cols = np.eye(space_dim, dtype=complex)
+    right_images = np.concatenate([
+        matrix_units(cols[:, o : o + m * n].reshape(-1, m, n).transpose(2, 0, 1)).transpose(0, 2, 1)
+        for o, (n, m, _) in zip(offsets, blocks)
+    ])
+    weights = [float(rng.uniform(0.5, 2.0)) for _ in blocks]
+    kappa_vals = np.concatenate([w * np.eye(n).ravel() for w, (n, _, _) in zip(weights, blocks)])
+    right = RightModule(right_alg, TraceFunctional(right_alg, kappa_vals), right_images)
 
-    left_images = np.zeros((left_alg.dimension, space_dim, space_dim), dtype=complex)
-    idx = 0
-    offs = 0
-    for n, m, d in blocks:
-        u = _haar_unitary(rng, m)
-        e = m // d
-        for a in range(d):
-            for b in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[a, b] = 1.0
-                big = u @ np.kron(unit, np.eye(e)) @ u.conj().T
-                left_images[idx, offs : offs + m * n, offs : offs + m * n] = np.kron(
-                    big, np.eye(n)
-                )
-                idx += 1
-        offs += m * n
+    # left action: M_d (x) I_(m/d) conjugated by a Haar unitary u, then (x) I_n;
+    # the stack is u's column groups u_a (x) I_n
+    left_images = []
+    for o, (n, m, d) in zip(offsets, blocks):
+        w = np.zeros((d, space_dim, m // d * n), dtype=complex)
+        u = _haar_unitary(rng, m).reshape(m, d, m // d).transpose(1, 0, 2)
+        w[:, o : o + m * n] = np.kron(u, np.eye(n))
+        left_images.append(matrix_units(w))
+    left_images = np.concatenate(left_images)
     # the aligned left trace is the induced one, read off through the action
     tau = TraceFunctional(left_alg, induced_trace_evaluator(right)(left_images))
     left = LeftModule(left_alg, tau, left_images)

@@ -14,6 +14,7 @@ from .algebra import (
     TraceFunctional,
     ampliated_matrix_algebra,
     block_matrix_algebra,
+    center,
     center_valued_trace,
     full_matrix_algebra,
     gns,
@@ -169,18 +170,9 @@ def norm_inequality_sweep(
 
 
 def _construction_instances() -> list[tuple[str, StarAlgebra, StarAlgebra]]:
-    center_sub = StarAlgebra(
-        np.stack(
-            [
-                np.diag([1, 1, 0, 0]).astype(complex) / np.sqrt(2),
-                np.diag([0, 0, 1, 1]).astype(complex) / np.sqrt(2),
-            ]
-        ),
-        generators=(np.diag([1.0, 1, 0, 0]).astype(complex),),
-    )
     return [
         ("m4-over-m2", full_matrix_algebra(4), ampliated_matrix_algebra(2, 2)),
-        ("m2m2-over-center", block_matrix_algebra([2, 2]), center_sub),
+        ("m2m2-over-center", block_matrix_algebra([2, 2]), center(block_matrix_algebra([2, 2]))),
         ("m6-over-m3", full_matrix_algebra(6), ampliated_matrix_algebra(3, 2)),
     ]
 

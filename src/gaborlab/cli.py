@@ -175,6 +175,10 @@ def _cmd_duality(args) -> Report:
 
 
 def _cmd_bimodule(args) -> Report:
+    # no block would leave the fallback scalar instance, no trial a vacuous PASS
+    for flag, count in (("--blocks", args.blocks), ("--trials", args.trials)):
+        if count < 1:
+            raise UsageError(f"{flag} must be at least 1, got {count}")
     tol = TOL_DIMENSION if args.tol is None else args.tol
     bm = random_instance(args.seed, block_count=args.blocks)
     report = Report(

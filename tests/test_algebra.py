@@ -281,6 +281,43 @@ def test_contains_a_stack_means_every_matrix():
     assert not alg.contains(np.concatenate([alg.basis, e13[None]]))
 
 
+def written_out_blocks(shapes):
+    """The direct sum of M_d (x) I_m over (d, m) in shapes, entry by entry:
+    the HS-normalised units and, per block, sum_a (a+1) E_aa and the shift."""
+    total = sum(d * m for d, m in shapes)
+    basis, gens, offset = [], [], 0
+    for d, m in shapes:
+        diag = np.zeros((total, total), dtype=complex)
+        shift = np.zeros((total, total), dtype=complex)
+        for a in range(d):
+            for b in range(d):
+                unit = np.zeros((total, total), dtype=complex)
+                for p in range(m):
+                    unit[offset + a * m + p, offset + b * m + p] = 1.0
+                basis.append(unit / np.sqrt(m))
+            for p in range(m):
+                diag[offset + a * m + p, offset + a * m + p] = a + 1
+                shift[offset + (a + 1) % d * m + p, offset + a * m + p] = 1.0
+        gens += [diag, shift]
+        offset += d * m
+    return np.array(basis), gens
+
+
+@pytest.mark.parametrize(
+    "sizes, copies",
+    [([1], 1), ([2, 1], 1), ([1, 2, 3], 1), ([2, 1, 1, 1], 1), ([2], 2), ([3], 4), ([1], 5)],
+)
+def test_block_algebras_are_the_written_out_units(sizes, copies):
+    if copies == 1:
+        alg = block_matrix_algebra(sizes)
+    else:
+        alg = ampliated_matrix_algebra(sizes[0], copies)
+    basis, gens = written_out_blocks([(d, copies) for d in sizes])
+    assert np.array_equal(alg.basis, basis)
+    assert len(alg.generators) == len(gens)
+    assert all(np.array_equal(g, want) for g, want in zip(alg.generators, gens))
+
+
 # ---------------------------------------------------------------- commutant
 
 
@@ -427,7 +464,10 @@ def test_ampliation_is_one_block():
     assert w.shape == (3, 12, 4)
     ranges = w.transpose(1, 0, 2).reshape(12, 12)
     assert np.allclose(ranges.conj().T @ ranges, np.eye(12), atol=1e-12)
-    assert commutant(ampliated_matrix_algebra(3, 4)).dimension == 16
+    # the commutant swaps d and m: I_3 (x) M_4, written out
+    swapped = np.array([np.kron(np.eye(3), unit) for unit in np.eye(16).reshape(16, 4, 4)])
+    ok, dev = span_equal(commutant(ampliated_matrix_algebra(3, 4)), StarAlgebra(swapped / np.sqrt(3)))
+    assert ok, dev
 
 
 def test_the_span_not_the_recorded_generators_decides():
@@ -771,6 +811,23 @@ def test_gns_left_right_commute():
             lm = space.left(m)
             rn = space.right(n)
             assert np.linalg.norm(lm @ rn - rn @ lm) <= 1e-10
+
+
+def test_gns_reads_a_trace_only_against_its_own_basis():
+    # the values of a trace are coefficients on its algebra's basis; against
+    # another basis of the same dimension they would mean another functional
+    c2 = block_matrix_algebra([1, 1])
+    other = StarAlgebra(np.array([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0]) / np.sqrt(2)]))
+    diag4 = StarAlgebra(np.array([np.diag(e) for e in np.eye(4)]))
+    for alg, foreign in ((c2, other), (full_matrix_algebra(2), diag4)):
+        with pytest.raises(SpanError, match="another algebra's basis"):
+            gns(alg, TraceFunctional.from_matrix_trace(foreign))
+    # an equal basis describes the same functional, which is rebuilt against it
+    twin = full_matrix_algebra(4)
+    space = gns(twin, TraceFunctional.from_matrix_trace(full_matrix_algebra(4)))
+    assert space.trace.algebra is twin
+    own = gns(twin, TraceFunctional.from_matrix_trace(twin))
+    assert np.array_equal(space.chol_upper, own.chol_upper)
 
 
 def test_gns_rejects_degenerate_trace():

@@ -261,6 +261,38 @@ def test_random_instance_determinism_and_caps():
         random_instance(0, blocks=[(2, 3, 2)])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_instance_lays_out_each_block(seed):
+    # per block (n, m, d): the right images are I_m (x) E_ab^T, written out
+    # here, and the left images are d x d matrix units commuting with them
+    # whose diagonal sums to the block's projection
+    blocks = [(2, 4, 2), (1, 2, 1), (3, 2, 2), (1, 1, 1)]
+    bm = random_instance(seed, blocks=blocks)
+    h = bm.space_dim
+    right, projs, labels, offset = [], [], [], 0
+    for i, (n, m, d) in enumerate(blocks):
+        inside = slice(offset, offset + m * n)
+        for unit in np.eye(n * n).reshape(n * n, n, n):
+            image = np.zeros((h, h), dtype=complex)
+            image[inside, inside] = np.kron(np.eye(m), unit.T)
+            right.append(image)
+        proj = np.zeros((h, h))
+        proj[inside, inside] = np.eye(m * n)
+        projs.append(proj)
+        labels += [(i, a, b) for a in range(d) for b in range(d)]
+        offset += m * n
+    assert np.array_equal(bm.right.images, np.array(right))
+    units = dict(zip(labels, bm.left.images))
+    for (i, a, b), x in units.items():
+        assert np.max(np.abs(x.conj().T - units[i, b, a])) <= 1e-13
+        for (j, c, e), y in units.items():
+            want = units[i, a, e] if (i, b) == (j, c) else 0.0
+            assert np.max(np.abs(x @ y - want)) <= 1e-13
+        assert np.max(np.abs(x @ bm.right.images - bm.right.images @ x)) <= 1e-13
+    for i, (_, _, d) in enumerate(blocks):
+        assert np.max(np.abs(sum(units[i, a, a] for a in range(d)) - projs[i])) <= 1e-13
+
+
 # --------------------------------------------------- product identity
 
 

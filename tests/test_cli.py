@@ -274,6 +274,17 @@ def test_bimodule_random_instance(capsys):
     assert "norm-inequality" in names
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--blocks", "0"), ("--blocks", "-2"), ("--trials", "0"), ("--trials", "-1")]
+)
+def test_bimodule_rejects_counts_below_one(capsys, flag, value):
+    # zero blocks used to test a 1-dimensional fallback instance and zero
+    # trials tested no vector, and both reported PASS
+    code, report, err = run_cli(capsys, "bimodule", "--random", "--seed", "3", flag, value)
+    assert (code, report) == (2, None)
+    assert f"{flag} must be at least 1, got {value}" in err
+
+
 def test_selftest_small_order(capsys):
     code, report, err = run_cli(capsys, "selftest", "--max-order", "2", "--seed", "3")
     assert code == 0

@@ -1,5 +1,6 @@
 """Every name a gaborlab module imports is used in that module, and every
-function, class and method it defines is used somewhere in gaborlab.
+function, class, method and module-level constant it defines is used
+somewhere in gaborlab.
 
 Stand-ins for a linter's unused-import rule (F401) and a dead-code check,
 written with the stdlib ast module. `from __future__` imports are skipped,
@@ -75,10 +76,11 @@ def referenced_names(tree: ast.AST, outside: set[str] = frozenset()):
 
 
 def dead_symbols(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes, and non-dunder methods, that no
+    """Top-level functions, classes and constants, and methods, that no
     ast.Name or ast.Attribute anywhere in the sources refers to outside the
-    symbol's own definition. Matching is by bare name, but an attribute of an
-    outside module (np.linalg.norm) refers to nothing in the sources."""
+    symbol's own definition (a constant's is its assignment). Dunder names
+    are skipped. Matching is by bare name, but an attribute of an outside
+    module (np.linalg.norm) refers to nothing in the sources."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     modules = {name.removesuffix(".py") for name in sources}
     outside = {name: outside_module_aliases(tree, modules) for name, tree in trees.items()}
@@ -90,6 +92,13 @@ def dead_symbols(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((module, node.name, node))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.extend(
+                    (module, t.id, node)
+                    for t in targets
+                    if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))
+                )
             if isinstance(node, ast.ClassDef):
                 defs.extend(
                     (module, f"{node.name}.{item.name}", item)
@@ -99,7 +108,7 @@ def dead_symbols(sources: dict[str, str]) -> list[str]:
                 )
     dead = []
     for module, qualname, node in defs:
-        name = node.name
+        name = qualname.rsplit(".", 1)[-1]
         own = Counter(referenced_names(node, outside[module]))[name]
         if refs[name] - own <= 0:
             dead.append(f"{module}: {qualname}")
@@ -130,6 +139,18 @@ def test_detects_a_dead_symbol():
     )
     assert dead_symbols({"a": shadowed}) == ["a: Vec.norm"]
     assert dead_symbols({"a": shadowed + "Vec().norm()\n"}) == []
+
+
+def test_detects_a_dead_constant():
+    source = "LIMIT = 3\n_UNUSED = 4\n__version__ = '1'\nprint(LIMIT)\n"
+    assert dead_symbols({"a": source}) == ["a: _UNUSED"]
+    # annotated, and read from another module by attribute
+    assert dead_symbols({"a": "SIZE: int = 2\n", "b": "import a\nprint(a.SIZE)\n"}) == []
+    assert dead_symbols({"a": "SIZE: int = 2\n"}) == ["a: SIZE"]
+    # another constant's assignment reads it; an outside module's attribute does not
+    assert dead_symbols({"a": "N = 2\nM = N + 1\nprint(M)\n"}) == []
+    shadowed = "import numpy as np\npi = 3.0\nprint(np.pi)\n"
+    assert dead_symbols({"a": shadowed}) == ["a: pi"]
 
 
 def test_no_dead_symbols():
