@@ -52,62 +52,104 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def orthonormal_extension(basis_flat: np.ndarray | None, candidates_flat: np.ndarray) -> np.ndarray:
-    """Rows to append to an orthonormal row basis to cover the candidates.
+def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w minus its projection onto the orthonormal rows. The coefficients
+    w rows^H are computed as conj(conj(w) rows^T), which is exact, so no
+    conjugated copy of the rows is ever made."""
+    return w - (w.conj() @ rows.T).conj() @ rows
 
-    A batched pre-filter drops the candidates already in the span. The rest
-    go through block Gram-Schmidt with one re-orthogonalisation pass (CGS2,
-    "twice is enough"), _CHUNK candidates at a time: GEMMs project each chunk
-    off the basis and off the rows accepted so far, the rows left in the span
-    are dropped, and only the survivors go through the row-wise pass against
-    the rows accepted inside the chunk. Accepted rows go into a buffer sized
-    by the dimension left free, so the work stops once the span fills the
-    space. Deterministic given the input order.
+
+def _prefiltered_chunks(basis_flat: np.ndarray | None, blocks: Iterable[np.ndarray]):
+    """The candidates of the blocks that the pre-filter keeps, with their
+    scales, in chunks of _CHUNK rows whatever the block edges; the last chunk
+    holds the rest, and is empty if nothing is left.
+
+    The pre-filter drops each block's candidates already in the span of the
+    basis as the block arrives; its residuals are the first pass against the
+    basis. Only the rest of a chunk is carried from one block to the next.
     """
-    cands = np.asarray(candidates_flat, dtype=complex)
-    if cands.size == 0:
-        return np.zeros((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
+    carry = None
+    for block in blocks:
+        cands = np.asarray(block, dtype=complex)
+        if cands.size == 0:
+            continue
+        norms = _row_norms(cands)
+        scales = np.maximum(norms, 1.0)
+        if basis_flat is not None and basis_flat.shape[0]:
+            resid = _project_off(cands, basis_flat)
+            norms = _row_norms(resid)
+        else:
+            resid = cands
+        keep = norms > (RANK_RTOL / 4.0) * scales
+        resid, scales = resid[keep], scales[keep]
+        if carry is not None:
+            resid, scales = np.concatenate([carry[0], resid]), np.concatenate([carry[1], scales])
+        whole = resid.shape[0] - resid.shape[0] % _CHUNK
+        for start in range(0, whole, _CHUNK):
+            yield resid[start : start + _CHUNK], scales[start : start + _CHUNK]
+        carry = resid[whole:], scales[whole:]
+    if carry is not None:
+        yield carry
+
+
+def orthonormal_extension(
+    basis_flat: np.ndarray | None, candidates: np.ndarray | Iterable[np.ndarray]
+) -> np.ndarray:
+    """Rows to append to an orthonormal row basis to cover the candidates:
+    one (count, n) array, or an iterable of such blocks, consumed once.
+
+    The candidates left by a batched pre-filter go through block
+    Gram-Schmidt with one re-orthogonalisation pass (CGS2, "twice is
+    enough"), _CHUNK at a time, in the same chunks whatever the block edges:
+    GEMMs project each chunk off the basis and off the rows accepted so far,
+    the rows left in the span are dropped, and only the survivors go through
+    the row-wise pass against the rows accepted inside the chunk. The
+    accepted-row buffer grows with the rows accepted, up to the dimension
+    left free; once the span fills the space no further block is drawn.
+    Deterministic given the input order.
+    """
     have = 0 if basis_flat is None else basis_flat.shape[0]
-    norms = _row_norms(cands)
-    scales = np.maximum(norms, 1.0)
-    if have:
-        basis_conj = basis_flat.conj()
-        resid = cands - (cands @ basis_conj.T) @ basis_flat
-        norms = _row_norms(resid)
-    else:
-        resid = cands
-    keep = norms > (RANK_RTOL / 4.0) * scales
-    # the pre-filter's residuals are the first pass against the basis
-    resid, scales = resid[keep], scales[keep]
-    cap = min(resid.shape[0], cands.shape[1] - have)
-    rows = np.empty((cap, cands.shape[1]), dtype=complex)
-    rows_conj = np.empty_like(rows)
+    rows = np.empty((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
     k = 0
-    for start in range(0, resid.shape[0], _CHUNK):
-        if k == cap:
-            break
-        w, chunk_scales = resid[start : start + _CHUNK], scales[start : start + _CHUNK]
+    blocks = [candidates] if isinstance(candidates, np.ndarray) else candidates
+    for w, chunk_scales in _prefiltered_chunks(basis_flat, blocks):
+        width = w.shape[1]
+        free = width - have
+        if not k:
+            # with no basis, the candidates set the row width
+            rows = np.empty((0, width), dtype=complex)
         if k or have:
             if k:
-                w = w - (w @ rows_conj[:k].T) @ rows[:k]
+                w = _project_off(w, rows[:k])
             if have:
-                w = w - (w @ basis_conj.T) @ basis_flat
+                w = _project_off(w, basis_flat)
             if k:
-                w = w - (w @ rows_conj[:k].T) @ rows[:k]
+                w = _project_off(w, rows[:k])
             live = _row_norms(w) > RANK_RTOL * chunk_scales
             w, chunk_scales = w[live], chunk_scales[live]
+        if k + w.shape[0] > rows.shape[0]:
+            # room for the whole chunk, doubling at least, never past the free dimension
+            size = min(max(k + w.shape[0], 2 * rows.shape[0]), free)
+            grown = np.empty((size, width), dtype=complex)
+            grown[:k] = rows[:k]
+            rows = grown
         first = k
+        # the rows this chunk accepts, conjugated, for the row-wise pass
+        fresh_conj = np.empty_like(w)
         for v, scale in zip(w, chunk_scales):
+            if k == free:
+                break
             if k > first:
                 for _ in range(2):
-                    v = v - rows[first:k].T @ (rows_conj[first:k] @ v)
+                    v = v - rows[first:k].T @ (fresh_conj[: k - first] @ v)
             nrm = np.linalg.norm(v)
             if nrm > RANK_RTOL * scale:
                 rows[k] = v / nrm
-                rows_conj[k] = rows[k].conj()
+                fresh_conj[k - first] = rows[k].conj()
                 k += 1
-                if k == cap:
-                    break
+        if k == free:
+            # the span fills the space: draw no further block
+            break
     return rows[:k].copy()
 
 
@@ -180,14 +222,19 @@ def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
     seeds = [np.eye(n, dtype=complex)] + closed_gens
     basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
     gen_arr = np.array(closed_gens)[None]
+    # frontier rows per block of products: a block holds about _CHUNK products
+    step = max(1, _CHUNK // len(closed_gens))
     frontier = basis_flat
     while True:
         # one-sided products reach every word since the identity is present;
         # the older rows' products were candidates in an earlier round, so
         # they already lie in the span and only the rows added last round
-        # need multiplying
-        prods = np.matmul(frontier.reshape(-1, 1, n, n), gen_arr)
-        frontier = orthonormal_extension(basis_flat, _vec(prods.reshape(-1, n, n)))
+        # need multiplying, one block at a time
+        blocks = (
+            np.matmul(frontier[s : s + step].reshape(-1, 1, n, n), gen_arr).reshape(-1, n * n)
+            for s in range(0, frontier.shape[0], step)
+        )
+        frontier = orthonormal_extension(basis_flat, blocks)
         if frontier.shape[0] == 0:
             break
         basis_flat = np.vstack([basis_flat, frontier])

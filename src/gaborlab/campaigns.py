@@ -61,6 +61,9 @@ from .vnmod import (
 )
 
 DEFAULT_MAX_ORDER = 8
+# vectors per bounded-operator stack in A7's norms: 5 MB at n = 36 (stacks
+# of 100 vectors were measured slower in a fresh process, from page faults)
+_NORM_TRIALS = 250
 
 
 def _cyclic_sweep(orders):
@@ -194,8 +197,7 @@ def basic_construction_sweep(
                 TOL_SPAN,
             )
         )
-        sandwich = jones_sandwich_span(ctx)
-        equal, defect = span_equal(sandwich, ctx.algebra)
+        equal, defect = span_equal(jones_sandwich_span(ctx), ctx.algebra)
         checks.append(flag_check(f"{label}/sandwich-span", equal, defect, TOL_SPAN))
 
         ez_big = center_valued_trace(ctx.big)
@@ -216,6 +218,16 @@ def basic_construction_sweep(
         worst_pd = np.max(np.linalg.norm(resid, axis=(1, 2)), initial=0.0)
         checks.append(make_bound_check(f"{label}/push-down-residual", worst_pd, 0.0, tol))
     return checks
+
+
+def _bounded_norms(fs: np.ndarray, module: RightModule) -> np.ndarray:
+    """operator_norm(bounded_operator(fs, module)) over _NORM_TRIALS vectors
+    at a time, so that no (trials, h, dim) operator stack is ever whole."""
+    norms = np.empty(fs.shape[0])
+    for s in range(0, fs.shape[0], _NORM_TRIALS):
+        part = slice(s, s + _NORM_TRIALS)
+        norms[part] = operator_norm(bounded_operator(fs[part], module))
+    return norms
 
 
 def coefficient_change_sweep(
@@ -247,8 +259,7 @@ def coefficient_change_sweep(
                 )
             )
         fs = gaussian_vector(campaign_rng(seed, "subalgebra", idx), trials, big.dimension)
-        big_norms = operator_norm(bounded_operator(fs, over_big))
-        sub_norms = operator_norm(bounded_operator(fs, over_sub))
+        big_norms, sub_norms = _bounded_norms(fs, over_big), _bounded_norms(fs, over_sub)
         worst = float(np.max(big_norms - constant * sub_norms, initial=0.0))
         checks.append(make_bound_check(f"{label}/subalgebra-norm-bound", worst, 0.0, tol))
     return checks

@@ -166,6 +166,9 @@ def _cmd_bessel(args) -> Report:
 
 
 def _cmd_duality(args) -> Report:
+    # no trial would leave no window to check
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     group = _group(args)
     # no --lattice means the full sweep, so --all-lattices is just documentation
     lat = _load_lattice(args.lattice, group) if args.lattice is not None else None
@@ -206,6 +209,9 @@ def _cmd_bimodule(args) -> Report:
 
 
 def _cmd_selftest(args) -> Report:
+    # A1-A4 sweep the orders 2..max_order, so a smaller one would check nothing
+    if args.max_order < 2:
+        raise UsageError(f"--max-order must be at least 2, got {args.max_order}")
     return selftest_report(max_order=args.max_order, seed=args.seed, tol=args.tol)
 
 

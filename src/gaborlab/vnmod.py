@@ -22,6 +22,7 @@ from .algebra import (
     SpanError,
     StarAlgebra,
     TraceFunctional,
+    _CHUNK,
     _vec,
     center,
     commutant,
@@ -363,8 +364,12 @@ def induced_trace_evaluator(module: _ModuleBase) -> Callable[[np.ndarray], compl
 
 
 def induced_trace(module: _ModuleBase, algebra: StarAlgebra) -> TraceFunctional:
-    """The induced trace as a functional on an algebra inside the commutant."""
-    return TraceFunctional(algebra, induced_trace_evaluator(module)(algebra.basis))
+    """The induced trace as a functional on an algebra inside the commutant,
+    evaluated on _CHUNK basis elements at a time."""
+    evaluate = induced_trace_evaluator(module)
+    basis = algebra.basis
+    values = [evaluate(basis[s : s + _CHUNK]) for s in range(0, basis.shape[0], _CHUNK)]
+    return TraceFunctional(algebra, np.concatenate(values))
 
 
 def gns_right_module(space: GnsSpace, sub: StarAlgebra) -> RightModule:
@@ -435,8 +440,7 @@ def basic_construction(
 
     module = gns_right_module(sp, sub)
 
-    rc = commutant(module.image_algebra)
-    _, defect = span_equal(algebra, rc)
+    _, defect = span_equal(algebra, commutant(module.image_algebra))
 
     induced = induced_trace(module, algebra)
     expect = ConditionalExpectation(algebra, left_image, induced)
@@ -475,8 +479,8 @@ def push_down(op: np.ndarray, ctx: BasicConstruction) -> np.ndarray:
 def jones_sandwich_span(ctx: BasicConstruction) -> StarAlgebra:
     """Orthonormalized span of (left action) * jones * (left action)."""
     imgs = ctx.left_image.basis
-    halves = np.matmul(imgs, ctx.jones)
-    cands = np.matmul(halves[:, None], imgs[None])
+    # one block of products a e b per left element a, so the d^2 x d^2
+    # candidate stack never exists
+    flat = orthonormal_extension(None, (_vec((a @ ctx.jones) @ imgs) for a in imgs))
     d = ctx.space.dim
-    flat = orthonormal_extension(None, _vec(cands.reshape(-1, d, d)))
     return StarAlgebra(flat.reshape(-1, d, d))

@@ -117,13 +117,15 @@ def test_generation_is_stable():
 
 def record_extensions(monkeypatch):
     """Route every orthonormal_extension call of algebra and vnmod through a
-    recorder of (basis, candidates, rows added)."""
+    recorder of (basis, candidate blocks, rows added). The blocks of a
+    streamed call are materialised into a list, which is passed on."""
     calls = []
 
-    def spy(basis_flat, candidates_flat):
-        added = orthonormal_extension(basis_flat, candidates_flat)
+    def spy(basis_flat, candidates):
+        blocks = [candidates] if isinstance(candidates, np.ndarray) else list(candidates)
+        added = orthonormal_extension(basis_flat, blocks)
         basis = None if basis_flat is None else basis_flat.copy()
-        calls.append((basis, np.array(candidates_flat, dtype=complex), added))
+        calls.append((basis, [np.array(b, dtype=complex) for b in blocks], added))
         return added
 
     monkeypatch.setattr(algebra, "orthonormal_extension", spy)
@@ -151,9 +153,11 @@ def test_orthonormal_extension_equals_the_row_loop_on_every_call(monkeypatch):
             module.image_algebra
             module.generators
     assert len(calls) > 100
-    assert max(cands.shape[0] for _, cands, _ in calls) == 36 * 36
-    for basis, cands, added in calls:
-        assert_same_extension(added, orthonormal_extension_loop(basis, cands))
+    # the sandwich streams its 36 x 36 products in 36 blocks
+    assert max(sum(b.shape[0] for b in blocks) for _, blocks, _ in calls) == 36 * 36
+    assert max(len(blocks) for _, blocks, _ in calls) == 36
+    for basis, blocks, added in calls:
+        assert_same_extension(added, orthonormal_extension_loop(basis, np.concatenate(blocks)))
 
 
 def test_orthonormal_extension_edge_cases():
@@ -184,6 +188,55 @@ def test_orthonormal_extension_edge_cases():
     # nine candidates, three dimensions left
     assert orthonormal_extension(basis, cands).shape == (3, n)
     assert np.allclose(full.conj() @ full.T, np.eye(n), atol=1e-12)
+
+    # candidates streamed in blocks: the rank decisions and rows of the one array
+    empty = np.zeros((0, n), dtype=complex)
+    wide_n = 2 * algebra._CHUNK + 10
+    wide = rng.normal(size=(90, wide_n)) + 1j * rng.normal(size=(90, wide_n))
+    wide[7::5] = wide[6::5] * (2 - 1j) + wide[:17]  # dependents, some across block edges
+    wide_basis = orthonormal_extension(None, wide[80:])
+    streams = [
+        (None, []),  # an empty iterable
+        (basis, iter(())),
+        (None, [empty, cands[:4], empty, cands[4:], empty]),  # empty blocks
+        (basis, [empty, empty]),
+        (basis, [in_span[:1], in_span[1:]]),
+        (full, [cands[:4], cands[4:]]),
+        (basis, [cands[:4], cands[4:7], cands[7:]]),  # the space fills inside the second block
+        (None, [cands[:2] * 1e-200, cands[2:] * 1e150]),
+        # blocks that straddle the chunk edges 32 and 64 of the one array
+        (None, [wide[:5], wide[5:45], wide[:0], wide[45:80]]),
+        (wide_basis, [wide[:20], wide[20:70], wide[70:80]]),
+    ]
+    for base, blocks in streams:
+        one = np.concatenate(list(blocks)) if isinstance(blocks, list) and blocks else empty
+        rows = orthonormal_extension(base, blocks)
+        assert_same_extension(rows, orthonormal_extension(base, one))
+        assert_same_extension(rows, orthonormal_extension_loop(base, one))
+    assert orthonormal_extension(None, []).shape == (0, 0)
+    assert orthonormal_extension(basis, [cands[:4], cands[4:7], cands[7:]]).shape == (3, n)
+
+    # a generator is drawn once and in order, and once the span fills the
+    # space no further block is drawn
+    drawn = []
+
+    def blocks_of(*parts):
+        for part in parts:
+            drawn.append(part.shape[0])
+            yield part
+
+    rows = orthonormal_extension(basis, blocks_of(cands[:4], empty, cands[4:7], cands[7:]))
+    assert drawn == [4, 0, 3, 2]
+    assert_same_extension(rows, orthonormal_extension(basis, cands))
+    drawn.clear()
+    more = rng.normal(size=(80, wide_n)) + 1j * rng.normal(size=(80, wide_n))
+    gen = blocks_of(wide[:40], wide[40:80], more[:40], more[40:])
+    rows = orthonormal_extension(None, gen)
+    # the third block completes the third chunk, in which the space fills
+    assert drawn == [40, 40, 40]
+    assert next(gen).shape[0] == 40
+    assert rows.shape == (wide_n, wide_n)
+    assert_same_extension(rows, orthonormal_extension(None, np.concatenate([wide[:80], more])))
 
 
 def test_orthonormal_extension_across_chunks():
@@ -222,9 +275,9 @@ def test_closure_multiplies_only_the_rows_of_the_last_round(monkeypatch):
     ):
         calls = record_extensions(monkeypatch)
         alg = generate_algebra(gens)
-        assert calls[0][1].shape[0] == 1 + 2 * len(gens)
-        for (_, _, before), (_, cands, _) in zip(calls, calls[1:]):
-            assert cands.shape[0] == 2 * len(gens) * before.shape[0]
+        assert calls[0][1][0].shape[0] == 1 + 2 * len(gens)
+        for (_, _, before), (_, blocks, _) in zip(calls, calls[1:]):
+            assert sum(b.shape[0] for b in blocks) == 2 * len(gens) * before.shape[0]
         assert calls[-1][2].shape[0] == 0
         assert sum(added.shape[0] for _, _, added in calls) == alg.dimension
 

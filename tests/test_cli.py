@@ -285,6 +285,23 @@ def test_bimodule_rejects_counts_below_one(capsys, flag, value):
     assert f"{flag} must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_duality_rejects_trials_below_one(capsys, value):
+    # zero trials used to fail inside numpy with a message naming no flag
+    code, report, err = run_cli(capsys, "duality", "--orders", "2", "--trials", value)
+    assert (code, report) == (2, None)
+    assert f"--trials must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-1"])
+def test_selftest_rejects_max_order_below_two(capsys, value):
+    # A1-A4 sweep the orders 2..max-order: below 2 they ran no check and
+    # the selftest reported PASS
+    code, report, err = run_cli(capsys, "selftest", "--max-order", value)
+    assert (code, report) == (2, None)
+    assert f"--max-order must be at least 2, got {value}" in err
+
+
 def test_selftest_small_order(capsys):
     code, report, err = run_cli(capsys, "selftest", "--max-order", "2", "--seed", "3")
     assert code == 0

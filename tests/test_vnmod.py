@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from gaborlab.algebra import (
     center_valued_trace,
     commutant,
     full_matrix_algebra,
+    generate_algebra,
     gns,
     span_equal,
 )
-from gaborlab.bimodule import gaussian_vector
-from gaborlab.campaigns import _construction_instances
+from gaborlab.bimodule import gaussian_vector, operator_norm
+from gaborlab.campaigns import _bounded_norms, _construction_instances
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     CenterElement,
@@ -489,6 +492,47 @@ def test_stacked_draws_are_the_per_trial_draws():
         # one vector is the first row of a stack
         one = gaussian_vector(campaign_rng(3, "subalgebra", idx), big.dimension)
         assert np.array_equal(one, want[0])
+
+
+# ------------------------------------------------------------ bounded memory
+
+
+def traced_peak_mb(fn) -> float:
+    """The peak of the memory fn allocates while it runs, from tracemalloc, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_builders_and_a7_norms_stay_under_a_memory_bound():
+    # on m6-over-m3 (n = 36) the whole candidate stacks took 54.9 MB in the
+    # sandwich, 26.7 MB in the closure and 39.6 MB in A7's 1000 operators
+    idx = 2
+    _, big, sub = _construction_instances()[idx]
+    ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
+    gens = [ctx.space.left(g) for g in big.gen_matrices()] + [ctx.jones]
+    over_big = gns_right_module(ctx.space, big)
+    over_big.space  # built once, outside the traced call
+    fs = gaussian_vector(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
+    for fn in (
+        lambda: jones_sandwich_span(ctx),
+        lambda: generate_algebra(gens),
+        lambda: _bounded_norms(fs, over_big),
+    ):
+        assert traced_peak_mb(fn) < 12.0
+
+
+def test_chunked_a7_norms_are_the_whole_stack_norms():
+    for idx, (_, big, sub) in enumerate(_construction_instances()):
+        sp = gns(big, TraceFunctional.from_matrix_trace(big))
+        fs = gaussian_vector(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
+        for module in (gns_right_module(sp, big), gns_right_module(sp, sub)):
+            for trials in (1000, 600, 0):
+                whole = operator_norm(bounded_operator(fs[:trials], module))
+                assert np.array_equal(_bounded_norms(fs[:trials], module), whole)
 
 
 # ------------------------------------------------------------ induced trace
