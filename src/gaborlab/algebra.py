@@ -8,6 +8,7 @@ basis. Ultraweak closure questions degenerate to exact span equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,6 +207,55 @@ class StarAlgebra:
             return self.generators
         return tuple(self.basis)
 
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """The algebra as a direct sum of M_d (x) I_m: one (d, n, m) stack of
+        isometries W_1..W_d per central block, split once per algebra object.
+
+        W_k maps C^m onto the range of the block's k-th minimal projection, and
+        the W_k are matched so that sum_k W_k X W_k^* is I_d (x) X. The ranges
+        are the eigenvalue clusters of a generic self-adjoint element a. In a's
+        eigenbasis a second generic element b is 0 between the clusters of two
+        central blocks and c U, U unitary, between two clusters of one block; the
+        one rank decision is which of these blocks are linked (above RANK_RTOL
+        x |b|). A cluster that merged two ranges leaves a linked block that is
+        not a multiple of a unitary, and the split is drawn again.
+        """
+        rng = np.random.default_rng(_SPLIT_SEED)
+        for _ in range(5):
+            evecs, cuts = _generic_eigenbasis(self.basis, rng)
+            b = self.reconstruct(rng.standard_normal(self.dimension) + 1j * rng.standard_normal(self.dimension))
+            rot = evecs.conj().T @ b @ evecs
+            starts, sizes = cuts[:-1], np.diff(cuts)
+            weight = np.add.reduceat(np.add.reduceat(np.abs(rot) ** 2, starts, axis=0), starts, axis=1)
+            linked = np.sqrt(weight) > RANK_RTOL * np.linalg.norm(b)
+            # each cluster's first linked cluster; the links must group the clusters
+            roots = linked.argmax(axis=0)
+            if not np.array_equal(linked, roots[:, None] == roots[None, :]):
+                continue
+            stacks = []
+            for root in np.flatnonzero(roots == np.arange(roots.size)):
+                members = np.flatnonzero(roots == root)
+                d, m = members.size, int(sizes[root])
+                if np.any(sizes[members] != m):
+                    break
+                cols = np.concatenate([np.arange(cuts[k], cuts[k + 1]) for k in members])
+                pairs = rot[np.ix_(cols, cols)].reshape(d, m, d, m).transpose(0, 2, 1, 3)
+                units = pairs * (np.sqrt(m) / np.linalg.norm(pairs, axis=(2, 3)))[..., None, None]
+                defect = np.matmul(units, units.conj().transpose(0, 1, 3, 2)) - np.eye(m)
+                if np.max(np.abs(defect)) > 1e-8:
+                    break
+                ranges = evecs[:, cols].reshape(-1, d, m).transpose(1, 0, 2)
+                stacks.append(np.matmul(ranges, units[:, 0]))
+            else:
+                return stacks
+        raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
+
+    @cached_property
+    def central_projections(self) -> tuple[np.ndarray, ...]:
+        """minimal_central_projections of this algebra, computed once and kept."""
+        return tuple(minimal_central_projections(self))
+
 
 def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
     """Smallest unital self-adjoint algebra containing the generators."""
@@ -247,50 +297,6 @@ def numerical_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > RANK_RTOL * floor)) if floor > 0 else 0
 
 
-def _decompose(alg: StarAlgebra) -> list[np.ndarray]:
-    """The algebra as a direct sum of M_d (x) I_m: one (d, n, m) stack of
-    isometries W_1..W_d per central block.
-
-    W_k maps C^m onto the range of the block's k-th minimal projection, and
-    the W_k are matched so that sum_k W_k X W_k^* is I_d (x) X. The ranges
-    are the eigenvalue clusters of a generic self-adjoint element a. In a's
-    eigenbasis a second generic element b is 0 between the clusters of two
-    central blocks and c U, U unitary, between two clusters of one block; the
-    one rank decision is which of these blocks are linked (above RANK_RTOL
-    x |b|). A cluster that merged two ranges leaves a linked block that is
-    not a multiple of a unitary, and the split is drawn again.
-    """
-    rng = np.random.default_rng(_SPLIT_SEED)
-    for _ in range(5):
-        evecs, cuts = _generic_eigenbasis(alg.basis, rng)
-        b = alg.reconstruct(rng.standard_normal(alg.dimension) + 1j * rng.standard_normal(alg.dimension))
-        rot = evecs.conj().T @ b @ evecs
-        starts, sizes = cuts[:-1], np.diff(cuts)
-        weight = np.add.reduceat(np.add.reduceat(np.abs(rot) ** 2, starts, axis=0), starts, axis=1)
-        linked = np.sqrt(weight) > RANK_RTOL * np.linalg.norm(b)
-        # each cluster's first linked cluster; the links must group the clusters
-        roots = linked.argmax(axis=0)
-        if not np.array_equal(linked, roots[:, None] == roots[None, :]):
-            continue
-        stacks = []
-        for root in np.flatnonzero(roots == np.arange(roots.size)):
-            members = np.flatnonzero(roots == root)
-            d, m = members.size, int(sizes[root])
-            if np.any(sizes[members] != m):
-                break
-            cols = np.concatenate([np.arange(cuts[k], cuts[k + 1]) for k in members])
-            pairs = rot[np.ix_(cols, cols)].reshape(d, m, d, m).transpose(0, 2, 1, 3)
-            units = pairs * (np.sqrt(m) / np.linalg.norm(pairs, axis=(2, 3)))[..., None, None]
-            defect = np.matmul(units, units.conj().transpose(0, 1, 3, 2)) - np.eye(m)
-            if np.max(np.abs(defect)) > 1e-8:
-                break
-            ranges = evecs[:, cols].reshape(-1, d, m).transpose(1, 0, 2)
-            stacks.append(np.matmul(ranges, units[:, 0]))
-        else:
-            return stacks
-    raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
-
-
 def matrix_units(w: np.ndarray) -> np.ndarray:
     """The matrix units W_a W_b^* of one block M_d (x) I_m, in (a, b) order,
     from its (d, n, m) stack of isometries W_1..W_d."""
@@ -302,13 +308,13 @@ def commutant(alg: StarAlgebra) -> StarAlgebra:
     """Everything commuting with the algebra. The commutant of M_d (x) I_m is
     I_d (x) M_m: the same isometries with d and m swapped, whose units
     sum_k W_k E_pq W_k^* / sqrt(d) are HS-orthonormal by construction."""
-    blocks = [matrix_units(w.transpose(2, 1, 0)) / np.sqrt(w.shape[0]) for w in _decompose(alg)]
+    blocks = [matrix_units(w.transpose(2, 1, 0)) / np.sqrt(w.shape[0]) for w in alg.blocks]
     return StarAlgebra(np.concatenate(blocks))
 
 
 def center(alg: StarAlgebra) -> StarAlgebra:
     """The center: the minimal central projections, each of unit HS norm."""
-    return StarAlgebra(np.array([p / np.linalg.norm(p) for p in minimal_central_projections(alg)]))
+    return StarAlgebra(np.array([p / np.linalg.norm(p) for p in alg.central_projections]))
 
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:
@@ -346,7 +352,7 @@ def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
     """Mutually orthogonal central projections summing to 1, one per block:
     P = sum_k W_k W_k^* over each block of the decomposition."""
     projs = []
-    for w in _decompose(alg):
+    for w in alg.blocks:
         cols = w.transpose(1, 0, 2).reshape(w.shape[1], -1)
         projs.append(cols @ cols.conj().T)
     projs.sort(
@@ -401,9 +407,6 @@ class TraceFunctional:
     def __call__(self, mat: np.ndarray):
         """The trace of a matrix, or an array of traces of a stack."""
         return _vec(np.swapaxes(mat, -1, -2)) @ self.riesz.reshape(-1)
-
-    def scaled(self, factor: float) -> "TraceFunctional":
-        return TraceFunctional(self.algebra, self.values * factor, check=False)
 
     @classmethod
     def from_matrix_trace(cls, algebra: StarAlgebra) -> "TraceFunctional":

@@ -13,14 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    SpanError,
-    TraceFunctional,
-    block_matrix_algebra,
-    center,
-    matrix_units,
-    span_equal,
-)
+from .algebra import SpanError, TraceFunctional, block_matrix_algebra, matrix_units, span_equal
 from .reporting import TOL_DIMENSION, campaign_rng
 from .vnmod import (
     CenterElement,
@@ -29,6 +22,7 @@ from .vnmod import (
     blockwise_product,
     bounded_operator,
     cdim,
+    image_center,
     induced_trace_evaluator,
 )
 
@@ -60,10 +54,9 @@ class Bimodule:
         self.right = right
         self.space_dim = left.space_dim
         self.right_is_full_commutant = right_is_full_commutant
-        worst = 0.0
-        for lm in self.left.image_algebra.gen_matrices():
-            for rm in self.right.image_algebra.gen_matrices():
-                worst = max(worst, float(np.max(np.abs(lm @ rm - rm @ lm))))
+        lm = left.act(np.array(left.algebra.gen_matrices()))[:, None]
+        rm = right.act(np.array(right.algebra.gen_matrices()))[None]
+        worst = float(np.max(np.abs(lm @ rm - rm @ lm)))
         if worst > commute_atol:
             raise SpanError(f"actions do not commute (defect {worst:.3e})")
 
@@ -152,9 +145,7 @@ def verify_hypotheses(bm: Bimodule) -> None:
         bm.right.generators
     except SpanError as exc:
         raise HypothesisError("finite generation", float("nan")) from exc
-    equal, defect = span_equal(
-        center(bm.left.image_algebra), center(bm.right.image_algebra), 1e-8
-    )
+    equal, defect = span_equal(image_center(bm.left), image_center(bm.right), 1e-8)
     if not equal:
         raise HypothesisError("matching centers", defect)
     deviation = check_alignment(bm)

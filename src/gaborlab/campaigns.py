@@ -389,7 +389,8 @@ def selftest_report(
     criteria = {}
     for name, checks, ctol in sections:
         worst = max((c.deviation for c in checks), default=0.0)
-        passed = all(c.passed for c in checks)
+        # a criterion that ran no check has shown nothing, so it fails
+        passed = bool(checks) and all(c.passed for c in checks)
         report.extend([flag_check(name, passed, worst, ctol)])
         criteria[name] = {
             "total": len(checks),

@@ -31,7 +31,6 @@ from .vnmod import (
     LeftModule,
     RightModule,
     blockwise_deviation,
-    blockwise_product,
     cdim,
     cdim_blockwise,
 )
@@ -52,8 +51,10 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
     left_alg = twisted_group_algebra(lat, "plain")
     right_alg = twisted_group_algebra(lat.adjoint, "opposite")
     # every shift but the identity is traceless, so the canonical state is Tr / |G|
-    tau = TraceFunctional.from_matrix_trace(left_alg).scaled(1.0 / group.size)
-    kappa = TraceFunctional.from_matrix_trace(right_alg).scaled(float(covolume(lat)) / group.size)
+    tau = TraceFunctional(left_alg, np.trace(left_alg.basis, axis1=1, axis2=2) * (1.0 / group.size))
+    kappa = TraceFunctional(
+        right_alg, np.trace(right_alg.basis, axis1=1, axis2=2) * (float(covolume(lat)) / group.size)
+    )
     left = LeftModule(left_alg, tau, left_alg.basis)
     right = RightModule(right_alg, kappa, right_alg.basis.transpose(0, 2, 1))
     return Bimodule(left, right, commute_atol=1e-12, right_is_full_commutant=True)
@@ -96,9 +97,7 @@ def verify_cdim_covolume(
             tol,
         ),
     ]
-    product = blockwise_product(
-        left_dim, right_dim, embed_a=bm.left.act, embed_b=bm.right.act
-    )
+    product = bm.cdim_product()
     checks.append(
         flag_check(
             f"{prefix}cdim-product-one",
@@ -133,6 +132,8 @@ def verify_bessel_duality(
     window, or one whose squared norm or bounds overflow a float or fall
     below its smallest normal value, raises InvalidElementError.
     """
+    if not windows:
+        raise ValueError("no windows: the Bessel checks need at least one window")
     if len(prefixes) != len(windows):
         raise ValueError(f"{len(windows)} windows but {len(prefixes)} check prefixes")
     if any(g.group != lat.group for g in windows):

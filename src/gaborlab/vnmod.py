@@ -28,7 +28,6 @@ from .algebra import (
     commutant,
     generate_algebra,
     gns,
-    minimal_central_projections,
     numerical_rank,
     orthonormal_extension,
     span_equal,
@@ -43,7 +42,8 @@ class CenterElement:
     """A center element stored as coefficients on minimal central projections."""
 
     def __init__(self, projections: Sequence[np.ndarray], coefficients):
-        self.projections = [np.asarray(p, dtype=complex) for p in projections]
+        # copies: the projections an algebra keeps are shared by every reader
+        self.projections = [np.array(p, dtype=complex) for p in projections]
         coeffs = np.asarray(coefficients)
         if np.iscomplexobj(coeffs):
             if coeffs.size and float(np.max(np.abs(coeffs.imag))) > 1e-8:
@@ -124,9 +124,9 @@ def blockwise_deviation(a: CenterElement, b: CenterElement, embed_a=None, embed_
 class _ModuleBase:
     """Shared plumbing for left and right modules over a traced algebra.
 
-    What is derived from the algebra, trace and action (GNS space, image
-    algebra, central projections, spanning generators, synthesis) is
-    computed on first use and kept.
+    What is derived from the algebra, trace and action (faithfulness, GNS
+    space, image algebra, spanning generators, synthesis) is computed on
+    first use and kept; faithfulness is read off the algebra's blocks.
     """
 
     side = "?"
@@ -144,8 +144,6 @@ class _ModuleBase:
         self.images = images
         self.space_dim = int(images.shape[1])
         self.images_flat = _vec(images)
-        svals = np.linalg.svd(self.images_flat, compute_uv=False)
-        self.faithful = numerical_rank(svals) == algebra.dimension
         if check:
             self._validate()
 
@@ -160,22 +158,27 @@ class _ModuleBase:
         dev = float(np.max(np.abs(adj_imgs - self.images.conj().transpose(0, 2, 1))))
         if dev > 1e-9:
             raise SpanError(f"action does not respect adjoints (dev {dev:.2e})")
-        gens = self.algebra.gen_matrices()
-        worst = 0.0
-        for g1 in gens:
-            a1 = self.act(g1)
-            for g2 in gens:
-                a2 = self.act(g2)
-                prod = self.act(g1 @ g2)
-                expect = a1 @ a2 if self.side == "left" else a2 @ a1
-                worst = max(worst, float(np.max(np.abs(prod - expect))))
+        gens = np.array(self.algebra.gen_matrices())
+        acts = self.act(gens)[:, None]
+        # prods[i, j] acts g_i g_j, which a right action sends to act(g_j) act(g_i)
+        prods = self.act(np.matmul(gens[:, None], gens[None]))
+        expect = acts @ acts.swapaxes(0, 1) if self.side == "left" else acts.swapaxes(0, 1) @ acts
+        worst = float(np.max(np.abs(prods - expect)))
         scale = max(1.0, float(np.max(np.abs(self.images))))
         if worst > 1e-8 * scale * scale:
             raise SpanError(f"action is not {self.side}-multiplicative (dev {worst:.2e})")
 
     def act(self, mat: np.ndarray) -> np.ndarray:
-        c = self.algebra.coeffs(mat)
-        return np.einsum("i,iab->ab", c, self.images)
+        """The action of a matrix of the algebra, or of every matrix of a stack."""
+        coeffs = _vec(mat) @ self.algebra.basis_conj.T
+        return (coeffs @ self.images_flat).reshape(np.shape(mat)[:-2] + self.images.shape[1:])
+
+    @cached_property
+    def faithful(self) -> bool:
+        """Whether the action has no kernel: the kernel of a *-action is a sum of
+        central blocks, so no minimal central projection may act as 0 (rank 0)."""
+        projections = np.array(self.algebra.central_projections)
+        return bool(np.all(np.trace(self.act(projections), axis1=1, axis2=2).real > 0.5))
 
     @cached_property
     def space(self) -> GnsSpace:
@@ -187,10 +190,6 @@ class _ModuleBase:
         h = self.space_dim
         gens = tuple(self.act(g) for g in self.algebra.gen_matrices())
         return StarAlgebra(flat.reshape(-1, h, h), generators=gens)
-
-    @cached_property
-    def central_projections(self) -> list[np.ndarray]:
-        return minimal_central_projections(self.algebra)
 
     @cached_property
     def generators(self) -> list[np.ndarray]:
@@ -213,6 +212,13 @@ class LeftModule(_ModuleBase):
     """A left module: the action preserves products."""
 
     side = "left"
+
+
+def image_center(module: _ModuleBase) -> StarAlgebra:
+    """The center of a faithful action's image: the images of the algebra's
+    minimal central projections, each of unit HS norm."""
+    images = module.act(np.array(module.algebra.central_projections))
+    return StarAlgebra(images / np.linalg.norm(images, axis=(1, 2))[:, None, None])
 
 
 def direct_sum(a: _ModuleBase, b: _ModuleBase) -> _ModuleBase:
@@ -308,22 +314,19 @@ def cdim(module: _ModuleBase) -> CenterElement:
         raise FaithfulnessError("module action has a kernel")
     _, p = module.synthesis
     x = _decode_multiplier(module.space, _diagonal_block_sum(p, module.space.dim))
-    projections = module.central_projections
+    projections = module.algebra.central_projections
     coeffs = [(np.trace(q @ x) / np.trace(q)).real for q in projections]
     return CenterElement(projections, coeffs)
 
 
 def cdim_blockwise(module: _ModuleBase) -> CenterElement:
     """Independent route: per central block, space rank over algebra-block dimension."""
-    projections = module.central_projections
-    coeffs = []
-    for q in projections:
-        compression = module.act(q)
-        space_rank = int(round(float(np.trace(compression).real)))
-        cut = module.algebra.basis @ q
-        block_dim = numerical_rank(np.linalg.svd(_vec(cut), compute_uv=False))
-        coeffs.append(space_rank / block_dim)
-    return CenterElement(projections, coeffs)
+    projections = np.array(module.algebra.central_projections)
+    # a projection acts as a projection, whose trace is its rank
+    space_ranks = np.rint(np.trace(module.act(projections), axis1=1, axis2=2).real)
+    cuts = np.matmul(module.algebra.basis, projections[:, None])
+    block_dims = [numerical_rank(np.linalg.svd(_vec(cut), compute_uv=False)) for cut in cuts]
+    return CenterElement(projections, space_ranks / block_dims)
 
 
 def bounded_operator(fs: np.ndarray, module: _ModuleBase) -> np.ndarray:

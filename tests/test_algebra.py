@@ -513,7 +513,7 @@ def test_hermitian_generators_give_the_dense_commutant():
 def test_ampliation_is_one_block():
     # M3 with multiplicity 4 on C^12: three ranges of rank 4 in one central
     # block, whose commutant is I_3 (x) M_4
-    (w,) = algebra._decompose(ampliated_matrix_algebra(3, 4))
+    (w,) = ampliated_matrix_algebra(3, 4).blocks
     assert w.shape == (3, 12, 4)
     ranges = w.transpose(1, 0, 2).reshape(12, 12)
     assert np.allclose(ranges.conj().T @ ranges, np.eye(12), atol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 import gaborlab.bimodule
 import gaborlab.vnmod
 from gaborlab.algebra import (
+    SpanError,
     StarAlgebra,
     TraceFunctional,
     block_matrix_algebra,
@@ -29,7 +30,12 @@ from gaborlab.bimodule import (
 )
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import Window, bessel_bound_opt, frame_operator
-from gaborlab.groups import FiniteAbelianGroup, covolume, lattice_from_generators
+from gaborlab.groups import (
+    FiniteAbelianGroup,
+    covolume,
+    enumerate_subgroups,
+    lattice_from_generators,
+)
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     LeftModule,
@@ -148,7 +154,8 @@ def test_gabor_module_is_aligned():
 
 def test_scaled_trace_breaks_alignment():
     bm = gabor_bimodule(halfline_lattice())
-    doubled = RightModule(bm.right.algebra, bm.right.trace.scaled(2.0), bm.right.images)
+    trace = TraceFunctional(bm.right.algebra, bm.right.trace.values * 2.0, check=False)
+    doubled = RightModule(bm.right.algebra, trace, bm.right.images)
     skew = Bimodule(bm.left, doubled)
     assert check_alignment(skew) > 1e-3
 
@@ -217,6 +224,28 @@ def test_hypotheses_pass_on_seeded_instance():
     assert check_alignment(bm) <= 1e-9
     _, center_defect = span_equal(center(bm.left.image_algebra), center(bm.right.image_algebra))
     assert center_defect <= 1e-8
+
+
+def test_the_hypotheses_build_no_image_algebra():
+    # faithfulness, commutation and matching centers are read off each
+    # algebra's blocks and the actions of its generators
+    bimodules = [gabor_bimodule(lat) for lat in enumerate_subgroups(Z4)]
+    bimodules += [random_instance(seed) for seed in range(5)]
+    for bm in bimodules:
+        assert "image_algebra" not in vars(bm.left) and "image_algebra" not in vars(bm.right)
+        verify_hypotheses(bm)
+        bm.cdim_product()
+        assert "image_algebra" not in vars(bm.left) and "image_algebra" not in vars(bm.right)
+
+
+def test_actions_that_do_not_commute_are_rejected():
+    # M2 acting on C^2 on both sides: the two actions are all of B(C^2)
+    alg = full_matrix_algebra(2)
+    kappa = TraceFunctional.from_matrix_trace(alg)
+    left = LeftModule(alg, kappa, alg.basis)
+    right = RightModule(alg, kappa, alg.basis.transpose(0, 2, 1))
+    with pytest.raises(SpanError, match="do not commute"):
+        Bimodule(left, right)
 
 
 # -------------------------------------------------------- norm inequality

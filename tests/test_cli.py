@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gaborlab.algebra
 import gaborlab.cli
-from gaborlab.campaigns import duality_report
+from gaborlab.campaigns import duality_report, selftest_report
 from gaborlab.cli import run
 from gaborlab.reporting import Check, Report, flag_check
 
@@ -309,6 +313,41 @@ def test_selftest_small_order(capsys):
     prefixes = sorted(name.split("-")[0] for name in criteria)
     assert prefixes == [f"a{i}" for i in range(1, 10)]
     assert all(entry["failed"] == 0 for entry in criteria.values())
+
+
+def test_a_criterion_without_checks_fails():
+    # no lattice of an order below 2 is swept, so A1-A4 run no check: they
+    # have shown nothing and fail, while their counts stay 0
+    report = selftest_report(max_order=1, seed=7)
+    assert report.summary_line() == "selftest: 5/9 checks passed [FAIL]"
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["a1-bessel-duality", "a2-commutant", "a3-cdim-covolume", "a4-bounded-vectors"]
+    empty = {"total": 0, "passed": 0, "failed": 0, "failures": []}
+    assert all(report.data["criteria"][name] == empty for name in failed)
+    assert all(entry["total"] > 0 for name, entry in report.data["criteria"].items() if name not in failed)
+
+
+def test_duality_report_is_byte_identical_in_a_fresh_interpreter(capsys):
+    # A9 compares two renders in one process, where caches (shift_stack's)
+    # carry state from the first render into the second; a fresh interpreter
+    # starts with none of it
+    argv = ["duality", "--orders", "2", "2", "--trials", "3", "--seed", "5"]
+    src = str(Path(gaborlab.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gaborlab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    # other work on the same lattices first, so this process's caches are warm
+    assert run(["duality", "--orders", "2", "2", "--trials", "2", "--seed", "6"]) == 0
+    assert run(["lattices", "--orders", "2", "2"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
 
 
 def test_version_flag(capsys):

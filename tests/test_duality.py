@@ -3,7 +3,7 @@ import pytest
 
 from gaborlab import duality, groups
 from gaborlab.algebra import commutant, span_equal, twisted_group_algebra
-from gaborlab.campaigns import bessel_duality_sweep
+from gaborlab.campaigns import bessel_duality_sweep, duality_report
 from gaborlab.duality import (
     gabor_bimodule,
     verify_bessel_duality,
@@ -136,6 +136,20 @@ def test_bessel_duality_zero_window():
     g = Window(Z4, np.zeros(4, dtype=complex))
     with pytest.raises(InvalidElementError, match="window is zero"):
         verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
+
+
+def test_no_windows_is_rejected_by_name():
+    # with no window no Bessel check could run, so each entry point refuses
+    lat = lat_square()
+    calls = (
+        lambda: verify_bessel_duality([], lat, prefixes=[]),
+        lambda: verify_bessel_duality([], lat, prefixes=[], bm=gabor_bimodule(lat)),
+        lambda: duality_report((2, 2), trials=0),
+        lambda: bessel_duality_sweep(trials=0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="no windows"):
+            call()
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-20, 1e100])

@@ -3,21 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaborlab import algebra
 from gaborlab.algebra import (
     InclusionError,
     StarAlgebra,
     TraceFunctional,
     ampliated_matrix_algebra,
     block_matrix_algebra,
+    center,
     center_valued_trace,
     commutant,
     full_matrix_algebra,
     generate_algebra,
     gns,
+    minimal_central_projections,
     span_equal,
 )
-from gaborlab.bimodule import gaussian_vector, operator_norm
+from gaborlab.bimodule import gaussian_vector, operator_norm, random_instance
 from gaborlab.campaigns import _bounded_norms, _construction_instances
+from gaborlab.duality import gabor_bimodule
+from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     CenterElement,
@@ -34,6 +39,7 @@ from gaborlab.vnmod import (
     cdim_blockwise,
     direct_sum,
     gns_right_module,
+    image_center,
     induced_trace,
     induced_trace_evaluator,
     jones_projection,
@@ -124,6 +130,95 @@ def test_spanning_generators_do_span():
     _, p = _synthesis(mod, gens)
     # projection of full rank equal to the space dimension
     assert int(round(np.trace(p).real)) == mod.space_dim
+
+
+# ------------------------------------------- faithfulness from the blocks
+
+
+def partial_module(alg, kappa, coords):
+    """The algebra compressed to some coordinates, as a left module: it acts
+    through the central blocks that the coordinates cover, and kills the rest."""
+    return LeftModule(alg, kappa, alg.basis[:, coords][:, :, coords])
+
+
+def faithfulness_cases():
+    """Named modules, faithful and not, over the algebras gaborlab builds."""
+    cases = []
+    for seed in range(10):
+        bm = random_instance(seed)
+        cases += [(f"random{seed}/left", bm.left), (f"random{seed}/right", bm.right)]
+    for n in (2, 3, 4):
+        for li, lat in enumerate(enumerate_subgroups(FiniteAbelianGroup((n,)))):
+            bm = gabor_bimodule(lat)
+            cases += [(f"gabor-n{n}/lat{li}/left", bm.left), (f"gabor-n{n}/lat{li}/right", bm.right)]
+    # the unfaithful module of test_cdim_requires_faithful_action
+    alg = block_matrix_algebra([2, 1])
+    images = np.stack([b[:2, :2].T for b in alg.basis])
+    cases.append(("m2m1-through-m2", RightModule(alg, TraceFunctional.from_matrix_trace(alg), images)))
+    # M1 + M2 + M1 on C^4: through the two M1 blocks, through the M1 + M2 blocks
+    # (each killing a third block), and their direct sum, which kills none
+    alg = block_matrix_algebra([1, 2, 1])
+    kappa = TraceFunctional.from_matrix_trace(alg)
+    ends, head = partial_module(alg, kappa, [0, 3]), partial_module(alg, kappa, [0, 1, 2])
+    cases += [
+        ("m1m2m1-through-ends", ends),
+        ("m1m2m1-through-head", head),
+        ("m1m2m1-sum", direct_sum(ends, head)),
+        ("m1m2m1-doubled-ends", direct_sum(ends, ends)),
+    ]
+    return cases
+
+
+def test_faithful_agrees_with_the_rank_of_the_images():
+    seen = {True: 0, False: 0}
+    lattice_count = sum(len(enumerate_subgroups(FiniteAbelianGroup((n,)))) for n in (2, 3, 4))
+    for label, mod in faithfulness_cases():
+        svals = np.linalg.svd(mod.images_flat, compute_uv=False)
+        rank = int(np.sum(svals > 1e-10 * svals[0]))
+        assert mod.faithful == (rank == mod.algebra.dimension), label
+        seen[mod.faithful] += 1
+    # every random and Gabor side is faithful; four of the block modules are not
+    assert seen == {True: 20 + 2 * lattice_count + 1, False: 4}
+
+
+def test_image_centers_equal_the_centers_of_the_image_algebras():
+    for label, mod in faithfulness_cases():
+        if mod.faithful:
+            ok, dev = span_equal(image_center(mod), center(mod.image_algebra), 1e-10)
+            assert ok, (label, dev)
+
+
+def test_each_algebra_is_split_once(monkeypatch):
+    calls = []
+    split = algebra._generic_eigenbasis
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(algebra, "_generic_eigenbasis", counted)
+    alg = block_matrix_algebra([2, 1])
+    mod = row_module(alg, TraceFunctional.from_matrix_trace(alg))
+    commutant(alg)
+    center(alg)
+    minimal_central_projections(alg)
+    assert mod.faithful
+    cdim(mod)
+    cdim_blockwise(mod)
+    assert len(calls) == 1
+
+
+def test_a_stacked_action_is_the_action_of_each_matrix():
+    rng = np.random.default_rng(18)
+    bm = random_instance(4)
+    for mod in (bm.left, bm.right):
+        mats = np.stack([random_element(mod.algebra, rng) for _ in range(5)])
+        stacked = mod.act(mats)
+        assert stacked.shape == (5, mod.space_dim, mod.space_dim)
+        for got, mat in zip(stacked, mats):
+            assert np.array_equal(got, mod.act(mat))
+        # a (2, 5) stack of stacks acts row for row too
+        assert np.array_equal(mod.act(np.stack([mats, mats[::-1]]))[1], stacked[::-1])
 
 
 # -------------------------------------------------------------------- cdim
