@@ -383,10 +383,12 @@ class TraceFunctional:
         self.riesz = np.einsum("i,iab->ba", self.values, algebra.basis.conj())
         self.gram = self.gram_matrix(algebra.basis)
         if check:
-            dev = self.traciality_defect()
-            if dev > 1e-10:
-                raise SpanError(f"functional is not tracial on the algebra ({dev:.2e})")
+            # both gates are relative to the trace's own scale, the top of its Gram
             evals = np.linalg.eigvalsh((self.gram + self.gram.conj().T) / 2.0)
+            scale = max(float(np.abs(evals).max()), 1e-300)
+            dev = self.traciality_defect()
+            if dev > 1e-10 * scale:
+                raise SpanError(f"functional is not tracial on the algebra ({dev:.2e})")
             if evals[0] <= 1e-10 * max(float(evals[-1]), 1e-300):
                 raise FaithfulnessError(
                     f"trace Gram matrix is not positive definite (min eig {evals[0]:.2e})"

@@ -34,7 +34,6 @@ from .duality import (
     verify_commutant,
     verify_gabor_alignment,
 )
-from .gabor import Window
 from .groups import FiniteAbelianGroup, enumerate_subgroups
 from .reporting import (
     TOL_DIMENSION,
@@ -61,9 +60,10 @@ from .vnmod import (
 )
 
 DEFAULT_MAX_ORDER = 8
-# vectors per bounded-operator stack in A7's norms: 5 MB at n = 36 (stacks
-# of 100 vectors were measured slower in a fresh process, from page faults)
-_NORM_TRIALS = 250
+# vectors per bounded-operator stack in A7's norms: 2.6 MB at n = 36, and
+# operator_norm keeps three such stacks alive (the operators, their scaled
+# conjugates and the Gram matrices)
+_NORM_TRIALS = 125
 
 
 def _cyclic_sweep(orders):
@@ -73,12 +73,10 @@ def _cyclic_sweep(orders):
             yield n, li, lat
 
 
-def _gaussian_windows(group: FiniteAbelianGroup, trials: int, seed: int, *key) -> list[Window]:
-    """One Gaussian window per trial t, each from its own campaign_rng(seed, *key, t)."""
-    return [
-        Window(group, gaussian_vector(campaign_rng(seed, *key, t), group.size))
-        for t in range(trials)
-    ]
+def _gaussian_windows(group: FiniteAbelianGroup, trials: int, seed: int, *key) -> np.ndarray:
+    """The values of Gaussian windows, the rows of one (trials, |G|) draw from
+    campaign_rng(seed, *key), so window t is the same for every trials > t."""
+    return gaussian_vector(campaign_rng(seed, *key), trials, group.size)
 
 
 def _window_prefixes(prefix: str, trials: int) -> list[str]:
@@ -322,7 +320,8 @@ def duality_report(
 ) -> Report:
     """Full duality verification for one group: per lattice the commutant,
     dimension, and alignment checks, then the Bessel identities on seeded
-    Gaussian windows. Per-window seeds hash (command, lattice index, trial)."""
+    Gaussian windows, the rows of one draw per lattice seeded by
+    (command, lattice index)."""
     group = FiniteAbelianGroup(tuple(orders))
     lats = [lattice] if lattice is not None else enumerate_subgroups(group)
     span_tol, dim_tol, spec_tol = _tolerances(tol)

@@ -31,6 +31,7 @@ from .vnmod import (
     LeftModule,
     RightModule,
     blockwise_deviation,
+    blockwise_product,
     cdim,
     cdim_blockwise,
 )
@@ -97,7 +98,7 @@ def verify_cdim_covolume(
             tol,
         ),
     ]
-    product = bm.cdim_product()
+    product = blockwise_product(left_dim, right_dim, embed_a=bm.left.act, embed_b=bm.right.act)
     checks.append(
         flag_check(
             f"{prefix}cdim-product-one",
@@ -115,7 +116,7 @@ def verify_cdim_covolume(
 
 
 def verify_bessel_duality(
-    windows: Sequence[Window],
+    windows: Sequence[Window] | np.ndarray,
     lat: Lattice,
     tol: float = TOL_SPECTRAL,
     prefixes: Sequence[str] = ("",),
@@ -123,8 +124,8 @@ def verify_bessel_duality(
 ) -> list[Check]:
     """The duality identity between the bound over the lattice and its adjoint,
     plus the operator-norm characterizations of both bounds, for each of the
-    T windows; window t's checks are named after prefixes[t] and come in
-    window order.
+    T windows, given as Windows or as a (T, |G|) stack of their values;
+    window t's checks are named after prefixes[t] and come in window order.
 
     Every side is homogeneous of degree 2 in g, so the checks are decided for
     g / |g| with a gate relative to the bound; the reported deviation is that
@@ -132,13 +133,17 @@ def verify_bessel_duality(
     window, or one whose squared norm or bounds overflow a float or fall
     below its smallest normal value, raises InvalidElementError.
     """
-    if not windows:
+    if len(windows) == 0:
         raise ValueError("no windows: the Bessel checks need at least one window")
     if len(prefixes) != len(windows):
         raise ValueError(f"{len(windows)} windows but {len(prefixes)} check prefixes")
-    if any(g.group != lat.group for g in windows):
-        raise InvalidElementError("window and lattice live over different groups")
-    values = np.array([g.values for g in windows]).reshape(len(windows), lat.group.size)
+    if not isinstance(windows, np.ndarray):
+        if any(g.group != lat.group for g in windows):
+            raise InvalidElementError("window and lattice live over different groups")
+        windows = [g.values for g in windows]
+    values = np.array(windows, dtype=complex)
+    if values.shape != (len(prefixes), lat.group.size):
+        raise InvalidElementError(f"windows must be a (T, {lat.group.size}) stack")
     # |g|, taken after dividing by the largest component so that squaring tiny
     # or huge entries neither underflows nor overflows
     peaks = np.abs(values.view(float)).max(axis=1, initial=0.0)

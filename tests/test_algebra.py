@@ -793,6 +793,30 @@ def test_trace_requires_traciality():
         trace_from_function(alg, lambda m: m[0, 0])
 
 
+def conjugated_block_algebra():
+    """The 18-dimensional M3 + M3 that generate_algebra builds from two
+    unitarily conjugated elements of block_matrix_algebra([3, 3]), and the
+    unitary."""
+    rng = np.random.default_rng(4)
+    blocks = block_matrix_algebra([3, 3])
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    elements = blocks.reconstruct(rng.normal(size=(2, 18)) + 1j * rng.normal(size=(2, 18)))
+    alg = generate_algebra(u @ elements @ u.conj().T)
+    assert alg.dimension == 18
+    return alg, u
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e9])
+def test_traciality_gate_is_relative_to_the_trace(scale):
+    alg, u = conjugated_block_algebra()
+    # the matrix trace, a valid trace at every scale (its defect grows with it)
+    TraceFunctional(alg, scale * np.trace(alg.basis, axis1=1, axis2=2))
+    # Tr(p x) with p positive and not central: positive and faithful, not tracial
+    p = u @ np.diag([1.0, 2.0, 3.0, 1.0, 1.0, 1.0]) @ u.conj().T
+    with pytest.raises(SpanError, match="not tracial"):
+        TraceFunctional(alg, scale * np.einsum("ab,iba->i", p, alg.basis))
+
+
 def test_trace_requires_faithfulness():
     alg = block_matrix_algebra([1, 1])
     with pytest.raises(FaithfulnessError):

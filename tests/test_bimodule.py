@@ -125,10 +125,41 @@ def test_stacked_bounded_operator_and_norm_equal_a_per_vector_loop():
             # one GEMM sums in another order than the per-vector einsum
             err = np.linalg.norm(stacked - loop, axis=(1, 2))
             assert np.all(err <= 1e-13 * np.linalg.norm(loop, axis=(1, 2)))
-            assert np.array_equal(operator_norm(stacked), operator_norm_loop(stacked))
+            # the Gram's eigvalsh rounds otherwise than the oracle's SVD
+            want = operator_norm_loop(stacked)
+            assert np.all(np.abs(operator_norm(stacked) - want) <= 1e-14 * want)
     # an empty stack gives no operators, no norms and no reports
     assert operator_norm(bounded_operator(fs[:0], bm.left)).shape == (0,)
     assert verify_left_right_bounded(bm, trials=0) == []
+
+
+def test_operator_norm_is_the_largest_singular_value():
+    rng = np.random.default_rng(41)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stacks = {
+        "square": gaussian(20, 6, 6),
+        "tall": gaussian(20, 9, 4),
+        "wide": gaussian(20, 4, 9),
+        "rank-deficient": gaussian(20, 8, 2) @ gaussian(20, 2, 7),
+        "zero": np.zeros((3, 5, 4), dtype=complex),
+        "mixed-scales": gaussian(3, 5, 7) * np.array([1e-200, 1.0, 1e200])[:, None, None],
+    }
+    for name, mats in stacks.items():
+        for scale in (1.0, 1e-200, 1e200):
+            if name == "mixed-scales" and scale != 1.0:
+                continue
+            want = operator_norm_loop(mats * scale)
+            got = operator_norm(mats * scale)
+            assert np.all(np.abs(got - want) <= 1e-14 * want), (name, scale)
+    # one 36-entry column near the largest float: its sums of squares must not overflow
+    edge = np.zeros((1, 36, 4), dtype=complex)
+    edge[0, :, 0] = 1e307
+    assert operator_norm(edge)[0] == pytest.approx(6e307, rel=1e-14)
+    assert operator_norm(np.zeros((0, 4, 5), dtype=complex)).shape == (0,)
+    assert np.array_equal(operator_norm(np.zeros((3, 0, 5), dtype=complex)), np.zeros(3))
 
 
 def test_left_operator_module_identity():
@@ -263,13 +294,47 @@ def test_norm_inequality_on_multiplicity_instance():
     assert bm.cdim_product().sup_norm() == pytest.approx(4.0, abs=1e-9)
     reports = verify_left_right_bounded(bm, trials=50, seed=2)
     assert all(r.passed for r in reports)
-    # brute-force check on a few vectors
+    # brute-force check on a few of the vectors drawn
+    fs = gaussian_vector(campaign_rng(2, "vectors"), 50, bm.space_dim)
     for t in (0, 7, 23):
-        f = gaussian_vector(campaign_rng(2, t), bm.space_dim)
+        f = fs[t]
         ln = operator_norm(left_bounded_operator([f], bm))[0]
         rn = operator_norm(right_bounded_operator([f], bm))[0]
         assert rn <= 4.0 * ln + 1e-9
         assert ln <= 4.0 * rn + 1e-9
+
+
+def test_vector_t_of_a_draw_does_not_depend_on_the_trial_count(monkeypatch):
+    drawn = []
+
+    def spy(fs, bm):
+        drawn.append(fs)
+        return left_bounded_operator(fs, bm)
+
+    monkeypatch.setattr(gaborlab.bimodule, "left_bounded_operator", spy)
+    bm = random_instance(3, blocks=[(2, 4, 2)])
+    for trials in (40, 1, 9, 39):
+        verify_left_right_bounded(bm, trials=trials, seed=6)
+    longest = drawn[0]
+    for fs in drawn[1:]:
+        assert np.array_equal(fs, longest[: len(fs)])
+
+
+def test_one_generator_per_call_apart_from_the_instance(monkeypatch):
+    keys = []
+
+    def spy(seed, *key):
+        keys.append((seed, key))
+        return campaign_rng(seed, *key)
+
+    monkeypatch.setattr(gaborlab.bimodule, "campaign_rng", spy)
+    # the bimodule command passes one seed to both
+    bm = random_instance(8)
+    assert keys == [(8, (0xB10C,))]
+    verify_left_right_bounded(bm, trials=50, seed=8)
+    assert len(keys) == 2
+    streams = [campaign_rng(seed, *key).standard_normal(16) for seed, key in keys]
+    assert not np.array_equal(*streams)
 
 
 def test_trivial_scalar_instance():

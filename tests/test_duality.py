@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from gaborlab import duality, groups
+import gaborlab.bimodule
+from gaborlab import campaigns, duality, groups
 from gaborlab.algebra import commutant, span_equal, twisted_group_algebra
-from gaborlab.campaigns import bessel_duality_sweep, duality_report
+from gaborlab.campaigns import (
+    _gaussian_windows,
+    bessel_duality_sweep,
+    bounded_vector_sweep,
+    duality_report,
+)
 from gaborlab.duality import (
     gabor_bimodule,
     verify_bessel_duality,
@@ -20,6 +26,7 @@ from gaborlab.groups import (
     enumerate_subgroups,
     lattice_from_generators,
 )
+from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import cdim, induced_trace
 from reference import point
 
@@ -107,6 +114,21 @@ def test_cdim_covolume_worked_values():
         assert value.max_dev_from_scalar(want) <= 1e-9
         checks = verify_cdim_covolume(lat, bm)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+
+
+def test_one_cdim_per_side_per_lattice(monkeypatch):
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return cdim(module)
+
+    for module in (duality, gaborlab.bimodule):
+        monkeypatch.setattr(module, "cdim", counted)
+    lat = lat_square()
+    bm = gabor_bimodule(lat)
+    assert all(c.passed for c in verify_cdim_covolume(lat, bm))
+    assert [id(m) for m in calls] == [id(bm.left), id(bm.right)]
 
 
 def test_bessel_duality_full_lattice():
@@ -214,8 +236,13 @@ def test_bessel_duality_on_a_stack_equals_one_window_at_a_time():
         for got, want in zip(stacked, single):
             assert got.lhs == pytest.approx(want.lhs, rel=1e-13)
             assert got.rhs == pytest.approx(want.rhs, rel=1e-13)
+        # the values of the windows as one stack give the same checks
+        values = np.array([g.values for g in windows])
+        assert verify_bessel_duality(values, lat, prefixes=prefixes, bm=bm) == stacked
     with pytest.raises(ValueError, match="prefixes"):
         verify_bessel_duality(windows, lat, prefixes=["one"], bm=bm)
+    with pytest.raises(InvalidElementError, match="stack"):
+        verify_bessel_duality(values[:, :3], lat, prefixes=prefixes, bm=bm)
 
 
 def test_a_zero_window_anywhere_in_a_stack_is_rejected():
@@ -269,3 +296,28 @@ def test_random_window_sweep_small_groups():
                 g = Window(group, vals)
                 checks = verify_bessel_duality([g], lat, bm=bm)
                 assert all(c.passed for c in checks)
+
+
+def test_window_t_of_a_draw_does_not_depend_on_the_trial_count():
+    for group in (Z4, FiniteAbelianGroup((2, 3))):
+        longest = _gaussian_windows(group, 30, 5, "duality", 2)
+        assert longest.shape == (30, group.size)
+        for trials in (1, 7, 29):
+            assert np.array_equal(_gaussian_windows(group, trials, 5, "duality", 2), longest[:trials])
+
+
+def test_one_generator_per_lattice(monkeypatch):
+    keys = []
+
+    def spy(seed, *key):
+        keys.append(key)
+        return campaign_rng(seed, *key)
+
+    for module in (campaigns, gaborlab.bimodule):
+        monkeypatch.setattr(module, "campaign_rng", spy)
+    count = len(enumerate_subgroups(Z2))
+    assert len(bounded_vector_sweep((2,), 100, 3)) == 300 * count
+    assert keys == [("bounded", 2, li) for li in range(count)]
+    keys.clear()
+    assert duality_report((2,), trials=3, seed=3).all_passed
+    assert keys == [("duality", li) for li in range(count)]
