@@ -70,18 +70,6 @@ class Bimodule:
         )
 
 
-def left_bounded_operator(fs: np.ndarray, bm: Bimodule) -> np.ndarray:
-    """For each f in a (T, space_dim) stack, the operator sending a right-GNS
-    vector n-hat to f acted on the right by n."""
-    return bounded_operator(fs, bm.right)
-
-
-def right_bounded_operator(fs: np.ndarray, bm: Bimodule) -> np.ndarray:
-    """For each f in a (T, space_dim) stack, the operator sending a left-GNS
-    vector m-hat to f acted on the left by m."""
-    return bounded_operator(fs, bm.left)
-
-
 def operator_norm(mats: np.ndarray) -> np.ndarray:
     """The largest singular value of every matrix in a (T, m, k) stack, as a
     (T,) array (0 for empty matrices): the square root of the top eigenvalue
@@ -106,6 +94,26 @@ def operator_norm(mats: np.ndarray) -> np.ndarray:
     np.ldexp(gram.view(float), pad - exps, out=gram.view(float))
     top = np.linalg.eigvalsh(gram)[:, -1]
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exps[:, 0, 0])
+
+
+def bounded_norms(fs: np.ndarray, module: LeftModule | RightModule) -> np.ndarray:
+    """The norm of bounded_operator(f, module) for each f of a (T, space_dim)
+    stack, as a (T,) array, from the algebra-valued inner product x = <f, f>.
+
+    L_f sends the class of 1 to f, so L_f^* f is the class of x; L_f^* L_f
+    commutes with the regular action on the other side, so it is
+    multiplication by x, and a faithful representation is isometric:
+    |L_f|^2 is the operator norm of x in the algebra's own n x n matrices.
+    Each f is scaled by 2**-e, with 2**e just above its largest entry, and
+    its norm by 2**e after, so that neither tiny nor huge vectors overflow or
+    underflow on the way; scaling by a power of two rounds nothing.
+    """
+    fs = np.asarray(fs, dtype=complex)
+    exps = np.frexp(np.abs(fs).max(axis=-1, initial=0.0))[1]
+    units = fs * np.ldexp(1.0, -exps)[..., None]
+    ops = bounded_operator(units, module)
+    hats = (units.conj()[:, None] @ ops)[:, 0].conj()
+    return np.ldexp(np.sqrt(operator_norm(module.space.unhat(hats))), exps)
 
 
 def check_alignment(bm: Bimodule) -> float:
@@ -186,8 +194,7 @@ def verify_left_right_bounded(
     verify_hypotheses(bm)
     constant = bm.cdim_product().sup_norm()
     fs = gaussian_vector(campaign_rng(seed, "vectors"), trials, bm.space_dim)
-    ln = operator_norm(left_bounded_operator(fs, bm))
-    rn = operator_norm(right_bounded_operator(fs, bm))
+    ln, rn = bounded_norms(fs, bm.right), bounded_norms(fs, bm.left)
     slack = np.maximum(rn - constant * ln, ln - constant * rn)
     passed = slack <= tol
     eq_devs = [None] * trials

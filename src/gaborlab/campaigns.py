@@ -22,8 +22,8 @@ from .algebra import (
 )
 from .bimodule import (
     HypothesisError,
+    bounded_norms,
     gaussian_vector,
-    operator_norm,
     random_instance,
     verify_left_right_bounded,
 )
@@ -50,7 +50,6 @@ from .vnmod import (
     basic_construction,
     blockwise_deviation,
     blockwise_product,
-    bounded_operator,
     cdim,
     cdim_blockwise,
     direct_sum,
@@ -60,9 +59,9 @@ from .vnmod import (
 )
 
 DEFAULT_MAX_ORDER = 8
-# vectors per bounded-operator stack in A7's norms: 2.6 MB at n = 36, and
-# operator_norm keeps three such stacks alive (the operators, their scaled
-# conjugates and the Gram matrices)
+# vectors per bounded-operator stack in A7's norms: 2.6 MB at h = d = 36, and
+# bounded_operator keeps two such stacks alive (the orbit columns and their
+# GNS coordinates), 5.0 MiB traced; the norms then work on 6 x 6 matrices
 _NORM_TRIALS = 125
 
 
@@ -219,12 +218,12 @@ def basic_construction_sweep(
 
 
 def _bounded_norms(fs: np.ndarray, module: RightModule) -> np.ndarray:
-    """operator_norm(bounded_operator(fs, module)) over _NORM_TRIALS vectors
-    at a time, so that no (trials, h, dim) operator stack is ever whole."""
+    """bounded_norms(fs, module) over _NORM_TRIALS vectors at a time, so that
+    no (trials, h, dim) operator stack is ever whole."""
     norms = np.empty(fs.shape[0])
     for s in range(0, fs.shape[0], _NORM_TRIALS):
         part = slice(s, s + _NORM_TRIALS)
-        norms[part] = operator_norm(bounded_operator(fs[part], module))
+        norms[part] = bounded_norms(fs[part], module)
     return norms
 
 

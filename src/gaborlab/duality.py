@@ -16,10 +16,8 @@ import numpy as np
 from .algebra import TraceFunctional, commutant, twisted_group_algebra
 from .bimodule import (
     Bimodule,
+    bounded_norms,
     check_alignment,
-    left_bounded_operator,
-    operator_norm,
-    right_bounded_operator,
 )
 from .gabor import Window, bessel_bound_opt
 from .groups import InvalidElementError, Lattice, ResourceLimitError, covolume
@@ -161,8 +159,7 @@ def verify_bessel_duality(
     bound_adj = bessel_bound_opt(units, lat.adjoint)
     sides = {"bessel-duality": (bound_adj, covol * bound)}
     if bm is not None:
-        rn = operator_norm(right_bounded_operator(units, bm))
-        ln = operator_norm(left_bounded_operator(units, bm))
+        rn, ln = bounded_norms(units, bm.left), bounded_norms(units, bm.right)
         sides["right-norm-bessel"] = (rn * rn, bound)
         sides["left-norm-bessel"] = (covol * ln * ln, bound_adj)
     # per check kind: relative deviation, and both sides scaled back by |g|^2

@@ -79,26 +79,25 @@ def pair_blocks(
 ) -> list[tuple[int, int]]:
     """Match the blocks of two center elements, optionally through embeddings.
 
-    The embeddings map each side's projections into a common space (an
-    identity map by default). Every block must match exactly one partner,
+    The embeddings map a stack of each side's projections into a common space
+    (an identity map by default). Every block must match exactly one partner,
     within 1e-6 relative to the projection's norm.
     """
     if len(a.projections) != len(b.projections):
         raise ValueError("center elements have different block counts")
-    imga = [embed_a(p) if embed_a else p for p in a.projections]
-    imgb = [embed_b(p) if embed_b else p for p in b.projections]
+    imga, imgb = np.array(a.projections), np.array(b.projections)
+    imga = _vec(embed_a(imga) if embed_a else imga)
+    imgb = _vec(embed_b(imgb) if embed_b else imgb)
+    dists = np.linalg.norm(imga[:, None] - imgb[None], axis=-1)
+    close = dists <= 1e-6 * np.maximum(1.0, np.linalg.norm(imga, axis=-1))[:, None]
     pairs = []
-    used = set()
-    for i, p in enumerate(imga):
-        hits = [
-            j
-            for j, q in enumerate(imgb)
-            if j not in used and np.linalg.norm(p - q) <= 1e-6 * max(1.0, float(np.linalg.norm(p)))
-        ]
+    free = np.ones(len(imgb), dtype=bool)
+    for i, row in enumerate(close):
+        hits = np.flatnonzero(row & free)
         if len(hits) != 1:
             raise ValueError(f"block {i} matched {len(hits)} partners")
-        pairs.append((i, hits[0]))
-        used.add(hits[0])
+        pairs.append((i, int(hits[0])))
+        free[hits[0]] = False
     return pairs
 
 
@@ -324,8 +323,9 @@ def cdim_blockwise(module: _ModuleBase) -> CenterElement:
     projections = np.array(module.algebra.central_projections)
     # a projection acts as a projection, whose trace is its rank
     space_ranks = np.rint(np.trace(module.act(projections), axis1=1, axis2=2).real)
-    cuts = np.matmul(module.algebra.basis, projections[:, None])
-    block_dims = [numerical_rank(np.linalg.svd(_vec(cut), compute_uv=False)) for cut in cuts]
+    # the cuts b q of every basis element b, one (dim, n^2) stack per q, in one batched SVD
+    cuts = _vec(np.matmul(module.algebra.basis, projections[:, None]))
+    block_dims = [numerical_rank(s) for s in np.linalg.svd(cuts, compute_uv=False)]
     return CenterElement(projections, space_ranks / block_dims)
 
 

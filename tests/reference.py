@@ -10,7 +10,14 @@ from typing import Iterable
 
 import numpy as np
 
-from gaborlab.algebra import RANK_RTOL, SpanError, StarAlgebra, _vec, orthonormal_extension
+from gaborlab.algebra import (
+    RANK_RTOL,
+    SpanError,
+    StarAlgebra,
+    _vec,
+    numerical_rank,
+    orthonormal_extension,
+)
 from gaborlab.gabor import tf_shift
 from gaborlab.groups import FiniteAbelianGroup, Lattice
 
@@ -84,6 +91,32 @@ def bounded_operator_loop(fs: np.ndarray, module) -> np.ndarray:
 def operator_norm_loop(mats: np.ndarray) -> np.ndarray:
     """bimodule.operator_norm one matrix at a time."""
     return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in mats])
+
+
+def block_ranks_loop(alg: StarAlgebra) -> list[int]:
+    """vnmod.cdim_blockwise's block dimensions, one SVD per minimal central
+    projection q: the rank of the span of b q over the basis elements b."""
+    return [
+        numerical_rank(np.linalg.svd(_vec(np.matmul(alg.basis, q)), compute_uv=False))
+        for q in alg.central_projections
+    ]
+
+
+def pair_blocks_loop(a, b, embed_a, embed_b) -> list[tuple[int, int]]:
+    """vnmod.pair_blocks one pair of projections at a time: each block of a
+    takes its one partner among b's blocks not yet taken."""
+    pairs, used = [], set()
+    for i, p in enumerate(embed_a(q) for q in a.projections):
+        hits = [
+            j
+            for j, q in enumerate(embed_b(q) for q in b.projections)
+            if j not in used and np.linalg.norm(p - q) <= 1e-6 * max(1.0, float(np.linalg.norm(p)))
+        ]
+        if len(hits) != 1:
+            raise ValueError(f"block {i} matched {len(hits)} partners")
+        pairs.append((i, hits[0]))
+        used.add(hits[0])
+    return pairs
 
 
 def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:

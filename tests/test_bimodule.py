@@ -19,15 +19,15 @@ from gaborlab.algebra import (
 from gaborlab.bimodule import (
     Bimodule,
     HypothesisError,
+    bounded_norms,
     check_alignment,
     gaussian_vector,
-    left_bounded_operator,
     operator_norm,
     random_instance,
-    right_bounded_operator,
     verify_hypotheses,
     verify_left_right_bounded,
 )
+from gaborlab.campaigns import _construction_instances
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import Window, bessel_bound_opt, frame_operator
 from gaborlab.groups import (
@@ -43,6 +43,7 @@ from gaborlab.vnmod import (
     blockwise_deviation,
     bounded_operator,
     cdim,
+    gns_right_module,
     induced_trace,
 )
 from reference import bounded_operator_loop, operator_norm_loop, point
@@ -74,8 +75,9 @@ def regular_right_module(alg, kappa):
 def test_zero_vector_gives_zero_operators():
     bm = gabor_bimodule(halfline_lattice())
     zero = np.zeros((1, bm.space_dim), dtype=complex)
-    assert operator_norm(left_bounded_operator(zero, bm)) == [0.0]
-    assert operator_norm(right_bounded_operator(zero, bm)) == [0.0]
+    for mod in (bm.left, bm.right):
+        assert operator_norm(bounded_operator(zero, mod)) == [0.0]
+        assert bounded_norms(zero, mod) == [0.0]
 
 
 def test_bounded_operator_norm_on_regular_module():
@@ -99,13 +101,13 @@ def test_gabor_worked_instance_norms():
     # frame operator diag(4,0,4,0), so the optimal Bessel bound is 4
     s = frame_operator([g.values], lat)[0]
     assert np.allclose(s, np.diag([4.0, 0, 4.0, 0]), atol=1e-12)
-    rn = operator_norm(right_bounded_operator([g.values], bm))[0]
+    rn = operator_norm(bounded_operator([g.values], bm.left))[0]
     assert rn**2 == pytest.approx(4.0, abs=1e-9)
     # left norm squared: adjoint-side Bessel bound divided by the covolume
     b_adj = bessel_bound_opt([g.values], lat.adjoint)[0]
     assert b_adj == pytest.approx(2.0, abs=1e-12)
     assert float(covolume(lat)) == 0.5
-    ln = operator_norm(left_bounded_operator([g.values], bm))[0]
+    ln = operator_norm(bounded_operator([g.values], bm.right))[0]
     assert ln**2 == pytest.approx(b_adj / float(covolume(lat)), abs=1e-9)
     assert ln == pytest.approx(rn, abs=1e-9)
 
@@ -162,6 +164,51 @@ def test_operator_norm_is_the_largest_singular_value():
     assert np.array_equal(operator_norm(np.zeros((3, 0, 5), dtype=complex)), np.zeros(3))
 
 
+def norm_test_modules():
+    """Every side of random_instance(0..9) and of every Z2-Z4 Gabor bimodule,
+    and A7's six modules (the GNS space over the big and the sub algebra)."""
+    mods = []
+    for bm in [random_instance(seed) for seed in range(10)] + [
+        gabor_bimodule(lat)
+        for order in (2, 3, 4)
+        for lat in enumerate_subgroups(FiniteAbelianGroup((order,)))
+    ]:
+        mods += [bm.left, bm.right]
+    for _, big, sub in _construction_instances():
+        sp = gns(big, TraceFunctional.from_matrix_trace(big))
+        mods += [gns_right_module(sp, big), gns_right_module(sp, sub)]
+    return mods
+
+
+def test_bounded_norms_are_the_operator_norms_at_every_scale():
+    rng = np.random.default_rng(43)
+    for mod in norm_test_modules():
+        fs = gaussian_vector(rng, 8, mod.space_dim)
+        for scale in (1.0, 1e-150, 1e150):
+            want = operator_norm_loop(bounded_operator_loop(fs * scale, mod))
+            got = bounded_norms(fs * scale, mod)
+            assert np.all(np.abs(got - want) <= 1e-14 * want), (mod.space_dim, scale)
+        assert np.array_equal(bounded_norms(np.zeros((2, mod.space_dim)), mod), [0.0, 0.0])
+        assert bounded_norms(fs[:0], mod).shape == (0,)
+
+
+def test_bounded_operator_gram_is_multiplication_by_the_inner_product():
+    # L_f^* L_f commutes with the regular action on the other side, so it
+    # multiplies by x = <f, f>, whose class is L_f^* f; and x is positive
+    rng = np.random.default_rng(44)
+    for mod in norm_test_modules():
+        sp = mod.space
+        fs = gaussian_vector(rng, 4, mod.space_dim)
+        ops = bounded_operator(fs, mod)
+        xs = sp.unhat(np.einsum("tad,ta->td", ops.conj(), fs))
+        multiply = sp.right if isinstance(mod, LeftModule) else sp.left
+        grams = ops.conj().transpose(0, 2, 1) @ ops
+        scale = np.linalg.norm(grams, axis=(1, 2))
+        assert np.all(np.linalg.norm(grams - multiply(xs), axis=(1, 2)) <= 1e-12 * scale)
+        assert np.all(np.linalg.norm(xs - xs.conj().transpose(0, 2, 1), axis=(1, 2)) <= 1e-12 * scale)
+        assert np.all(np.linalg.eigvalsh(xs)[:, 0] >= -1e-12 * scale)
+
+
 def test_left_operator_module_identity():
     # L_{f n} = L_f composed with left multiplication on the GNS side
     bm = random_instance(11, blocks=[(2, 2, 2)])
@@ -171,8 +218,8 @@ def test_left_operator_module_identity():
         f = gaussian_vector(rng, bm.space_dim)
         co = rng.normal(size=bm.right.algebra.dimension)
         n = bm.right.algebra.reconstruct(co)
-        lhs = left_bounded_operator([bm.right.act(n) @ f], bm)[0]
-        rhs = left_bounded_operator([f], bm)[0] @ sp.left(n)
+        lhs = bounded_operator([bm.right.act(n) @ f], bm.right)[0]
+        rhs = bounded_operator([f], bm.right)[0] @ sp.left(n)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -298,8 +345,8 @@ def test_norm_inequality_on_multiplicity_instance():
     fs = gaussian_vector(campaign_rng(2, "vectors"), 50, bm.space_dim)
     for t in (0, 7, 23):
         f = fs[t]
-        ln = operator_norm(left_bounded_operator([f], bm))[0]
-        rn = operator_norm(right_bounded_operator([f], bm))[0]
+        ln = operator_norm(bounded_operator([f], bm.right))[0]
+        rn = operator_norm(bounded_operator([f], bm.left))[0]
         assert rn <= 4.0 * ln + 1e-9
         assert ln <= 4.0 * rn + 1e-9
 
@@ -307,11 +354,11 @@ def test_norm_inequality_on_multiplicity_instance():
 def test_vector_t_of_a_draw_does_not_depend_on_the_trial_count(monkeypatch):
     drawn = []
 
-    def spy(fs, bm):
+    def spy(fs, module):
         drawn.append(fs)
-        return left_bounded_operator(fs, bm)
+        return bounded_norms(fs, module)
 
-    monkeypatch.setattr(gaborlab.bimodule, "left_bounded_operator", spy)
+    monkeypatch.setattr(gaborlab.bimodule, "bounded_norms", spy)
     bm = random_instance(3, blocks=[(2, 4, 2)])
     for trials in (40, 1, 9, 39):
         verify_left_right_bounded(bm, trials=trials, seed=6)

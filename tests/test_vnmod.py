@@ -19,7 +19,7 @@ from gaborlab.algebra import (
     minimal_central_projections,
     span_equal,
 )
-from gaborlab.bimodule import gaussian_vector, operator_norm, random_instance
+from gaborlab.bimodule import bounded_norms, gaussian_vector, random_instance
 from gaborlab.campaigns import _bounded_norms, _construction_instances
 from gaborlab.duality import gabor_bimodule
 from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups
@@ -49,6 +49,7 @@ from gaborlab.vnmod import (
     spanning_generators,
     _synthesis,
 )
+from reference import block_ranks_loop, pair_blocks_loop
 
 
 def row_module(alg, kappa):
@@ -319,6 +320,23 @@ def test_two_cdim_routes_agree_everywhere():
     ]
     for mod in mods:
         assert blockwise_deviation(cdim(mod), cdim_blockwise(mod)) <= 1e-9
+
+
+def test_batched_block_ranks_and_matches_equal_the_per_block_loops():
+    bms = [random_instance(seed) for seed in range(10)] + [
+        gabor_bimodule(lat)
+        for order in (2, 3, 4, 6)
+        for lat in enumerate_subgroups(FiniteAbelianGroup((order,)))
+    ]
+    for bm in bms:
+        for mod in (bm.left, bm.right):
+            projections = np.array(mod.algebra.central_projections)
+            space_ranks = np.rint(np.trace(mod.act(projections), axis1=1, axis2=2).real)
+            want = space_ranks / block_ranks_loop(mod.algebra)
+            assert np.array_equal(cdim_blockwise(mod).coefficients, want)
+        a, b = cdim(bm.left), cdim(bm.right)
+        want = pair_blocks_loop(a, b, bm.left.act, bm.right.act)
+        assert pair_blocks(a, b, bm.left.act, bm.right.act) == want
 
 
 # --------------------------------------------------------- jones projection
@@ -604,7 +622,8 @@ def traced_peak_mb(fn) -> float:
 
 def test_span_builders_and_a7_norms_stay_under_a_memory_bound():
     # on m6-over-m3 (n = 36) the whole candidate stacks took 54.9 MB in the
-    # sandwich, 26.7 MB in the closure and 39.6 MB in A7's 1000 operators
+    # sandwich and 26.7 MB in the closure; A7's 1000 operators take 40.1 MB
+    # whole and 5.0 MB at _NORM_TRIALS (125) vectors a time
     idx = 2
     _, big, sub = _construction_instances()[idx]
     ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
@@ -626,7 +645,7 @@ def test_chunked_a7_norms_are_the_whole_stack_norms():
         fs = gaussian_vector(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
         for module in (gns_right_module(sp, big), gns_right_module(sp, sub)):
             for trials in (1000, 600, 0):
-                whole = operator_norm(bounded_operator(fs[:trials], module))
+                whole = bounded_norms(fs[:trials], module)
                 assert np.array_equal(_bounded_norms(fs[:trials], module), whole)
 
 
@@ -781,5 +800,7 @@ def test_pair_blocks_requires_unique_match():
     got = blockwise_product(a, b)
     assert got.coefficients == pytest.approx([4.0, 6.0])
     clash = CenterElement([p1, p1], [1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block 0 matched 2 partners"):
         blockwise_product(a, clash)
+    with pytest.raises(ValueError, match="block 1 matched 0 partners"):
+        blockwise_product(clash, a)
