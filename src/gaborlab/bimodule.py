@@ -26,7 +26,8 @@ from .vnmod import (
     induced_trace_evaluator,
 )
 
-MAX_SPACE_DIM = 64
+# largest space that random_instance builds
+SPACE_CAP = 32
 
 
 class HypothesisError(RuntimeError):
@@ -218,7 +219,6 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_instance(
     seed: int,
     block_count: int = 2,
-    space_cap: int = 32,
     blocks: Sequence[tuple[int, int, int]] | None = None,
 ) -> Bimodule:
     """A seeded bimodule exercising the norm inequality beyond the equality case.
@@ -229,8 +229,6 @@ def random_instance(
     construction and the left trace is the induced one, so every hypothesis
     holds. Deterministic in the seed.
     """
-    if space_cap > MAX_SPACE_DIM:
-        raise ValueError(f"space cap {space_cap} exceeds the supported {MAX_SPACE_DIM}")
     rng = campaign_rng(seed, 0xB10C)
     if blocks is None:
         blocks = []
@@ -240,9 +238,9 @@ def random_instance(
             d = int(rng.integers(1, 3))
             e = int(rng.integers(1, 3))
             m = d * e
-            if used + n * m > space_cap:
+            if used + n * m > SPACE_CAP:
                 n, m, d = 1, 1, 1
-            if used + n * m > space_cap:
+            if used + n * m > SPACE_CAP:
                 break
             blocks.append((n, m, d))
             used += n * m
@@ -253,7 +251,7 @@ def random_instance(
         for n, m, d in blocks:
             if m % d:
                 raise ValueError(f"block multiplicity {m} not divisible by {d}")
-        if sum(n * m for n, m, _ in blocks) > space_cap:
+        if sum(n * m for n, m, _ in blocks) > SPACE_CAP:
             raise ValueError("requested blocks exceed the space cap")
 
     offsets = np.cumsum([0] + [n * m for n, m, _ in blocks])

@@ -319,13 +319,20 @@ def cdim(module: _ModuleBase) -> CenterElement:
 
 
 def cdim_blockwise(module: _ModuleBase) -> CenterElement:
-    """Independent route: per central block, space rank over algebra-block dimension."""
+    """Independent route: per central block, space rank over algebra-block dimension.
+
+    Both are traces rounded to integers. A projection acts as a projection,
+    whose trace is its rank. With K = sum_i b_i^* b_i over the orthonormal
+    basis, Tr(K q) = sum_i |b_i q|^2 is the squared HS norm of the
+    orthogonal projection b -> b q of the algebra onto the block A q, which
+    is the block's dimension d^2.
+    """
     projections = np.array(module.algebra.central_projections)
-    # a projection acts as a projection, whose trace is its rank
     space_ranks = np.rint(np.trace(module.act(projections), axis1=1, axis2=2).real)
-    # the cuts b q of every basis element b, one (dim, n^2) stack per q, in one batched SVD
-    cuts = _vec(np.matmul(module.algebra.basis, projections[:, None]))
-    block_dims = [numerical_rank(s) for s in np.linalg.svd(cuts, compute_uv=False)]
+    # K from the rows of every b_i, stacked, in one product
+    rows = module.algebra.basis.reshape(-1, module.algebra.ambient_dim)
+    k = rows.conj().T @ rows
+    block_dims = np.rint(np.trace(k @ projections, axis1=1, axis2=2).real)
     return CenterElement(projections, space_ranks / block_dims)
 
 
@@ -382,13 +389,10 @@ def gns_right_module(space: GnsSpace, sub: StarAlgebra) -> RightModule:
     return RightModule(sub, sub_trace, space.right(sub.basis))
 
 
-def jones_projection(
-    big: StarAlgebra, sub: StarAlgebra, trace: TraceFunctional
-) -> np.ndarray:
-    """Projection of the big algebra's GNS space onto the subalgebra's copy."""
-    if not big.contains(sub.basis):
+def jones_projection(sp: GnsSpace, sub: StarAlgebra) -> np.ndarray:
+    """Projection of an algebra's GNS space onto the subalgebra's copy."""
+    if not sp.algebra.contains(sub.basis):
         raise InclusionError("subalgebra is not contained in the big algebra")
-    sp = gns(big, trace)
     hats = np.column_stack([sp.hat(m) for m in sub.basis])
     q, r = np.linalg.qr(hats)
     diag = np.abs(np.diag(r))
@@ -432,8 +436,8 @@ def basic_construction(
     of the subalgebra, carries the induced trace over, and prepares the
     trace-preserving expectation used by the push-down map.
     """
-    e = jones_projection(big, sub, trace)
     sp = gns(big, trace)
+    e = jones_projection(sp, sub)
     left_gens = [sp.left(g) for g in big.gen_matrices()]
     algebra = generate_algebra(list(left_gens) + [e])
 

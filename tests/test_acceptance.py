@@ -62,9 +62,7 @@ def test_a4_bounded_vector_sweep():
 
 
 def test_a5_norm_inequality_instances():
-    checks, dt = timed(
-        norm_inequality_sweep, instances=50, trials=100, seed=0, tol=1e-9, space_cap=32
-    )
+    checks, dt = timed(norm_inequality_sweep, instances=50, trials=100, seed=0, tol=1e-9)
     verdict("A5 norm inequality on 50 random instances", checks, dt, budget=180)
 
 

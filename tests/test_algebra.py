@@ -299,7 +299,7 @@ def test_closure_equals_the_full_basis_closure_on_basic_constructions(index):
     _, big, sub = _construction_instances()[index]
     kappa = TraceFunctional.from_matrix_trace(big)
     sp = gns(big, kappa)
-    gens = [sp.left(g) for g in big.gen_matrices()] + [jones_projection(big, sub, kappa)]
+    gens = [sp.left(g) for g in big.gen_matrices()] + [jones_projection(sp, sub)]
     assert_closure_matches_full_basis(gens)
 
 

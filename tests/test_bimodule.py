@@ -397,9 +397,9 @@ def test_random_instance_determinism_and_caps():
     assert np.array_equal(a.left.images, b.left.images)
     assert np.array_equal(a.right.images, b.right.images)
     with pytest.raises(ValueError):
-        random_instance(0, space_cap=1000)
-    with pytest.raises(ValueError):
         random_instance(0, blocks=[(2, 3, 2)])
+    with pytest.raises(ValueError, match="exceed the space cap"):
+        random_instance(0, blocks=[(3, 11, 1)])
 
 
 @pytest.mark.parametrize("seed", range(4))

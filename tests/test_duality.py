@@ -1,9 +1,11 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import gaborlab.bimodule
-from gaborlab import campaigns, duality, groups
-from gaborlab.algebra import commutant, span_equal, twisted_group_algebra
+from gaborlab import algebra, campaigns, duality, groups
+from gaborlab.algebra import StarAlgebra, commutant, span_equal, twisted_group_algebra
 from gaborlab.campaigns import (
     _gaussian_windows,
     bessel_duality_sweep,
@@ -102,7 +104,7 @@ def test_shift_algebra_basis_is_orthonormal():
 
 @pytest.mark.parametrize("make", [lambda: lat_trivial(Z4), lambda: lat_full(Z4), lat_square])
 def test_commutant_reports_pass(make):
-    checks = verify_commutant(make())
+    checks = verify_commutant(gabor_bimodule(make()))
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
@@ -129,6 +131,40 @@ def test_one_cdim_per_side_per_lattice(monkeypatch):
     bm = gabor_bimodule(lat)
     assert all(c.passed for c in verify_cdim_covolume(lat, bm))
     assert [id(m) for m in calls] == [id(bm.left), id(bm.right)]
+
+
+def test_two_algebras_and_one_split_each_per_lattice(monkeypatch):
+    built, split, bimodules = [], [], []
+    build, blocks = twisted_group_algebra, StarAlgebra.blocks.func
+
+    def counted_build(lat, flavor="plain"):
+        built.append(build(lat, flavor))
+        return built[-1]
+
+    def counted_blocks(self):
+        split.append(self)
+        return blocks(self)
+
+    spy = cached_property(counted_blocks)
+    spy.__set_name__(StarAlgebra, "blocks")
+    for module in (algebra, duality):
+        monkeypatch.setattr(module, "twisted_group_algebra", counted_build)
+    monkeypatch.setattr(StarAlgebra, "blocks", spy)
+    assert duality_report((2, 2), trials=1).all_passed
+    # the bimodule's two algebras, each split once: for cdim, cdim_blockwise
+    # and the commutant alike
+    assert len(built) == 2 * len(enumerate_subgroups(FiniteAbelianGroup((2, 2))))
+    assert len(split) == len({id(alg) for alg in split}) <= len(built)
+    assert all(any(alg is mine for mine in built) for alg in split)
+
+    def counted_bimodule(lat):
+        bimodules.append(lat)
+        return gabor_bimodule(lat)
+
+    monkeypatch.setattr(campaigns, "gabor_bimodule", counted_bimodule)
+    assert all(c.passed for c in campaigns.commutant_sweep(3))
+    # Z2 and Z3 have 5 + 6 lattices
+    assert len(bimodules) == 11
 
 
 def test_bessel_duality_full_lattice():

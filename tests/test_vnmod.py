@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaborlab import algebra
+from gaborlab import algebra, vnmod
 from gaborlab.algebra import (
     InclusionError,
     StarAlgebra,
@@ -18,11 +18,12 @@ from gaborlab.algebra import (
     gns,
     minimal_central_projections,
     span_equal,
+    twisted_group_algebra,
 )
 from gaborlab.bimodule import bounded_norms, gaussian_vector, random_instance
 from gaborlab.campaigns import _bounded_norms, _construction_instances
 from gaborlab.duality import gabor_bimodule
-from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups
+from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups, lattice_from_generators
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
     CenterElement,
@@ -322,18 +323,48 @@ def test_two_cdim_routes_agree_everywhere():
         assert blockwise_deviation(cdim(mod), cdim_blockwise(mod)) <= 1e-9
 
 
-def test_batched_block_ranks_and_matches_equal_the_per_block_loops():
+def large_lattice_modules():
+    """Lattice algebras on L2(G) for |G| = 16, past gabor_bimodule's group cap:
+    three seeded lattices each of Z16, Z4 x Z4 and Z2 x Z8, each lattice
+    generated by two random phase-space points, traced by Tr / |G|."""
+    rng = np.random.default_rng(16)
+    mods = []
+    for orders in ((16,), (4, 4), (2, 8)):
+        group = FiniteAbelianGroup(orders)
+        for _ in range(3):
+            gens = rng.integers(0, orders * 2, size=(2, 2 * len(orders))).tolist()
+            alg = twisted_group_algebra(lattice_from_generators(group, gens))
+            tau = TraceFunctional(alg, np.trace(alg.basis, axis1=1, axis2=2) / group.size)
+            mods.append(LeftModule(alg, tau, alg.basis))
+    return mods
+
+
+def test_batched_block_ranks_and_matches_equal_the_per_block_loops(monkeypatch):
     bms = [random_instance(seed) for seed in range(10)] + [
         gabor_bimodule(lat)
         for order in (2, 3, 4, 6)
         for lat in enumerate_subgroups(FiniteAbelianGroup((order,)))
     ]
+    a7_mods = []
+    for _, big, sub in _construction_instances():
+        sp = gns(big, TraceFunctional.from_matrix_trace(big))
+        a7_mods += [gns_right_module(sp, big), gns_right_module(sp, sub)]
+    mods = [mod for bm in bms for mod in (bm.left, bm.right)] + large_lattice_modules() + a7_mods
+    assert max(mod.algebra.dimension for mod in mods) == 256
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cdim_blockwise takes no SVD and no numerical rank")
+
+    for mod in mods:
+        projections = np.array(mod.algebra.central_projections)
+        space_ranks = np.rint(np.trace(mod.act(projections), axis1=1, axis2=2).real)
+        want = space_ranks / block_ranks_loop(mod.algebra)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", forbidden)
+            patch.setattr(vnmod, "numerical_rank", forbidden)
+            got = cdim_blockwise(mod).coefficients
+        assert np.array_equal(got, want)
     for bm in bms:
-        for mod in (bm.left, bm.right):
-            projections = np.array(mod.algebra.central_projections)
-            space_ranks = np.rint(np.trace(mod.act(projections), axis1=1, axis2=2).real)
-            want = space_ranks / block_ranks_loop(mod.algebra)
-            assert np.array_equal(cdim_blockwise(mod).coefficients, want)
         a, b = cdim(bm.left), cdim(bm.right)
         want = pair_blocks_loop(a, b, bm.left.act, bm.right.act)
         assert pair_blocks(a, b, bm.left.act, bm.right.act) == want
@@ -345,7 +376,7 @@ def test_batched_block_ranks_and_matches_equal_the_per_block_loops():
 def test_jones_projection_onto_self():
     alg = full_matrix_algebra(2)
     kappa = TraceFunctional.from_matrix_trace(alg)
-    e = jones_projection(alg, alg, kappa)
+    e = jones_projection(gns(alg, kappa), alg)
     assert np.allclose(e, np.eye(4), atol=1e-10)
 
 
@@ -353,8 +384,8 @@ def test_jones_projection_onto_diagonal():
     alg = full_matrix_algebra(2)
     diag = StarAlgebra(np.array([np.diag([1.0, 0]), np.diag([0, 1.0])]).astype(complex))
     kappa = TraceFunctional.from_matrix_trace(alg)
-    e = jones_projection(alg, diag, kappa)
     sp = gns(alg, kappa)
+    e = jones_projection(sp, diag)
     assert int(round(np.trace(e).real)) == 2
     for d in diag.basis:
         hat = sp.hat(d)
@@ -368,15 +399,15 @@ def test_jones_projection_requires_containment():
     big = block_matrix_algebra([2, 1])
     kappa = TraceFunctional.from_matrix_trace(big)
     with pytest.raises(InclusionError):
-        jones_projection(big, full_matrix_algebra(3), kappa)
+        jones_projection(gns(big, kappa), full_matrix_algebra(3))
 
 
 def test_jones_projection_fixes_identity():
     alg = full_matrix_algebra(2)
     diag = StarAlgebra(np.array([np.diag([1.0, 0]), np.diag([0, 1.0])]).astype(complex))
     kappa = TraceFunctional.from_matrix_trace(alg)
-    e = jones_projection(alg, diag, kappa)
     sp = gns(alg, kappa)
+    e = jones_projection(sp, diag)
     hat1 = sp.hat_identity()
     assert np.allclose(e @ hat1, hat1, atol=1e-10)
 
