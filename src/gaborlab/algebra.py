@@ -8,7 +8,7 @@ basis. Ultraweak closure questions degenerate to exact span equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -525,10 +525,22 @@ def twisted_group_algebra(lat: Lattice, flavor: str = "plain") -> StarAlgebra:
     return StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
 
 
-def _standard_blocks(shapes: Sequence[tuple[int, int]]) -> StarAlgebra:
+def read_only(*holders) -> None:
+    """Mark the arrays that each object holds as attributes, alone or in a
+    tuple, read-only: a cached builder shares its results across callers."""
+    for holder in holders:
+        for value in vars(holder).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+
+
+@lru_cache(maxsize=256)
+def _standard_blocks(shapes: tuple[tuple[int, int], ...]) -> StarAlgebra:
     """The direct sum of M_d (x) I_m over (d, m) in shapes, on consecutive
     coordinates, with two generators per block: sum_a (a+1) E_aa and the
-    cyclic shift E_(a+1)a."""
+    cyclic shift E_(a+1)a. Built once per shapes and shared by every caller,
+    its split into blocks included, so its arrays are read-only."""
     if not shapes or any(d < 1 or m < 1 for d, m in shapes):
         raise SpanError("block sizes and multiplicities must be positive")
     cols = np.eye(sum(d * m for d, m in shapes), dtype=complex)
@@ -540,12 +552,14 @@ def _standard_blocks(shapes: Sequence[tuple[int, int]]) -> StarAlgebra:
         steps = np.arange(d)
         diag, shift = units[steps * (d + 1)], units[(steps + 1) % d * d + steps]
         gens += [np.tensordot(steps + 1.0, diag, axes=1), shift.sum(0)]
-    return StarAlgebra(np.concatenate(basis), generators=tuple(gens))
+    alg = StarAlgebra(np.concatenate(basis), generators=tuple(gens))
+    read_only(alg)
+    return alg
 
 
 def block_matrix_algebra(sizes: Sequence[int]) -> StarAlgebra:
     """Direct sum of full matrix blocks, with a two-per-block generating set."""
-    return _standard_blocks([(int(s), 1) for s in sizes])
+    return _standard_blocks(tuple((int(s), 1) for s in sizes))
 
 
 def full_matrix_algebra(n: int) -> StarAlgebra:
@@ -554,4 +568,4 @@ def full_matrix_algebra(n: int) -> StarAlgebra:
 
 def ampliated_matrix_algebra(block: int, copies: int) -> StarAlgebra:
     """Copies of a full matrix algebra along the diagonal: a |-> a (x) identity."""
-    return _standard_blocks([(block, copies)])
+    return _standard_blocks(((int(block), int(copies)),))

@@ -9,11 +9,12 @@ shifts, acts by transposing back, which reverses products.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import TraceFunctional, commutant, twisted_group_algebra
+from .algebra import TraceFunctional, commutant, read_only, twisted_group_algebra
 from .bimodule import (
     Bimodule,
     bounded_norms,
@@ -38,11 +39,14 @@ from .vnmod import (
 GROUP_CAP = 12
 
 
+@lru_cache(maxsize=256)
 def gabor_bimodule(lat: Lattice) -> Bimodule:
     """L2(G) as a bimodule: lattice shifts on the left, adjoint shifts on the right.
 
     The left images are the lattice algebra's basis itself; the right images
-    are the transposed basis of the adjoint's opposite algebra.
+    are the transposed basis of the adjoint's opposite algebra. Built once per
+    lattice and shared by every caller, with what its algebras and modules
+    cache on first use, so the arrays it builds are read-only.
     """
     group = lat.group
     if group.size > GROUP_CAP:
@@ -56,6 +60,7 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
     )
     left = LeftModule(left_alg, tau, left_alg.basis)
     right = RightModule(right_alg, kappa, right_alg.basis.transpose(0, 2, 1))
+    read_only(left_alg, right_alg, tau, kappa, left, right)
     return Bimodule(left, right, commute_atol=1e-12, right_is_full_commutant=True)
 
 

@@ -49,8 +49,10 @@ def tf_shift(group: FiniteAbelianGroup, z) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def shift_stack(lat: Lattice) -> np.ndarray:
-    """All lattice shifts as one array, cached so window sweeps stay cheap."""
-    return tf_shift(lat.group, lat.rows)
+    """All lattice shifts as one read-only array, cached so window sweeps stay cheap."""
+    stack = tf_shift(lat.group, lat.rows)
+    stack.flags.writeable = False
+    return stack
 
 
 def frame_operator(values: np.ndarray, lat: Lattice) -> np.ndarray:

@@ -5,12 +5,21 @@ import pytest
 
 import gaborlab.bimodule
 from gaborlab import algebra, campaigns, duality, groups
-from gaborlab.algebra import StarAlgebra, commutant, span_equal, twisted_group_algebra
+from gaborlab.algebra import (
+    StarAlgebra,
+    block_matrix_algebra,
+    commutant,
+    span_equal,
+    twisted_group_algebra,
+)
 from gaborlab.campaigns import (
     _gaussian_windows,
     bessel_duality_sweep,
     bounded_vector_sweep,
+    cross_oracle_sweep,
+    determinism_probe,
     duality_report,
+    norm_inequality_sweep,
 )
 from gaborlab.duality import (
     gabor_bimodule,
@@ -357,3 +366,69 @@ def test_one_generator_per_lattice(monkeypatch):
     keys.clear()
     assert duality_report((2,), trials=3, seed=3).all_passed
     assert keys == [("duality", li) for li in range(count)]
+
+
+def counted_algebras(monkeypatch) -> list:
+    """The twisted group algebras that gabor_bimodule builds from now on."""
+    built, build = [], twisted_group_algebra
+
+    def counted(lat, flavor="plain"):
+        built.append(build(lat, flavor))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "twisted_group_algebra", counted)
+    return built
+
+
+def test_each_a9_render_builds_its_own_bimodules(monkeypatch):
+    # warm the cache first: A9 must still build both renders from scratch,
+    # the two algebras of each of Z4's 15 lattices, twice
+    assert duality_report((4,), trials=1).all_passed
+    built = counted_algebras(monkeypatch)
+    assert all(c.passed for c in determinism_probe(7, 4))
+    assert len(built) == 2 * 15 * 2
+
+
+def test_shared_builds_are_read_only():
+    lat = lat_square()
+    for shared in (
+        gabor_bimodule(lat).left.algebra.basis,
+        block_matrix_algebra([2, 1]).basis,
+        shift_stack(lat),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+
+
+def test_equal_inputs_share_one_build():
+    for lat, again in zip(enumerate_subgroups(Z4), enumerate_subgroups(Z4)):
+        assert lat is not again
+        assert gabor_bimodule(lat) is gabor_bimodule(again)
+    assert block_matrix_algebra([2, 1]) is block_matrix_algebra((2, 1))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: bounded_vector_sweep((2, 4), 100, 3),
+        lambda: norm_inequality_sweep(5, 100, 3),
+        lambda: cross_oracle_sweep(3),
+    ],
+    ids=["a4", "a5", "a8"],
+)
+def test_a_warm_sweep_repeats_every_number_of_a_cold_one(sweep):
+    def numbers():
+        return [(c.name, c.passed, c.lhs, c.rhs, c.deviation) for c in sweep()]
+
+    cold = numbers()  # the fixture emptied the caches
+    assert numbers() == cold
+
+
+def test_vector_sweep_builds_two_algebras_per_distinct_lattice(monkeypatch):
+    built = counted_algebras(monkeypatch)
+    bounded_vector_sweep((2, 4, 6), 100, 3)
+    norm_inequality_sweep(50, 100, 3)
+    cross_oracle_sweep(3, max_order=4)
+    # A4 visits Z2, Z4 and Z6, A5 and A8 visit Z2, Z3 and Z4
+    distinct = {lat for n in (2, 3, 4, 6) for lat in enumerate_subgroups(FiniteAbelianGroup((n,)))}
+    assert len(built) == 2 * len(distinct) == 112
