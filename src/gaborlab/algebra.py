@@ -47,8 +47,9 @@ def _vec(mats: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a complex matrix, as one real dot
-    product per row (np.linalg.norm would square a full copy first)."""
+    """The Euclidean norm of each row of a real or complex matrix, as one real
+    dot product per row over its float64 view (np.linalg.norm would square a
+    full copy first)."""
     flat = np.ascontiguousarray(rows).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
@@ -58,6 +59,15 @@ def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     w rows^H are computed as conj(conj(w) rows^T), which is exact, so no
     conjugated copy of the rows is ever made."""
     return w - (w.conj() @ rows.T).conj() @ rows
+
+
+def _real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays as contiguous float64 if all have exactly zero imaginary
+    part, else as given: a real GEMM costs about a quarter of the
+    floating-point operations of a complex one."""
+    if any(np.any(np.imag(a)) for a in arrays):
+        return arrays
+    return tuple(np.ascontiguousarray(np.real(a)) for a in arrays)
 
 
 def _prefiltered_chunks(basis_flat: np.ndarray | None, blocks: Iterable[np.ndarray]):
@@ -71,7 +81,7 @@ def _prefiltered_chunks(basis_flat: np.ndarray | None, blocks: Iterable[np.ndarr
     """
     carry = None
     for block in blocks:
-        cands = np.asarray(block, dtype=complex)
+        cands = np.asarray(block, dtype=complex if np.iscomplexobj(block) else float)
         if cands.size == 0:
             continue
         norms = _row_norms(cands)
@@ -101,13 +111,17 @@ def orthonormal_extension(
 
     The candidates left by a batched pre-filter go through block
     Gram-Schmidt with one re-orthogonalisation pass (CGS2, "twice is
-    enough"), _CHUNK at a time, in the same chunks whatever the block edges:
-    GEMMs project each chunk off the basis and off the rows accepted so far,
-    the rows left in the span are dropped, and only the survivors go through
-    the row-wise pass against the rows accepted inside the chunk. The
-    accepted-row buffer grows with the rows accepted, up to the dimension
-    left free; once the span fills the space no further block is drawn.
-    Deterministic given the input order.
+    enough"), _CHUNK at a time, in the same chunks whatever the block edges.
+    One GEMM projects each chunk off the rows accepted so far, and the
+    candidates it leaves within RANK_RTOL / 4 x scale, the pre-filter's rule,
+    are dropped there; only the survivors are projected off the basis and
+    those rows again, the rows left in the span are dropped, and the rest go
+    through the row-wise pass against the rows accepted inside the chunk.
+    The rows keep the candidates' dtype: float64 candidates give float64
+    rows (a complex basis or block makes them complex). The accepted-row
+    buffer grows with the rows accepted, up to the dimension left free; once
+    the span fills the space no further block is drawn. Deterministic given
+    the input order.
     """
     have = 0 if basis_flat is None else basis_flat.shape[0]
     rows = np.empty((0, 0 if basis_flat is None else basis_flat.shape[1]), dtype=complex)
@@ -117,21 +131,25 @@ def orthonormal_extension(
         width = w.shape[1]
         free = width - have
         if not k:
-            # with no basis, the candidates set the row width
-            rows = np.empty((0, width), dtype=complex)
-        if k or have:
-            if k:
-                w = _project_off(w, rows[:k])
+            # with no basis, the candidates set the row width and dtype
+            rows = np.empty((0, width), dtype=w.dtype)
+        if k and w.shape[0]:
+            # one projection decides: what it leaves in the span goes, by the pre-filter's rule
+            w = _project_off(w, rows[:k])
+            keep = _row_norms(w) > (RANK_RTOL / 4.0) * chunk_scales
+            w, chunk_scales = w[keep], chunk_scales[keep]
+        if w.shape[0] and (k or have):
             if have:
                 w = _project_off(w, basis_flat)
             if k:
                 w = _project_off(w, rows[:k])
             live = _row_norms(w) > RANK_RTOL * chunk_scales
             w, chunk_scales = w[live], chunk_scales[live]
-        if k + w.shape[0] > rows.shape[0]:
+        dtype = np.result_type(rows, w)
+        if k + w.shape[0] > rows.shape[0] or dtype != rows.dtype:
             # room for the whole chunk, doubling at least, never past the free dimension
             size = min(max(k + w.shape[0], 2 * rows.shape[0]), free)
-            grown = np.empty((size, width), dtype=complex)
+            grown = np.empty((size, width), dtype=dtype)
             grown[:k] = rows[:k]
             rows = grown
         first = k
@@ -258,19 +276,25 @@ class StarAlgebra:
 
 
 def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
-    """Smallest unital self-adjoint algebra containing the generators."""
+    """Smallest unital self-adjoint algebra containing the generators.
+
+    The closure multiplies by each g, and by g* where it differs exactly from
+    g, in real arithmetic when no generator has a nonzero imaginary part; the
+    basis is stored complex either way."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
         raise SpanError("need at least one generator")
     n = gens[0].shape[0]
     if any(g.shape != (n, n) for g in gens):
         raise SpanError("generators must be square matrices of equal size")
+    work = _real_if_exact(*gens)
     closed_gens = []
-    for g in gens:
+    for g in work:
         closed_gens.append(g)
-        closed_gens.append(g.conj().T)
-    seeds = [np.eye(n, dtype=complex)] + closed_gens
-    basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
+        if not np.array_equal(g.conj().T, g):
+            closed_gens.append(g.conj().T)
+    seeds = np.array([np.eye(n, dtype=work[0].dtype)] + closed_gens)
+    basis_flat = orthonormal_extension(None, seeds.reshape(-1, n * n))
     gen_arr = np.array(closed_gens)[None]
     # frontier rows per block of products: a block holds about _CHUNK products
     step = max(1, _CHUNK // len(closed_gens))
@@ -318,8 +342,14 @@ def center(alg: StarAlgebra) -> StarAlgebra:
 
 
 def span_equal(a: StarAlgebra, b: StarAlgebra, atol: float = SPAN_ATOL) -> tuple[bool, float]:
-    """Mutual containment of two spans; returns (equal, worst residual)."""
-    worst = max(float(np.max(b.residuals(a.basis))), float(np.max(a.residuals(b.basis))))
+    """Mutual containment of two spans; returns (equal, worst residual).
+
+    The coefficients of a's rows in b are the conjugate transpose of those of
+    b's rows in a, so one cross product serves both directions."""
+    cross = a.basis_flat @ b.basis_conj.T
+    in_b = np.linalg.norm(a.basis_flat - cross @ b.basis_flat, axis=-1)
+    in_a = np.linalg.norm(b.basis_flat - cross.conj().T @ a.basis_flat, axis=-1)
+    worst = max(float(np.max(in_b)), float(np.max(in_a)))
     return (a.dimension == b.dimension and worst <= atol, worst)
 
 

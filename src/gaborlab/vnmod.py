@@ -23,6 +23,7 @@ from .algebra import (
     StarAlgebra,
     TraceFunctional,
     _CHUNK,
+    _real_if_exact,
     _vec,
     center,
     commutant,
@@ -484,10 +485,12 @@ def push_down(op: np.ndarray, ctx: BasicConstruction) -> np.ndarray:
 
 
 def jones_sandwich_span(ctx: BasicConstruction) -> StarAlgebra:
-    """Orthonormalized span of (left action) * jones * (left action)."""
-    imgs = ctx.left_image.basis
+    """Orthonormalized span of (left action) * jones * (left action), built in
+    real arithmetic when the left-image basis and jones have exactly zero
+    imaginary part; the basis is stored complex either way."""
+    imgs, jones = _real_if_exact(ctx.left_image.basis, ctx.jones)
+    d = ctx.space.dim
     # one block of products a e b per left element a, so the d^2 x d^2
     # candidate stack never exists
-    flat = orthonormal_extension(None, (_vec((a @ ctx.jones) @ imgs) for a in imgs))
-    d = ctx.space.dim
+    flat = orthonormal_extension(None, (((a @ jones) @ imgs).reshape(-1, d * d) for a in imgs))
     return StarAlgebra(flat.reshape(-1, d, d))

@@ -11,6 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from gaborlab.algebra import (
+    _CHUNK,
     RANK_RTOL,
     SpanError,
     StarAlgebra,
@@ -153,19 +154,39 @@ def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:
 def generate_algebra_full(gens) -> StarAlgebra:
     """algebra.generate_algebra multiplying the whole basis by the generators
     in every round, not only the rows added in the round before, with the
-    same product kernel and the same orthonormal_extension."""
+    same product kernel, the same orthonormal_extension and the same
+    candidate rules: g* only where it differs exactly from g, and real
+    arithmetic when no generator has a nonzero imaginary part.
+
+    Each round's products of the older rows come first, as one block, and
+    must all be dropped; the products of the rows added last round follow in
+    generate_algebra's blocks. A real GEMM of this BLAS rounds differently
+    with its row count (it takes a small-matrix kernel for small products),
+    so only equal blocks give bitwise equal rows."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
         raise SpanError("need at least one generator")
     n = gens[0].shape[0]
-    closed_gens = [h for g in gens for h in (g, g.conj().T)]
-    seeds = [np.eye(n, dtype=complex)] + closed_gens
-    basis_flat = orthonormal_extension(None, _vec(np.array(seeds)))
+    work = gens if any(np.any(g.imag) for g in gens) else [g.real for g in gens]
+    closed_gens = [
+        h for g in work for h in ((g,) if np.array_equal(g.conj().T, g) else (g, g.conj().T))
+    ]
+    seeds = [np.eye(n, dtype=work[0].dtype)] + closed_gens
+    basis_flat = orthonormal_extension(None, np.array(seeds).reshape(-1, n * n))
     gen_arr = np.array(closed_gens)[None]
+    step = max(1, _CHUNK // len(closed_gens))
+
+    def products(rows):
+        return np.matmul(rows.reshape(-1, 1, n, n), gen_arr).reshape(-1, n * n)
+
+    frontier = basis_flat
     while True:
-        prods = np.matmul(basis_flat.reshape(-1, 1, n, n), gen_arr)
-        added = orthonormal_extension(basis_flat, _vec(prods.reshape(-1, n, n)))
+        older = basis_flat[: basis_flat.shape[0] - frontier.shape[0]]
+        blocks = [products(older)]
+        blocks += [products(frontier[s : s + step]) for s in range(0, frontier.shape[0], step)]
+        added = orthonormal_extension(basis_flat, blocks)
         if added.shape[0] == 0:
             break
         basis_flat = np.vstack([basis_flat, added])
+        frontier = added
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))

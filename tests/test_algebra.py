@@ -275,9 +275,11 @@ def test_closure_multiplies_only_the_rows_of_the_last_round(monkeypatch):
     ):
         calls = record_extensions(monkeypatch)
         alg = generate_algebra(gens)
-        assert calls[0][1][0].shape[0] == 1 + 2 * len(gens)
+        # each generator, and its adjoint where that differs
+        closed = sum(1 if np.array_equal(g.conj().T, g) else 2 for g in gens)
+        assert calls[0][1][0].shape[0] == 1 + closed
         for (_, _, before), (_, blocks, _) in zip(calls, calls[1:]):
-            assert sum(b.shape[0] for b in blocks) == 2 * len(gens) * before.shape[0]
+            assert sum(b.shape[0] for b in blocks) == closed * before.shape[0]
         assert calls[-1][2].shape[0] == 0
         assert sum(added.shape[0] for _, _, added in calls) == alg.dimension
 
@@ -293,14 +295,92 @@ def test_closure_equals_the_full_basis_closure_on_shift_algebras(n):
         assert_closure_matches_full_basis(twisted_group_algebra(lat).gen_matrices())
 
 
+def construction_generators(index):
+    """A6's generators of <N, e>: the left action of N's generators and e."""
+    _, big, sub = _construction_instances()[index]
+    sp = gns(big, TraceFunctional.from_matrix_trace(big))
+    return [sp.left(g) for g in big.gen_matrices()] + [jones_projection(sp, sub)]
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_closure_equals_the_full_basis_closure_on_basic_constructions(index):
-    # A6's generators of <N, e>: the left action of N's generators and e
-    _, big, sub = _construction_instances()[index]
-    kappa = TraceFunctional.from_matrix_trace(big)
-    sp = gns(big, kappa)
-    gens = [sp.left(g) for g in big.gen_matrices()] + [jones_projection(sp, sub)]
-    assert_closure_matches_full_basis(gens)
+    assert_closure_matches_full_basis(construction_generators(index))
+
+
+def test_the_real_and_the_complex_route_give_one_algebra(monkeypatch):
+    # i g generates what g does, but is never real and never self-adjoint, so
+    # it takes the complex route with both adjoints
+    z22 = enumerate_subgroups(FiniteAbelianGroup((2, 2)))
+    cases = [construction_generators(i) for i in range(3)]
+    cases.append(list(block_matrix_algebra([2, 3]).gen_matrices()))
+    cases += [list(twisted_group_algebra(lat).gen_matrices()) for lat in z22]
+    dtypes = []
+
+    def spy(basis_flat, candidates):
+        rows = orthonormal_extension(basis_flat, candidates)
+        dtypes.append(rows.dtype)
+        return rows
+
+    monkeypatch.setattr(algebra, "orthonormal_extension", spy)
+    routes = []
+    for gens in cases:
+        dtypes.clear()
+        alg = generate_algebra(gens)
+        routes.append(set(dtypes))
+        dtypes.clear()
+        twin = generate_algebra([1j * g for g in gens])
+        assert set(dtypes) == {np.dtype(np.complex128)}
+        assert alg.basis.dtype == twin.basis.dtype == np.complex128
+        assert alg.dimension == twin.dimension
+        equal, dev = span_equal(alg, twin)
+        assert equal and dev <= algebra.SPAN_ATOL
+    # the route follows the exact test; of A6's sets only m2m2-over-center's
+    # (its e) and of the Z2^2 shifts those with a phase exp(i pi) are complex
+    exact = [not any(np.any(np.imag(g)) for g in gens) for gens in cases]
+    assert exact[:4] == [True, False, True, True] and 0 < sum(exact[4:]) < len(z22)
+    assert routes == [{np.dtype(np.float64 if real else np.complex128)} for real in exact]
+
+
+def test_orthonormal_extension_keeps_the_candidates_dtype():
+    rng = np.random.default_rng(36)
+    chunk = algebra._CHUNK
+    n = chunk + 8
+    real = rng.normal(size=(chunk + 4, n))
+    rows = orthonormal_extension(None, real)
+    assert rows.dtype == np.float64
+    assert orthonormal_extension(None, [real[:5], real[5:]]).dtype == np.float64
+    assert orthonormal_extension(None, real + 0j).dtype == np.complex128
+    assert_same_extension(rows, orthonormal_extension(None, real + 0j))
+    # a complex basis, or a complex block after a real one, makes the rows complex
+    basis = orthonormal_extension(None, real[:3] + 0j)
+    assert orthonormal_extension(basis, real[3:]).dtype == np.complex128
+    mixed = [real[:chunk], real[chunk:] * (1 + 1j)]
+    rows = orthonormal_extension(None, mixed)
+    assert rows.dtype == np.complex128
+    assert_same_extension(rows, orthonormal_extension_loop(None, np.concatenate(mixed)))
+
+
+def test_candidates_already_in_the_span_are_projected_once(monkeypatch):
+    chunk = algebra._CHUNK
+    rng = np.random.default_rng(35)
+    n = chunk + 8
+    independent = rng.normal(size=(chunk, n)) + 1j * rng.normal(size=(chunk, n))
+    mix = rng.normal(size=(2 * chunk, chunk)) + 1j * rng.normal(size=(2 * chunk, chunk))
+    cands = np.vstack([independent, mix @ independent])
+    projected = []
+
+    def spy(w, rows):
+        projected.append((w.shape[0], rows.shape[0]))
+        return project_off(w, rows)
+
+    project_off = algebra._project_off
+    monkeypatch.setattr(algebra, "_project_off", spy)
+    rows = orthonormal_extension(None, cands)
+    # the independent chunk goes row by row; each chunk of combinations is
+    # projected once off the rows it accepted, and dropped there
+    assert projected == [(chunk, chunk), (chunk, chunk)]
+    assert rows.shape == (chunk, n)
+    assert_same_extension(rows, orthonormal_extension_loop(None, cands))
 
 
 def test_basis_orthonormality_enforced():
