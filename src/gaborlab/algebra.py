@@ -19,7 +19,8 @@ from .groups import Lattice
 # singular values, residuals and block norms below RANK_RTOL x scale count as zero
 RANK_RTOL = 1e-10
 SPAN_ATOL = 1e-10
-# seeds the random self-adjoint elements whose spectra split an algebra
+# the engine's one fixed seed for generic draws: the random self-adjoint
+# elements whose spectra split an algebra, and the vectors that span a module
 _SPLIT_SEED = 0x5EED
 # candidates that orthonormal_extension projects with one GEMM
 _CHUNK = 32

@@ -20,7 +20,6 @@ from .vnmod import (
     LeftModule,
     RightModule,
     blockwise_product,
-    bounded_operator,
     cdim,
     image_center,
     induced_trace_evaluator,
@@ -105,6 +104,9 @@ def bounded_norms(fs: np.ndarray, module: LeftModule | RightModule) -> np.ndarra
     commutes with the regular action on the other side, so it is
     multiplication by x, and a faithful representation is isometric:
     |L_f|^2 is the operator norm of x in the algebra's own n x n matrices.
+    The class of x is conj((f^H C) R), C the stacked images and R the GNS
+    coordinates: the coefficients f^H A_i f come from the pairs conj(f) (x) f
+    against the flat images, so no (T, h, d) operator stack is built.
     Each f is scaled by 2**-e, with 2**e just above its largest entry, and
     its norm by 2**e after, so that neither tiny nor huge vectors overflow or
     underflow on the way; scaling by a power of two rounds nothing.
@@ -112,8 +114,8 @@ def bounded_norms(fs: np.ndarray, module: LeftModule | RightModule) -> np.ndarra
     fs = np.asarray(fs, dtype=complex)
     exps = np.frexp(np.abs(fs).max(axis=-1, initial=0.0))[1]
     units = fs * np.ldexp(1.0, -exps)[..., None]
-    ops = bounded_operator(units, module)
-    hats = (units.conj()[:, None] @ ops)[:, 0].conj()
+    pairs = (units.conj()[:, :, None] * units[:, None, :]).reshape(len(units), module.space_dim**2)
+    hats = ((pairs @ module.images_flat.T) @ module.space.chol_upper_inv).conj()
     return np.ldexp(np.sqrt(operator_norm(module.space.unhat(hats))), exps)
 
 

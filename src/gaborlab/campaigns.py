@@ -63,9 +63,9 @@ DEFAULT_MAX_ORDER = 8
 # the memoized builders, bound at import so that a wrapper installed later
 # over the module names leaves their cache_clear in reach
 _BUILDERS = (gabor_bimodule, _standard_blocks)
-# vectors per bounded-operator stack in A7's norms: 2.6 MB at h = d = 36, and
-# bounded_operator keeps two such stacks alive (the orbit columns and their
-# GNS coordinates), 5.0 MiB traced; the norms then work on 6 x 6 matrices
+# vectors per chunk of A7's norms: the pairs conj(f) (x) f take 2.6 MB at
+# h = 36, 2.9 MiB traced, where 1000 at once take 22.6 MiB; the norms then
+# work on 6 x 6 matrices
 _NORM_TRIALS = 125
 
 
@@ -217,7 +217,7 @@ def basic_construction_sweep(
 
 def _bounded_norms(fs: np.ndarray, module: RightModule) -> np.ndarray:
     """bounded_norms(fs, module) over _NORM_TRIALS vectors at a time, so that
-    no (trials, h, dim) operator stack is ever whole."""
+    no (trials, h * h) stack of pairs is ever whole."""
     norms = np.empty(fs.shape[0])
     for s in range(0, fs.shape[0], _NORM_TRIALS):
         part = slice(s, s + _NORM_TRIALS)

@@ -23,6 +23,7 @@ from .algebra import (
     StarAlgebra,
     TraceFunctional,
     _CHUNK,
+    _SPLIT_SEED,
     _real_if_exact,
     _vec,
     center,
@@ -233,27 +234,24 @@ def direct_sum(a: _ModuleBase, b: _ModuleBase) -> _ModuleBase:
 
 
 def spanning_generators(module: _ModuleBase) -> list[np.ndarray]:
-    """Greedy canonical-basis vectors until the algebra orbit spans the space."""
+    """Seeded complex Gaussian vectors, drawn one at a time until their algebra
+    orbits span the space.
+
+    Generic vectors need ceil(max cdim) of them, the fewest any spanning set
+    has: a module spanned by k vectors is a quotient of A^k. Raises SpanError
+    when an orbit adds no new direction, so no draw can loop forever.
+    """
     h = module.space_dim
-    eye = np.eye(h, dtype=complex)
+    rng = np.random.default_rng(_SPLIT_SEED)
     chosen: list[np.ndarray] = []
-    span_rows = np.zeros((0, h), dtype=complex)
-    while span_rows.shape[0] < h:
-        if span_rows.shape[0]:
-            resid = eye - (eye @ span_rows.conj().T) @ span_rows
-        else:
-            resid = eye
-        norms = np.linalg.norm(resid, axis=1)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= 1e-12:
-            raise SpanError("module vectors cannot span the space")
-        g = eye[pick].copy()
-        chosen.append(g)
-        orbit = np.einsum("iab,b->ia", module.images, g)
-        added = orthonormal_extension(span_rows if span_rows.size else None, orbit)
+    span_rows = None
+    while span_rows is None or span_rows.shape[0] < h:
+        g = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        added = orthonormal_extension(span_rows, module.images @ g)
         if added.shape[0] == 0:
             raise SpanError("orbit added no new directions")
-        span_rows = np.vstack([span_rows, added]) if span_rows.size else added
+        chosen.append(g)
+        span_rows = added if span_rows is None else np.vstack([span_rows, added])
     return chosen
 
 
@@ -262,22 +260,13 @@ def _synthesis(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Polar isometry u and kernel-complement projection p of the synthesis map.
 
-    T sends a k-tuple of GNS vectors to the sum of their actions on the
-    generators; u is the partial isometry of its polar decomposition, and
-    p = u*u commutes with the componentwise module action on the k-fold
-    GNS space. Requires the generators to span.
+    T = [L_g1 ... L_gk], the row of the generators' bounded operators, sends a
+    k-tuple of GNS vectors to the sum of their actions on the generators; u is
+    the partial isometry of its polar decomposition, and p = u*u commutes with
+    the componentwise module action on the k-fold GNS space. Requires the
+    generators to span; bounded_operator raises SpanError on a wrong length.
     """
-    gens = [np.asarray(g, dtype=complex).reshape(-1) for g in generators]
-    if not gens:
-        raise SpanError("need at least one module generator")
-    sp = module.space
-    cols = []
-    for g in gens:
-        if g.shape[0] != module.space_dim:
-            raise SpanError("generator has the wrong length")
-        orbit = np.einsum("iab,b->ai", module.images, g)
-        cols.append(orbit @ sp.chol_upper_inv)
-    synth = np.hstack(cols)
+    synth = np.hstack(bounded_operator(np.array(generators), module))
     u_full, svals, vh = np.linalg.svd(synth, full_matrices=False)
     rank = numerical_rank(svals)
     if rank < module.space_dim:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from gaborlab.algebra import (
     twisted_group_algebra,
 )
 from gaborlab.bimodule import bounded_norms, gaussian_vector, random_instance
-from gaborlab.campaigns import _bounded_norms, _construction_instances
+from gaborlab.campaigns import _bounded_norms, _construction_instances, _cyclic_sweep
 from gaborlab.duality import gabor_bimodule
 from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups, lattice_from_generators
 from gaborlab.reporting import campaign_rng
@@ -132,6 +133,44 @@ def test_spanning_generators_do_span():
     _, p = _synthesis(mod, gens)
     # projection of full rank equal to the space dimension
     assert int(round(np.trace(p).real)) == mod.space_dim
+
+
+def test_spanning_generators_raise_when_no_orbit_adds_a_direction():
+    alg = block_matrix_algebra([2])
+    kappa = TraceFunctional.from_matrix_trace(alg)
+    mod = RightModule(alg, kappa, np.zeros((alg.dimension, 3, 3)), check=False)
+    with pytest.raises(SpanError, match="no new directions"):
+        spanning_generators(mod)
+
+
+def generic_span_modules():
+    """Both sides of random_instance(0..9) and of every Z2-Z8 Gabor bimodule,
+    and A7's six GNS modules: 248 modules."""
+    mods = []
+    for seed in range(10):
+        bm = random_instance(seed)
+        mods += [bm.left, bm.right]
+    for _, _, lat in _cyclic_sweep(range(2, 9)):
+        bm = gabor_bimodule(lat)
+        mods += [bm.left, bm.right]
+    for _, big, sub in _construction_instances():
+        sp = gns(big, TraceFunctional.from_matrix_trace(big))
+        mods += [gns_right_module(sp, big), gns_right_module(sp, sub)]
+    return mods
+
+
+def test_generic_generators_are_the_fewest_and_keep_the_synthesis_conditioned():
+    # a module spanned by k vectors is a quotient of A^k, so no spanning set
+    # has fewer than ceil(max cdim) vectors; the synthesis map's smallest
+    # nonzero singular value stays at least 1e-3 of its largest
+    mods = generic_span_modules()
+    assert len(mods) == 248
+    for mod in mods:
+        fewest = math.ceil(max(cdim_blockwise(mod).coefficients) - 1e-9)
+        assert len(mod.generators) == fewest
+        synth = np.hstack(bounded_operator(np.array(mod.generators), mod))
+        svals = np.linalg.svd(synth, compute_uv=False)
+        assert svals[mod.space_dim - 1] >= 1e-3 * svals[0]
 
 
 # ------------------------------------------- faithfulness from the blocks
@@ -653,8 +692,8 @@ def traced_peak_mb(fn) -> float:
 
 def test_span_builders_and_a7_norms_stay_under_a_memory_bound():
     # on m6-over-m3 (n = 36) the whole candidate stacks took 54.9 MB in the
-    # sandwich and 26.7 MB in the closure; A7's 1000 operators take 40.1 MB
-    # whole and 5.0 MB at _NORM_TRIALS (125) vectors a time
+    # sandwich and 26.7 MB in the closure; A7's norms of 1000 vectors take
+    # 22.6 MB whole and 2.9 MB at _NORM_TRIALS (125) vectors a time
     idx = 2
     _, big, sub = _construction_instances()[idx]
     ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
