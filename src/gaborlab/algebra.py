@@ -271,9 +271,12 @@ class StarAlgebra:
         raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
 
     @cached_property
-    def central_projections(self) -> tuple[np.ndarray, ...]:
-        """minimal_central_projections of this algebra, computed once and kept."""
-        return tuple(minimal_central_projections(self))
+    def central_projections(self) -> np.ndarray:
+        """minimal_central_projections of this algebra, computed once and kept
+        as one read-only (blocks, n, n) stack, shared by every reader."""
+        projections = minimal_central_projections(self)
+        projections.flags.writeable = False
+        return projections
 
 
 def generate_algebra(gens: Iterable[np.ndarray]) -> StarAlgebra:
@@ -379,27 +382,13 @@ def _generic_eigenbasis(basis: np.ndarray, rng: np.random.Generator) -> tuple[np
     return evecs, _cluster_cuts(evals)
 
 
-def minimal_central_projections(alg: StarAlgebra) -> list[np.ndarray]:
-    """Mutually orthogonal central projections summing to 1, one per block:
-    P = sum_k W_k W_k^* over each block of the decomposition."""
-    projs = []
-    for w in alg.blocks:
-        cols = w.transpose(1, 0, 2).reshape(w.shape[1], -1)
-        projs.append(cols @ cols.conj().T)
-    projs.sort(
-        key=lambda p: (
-            int(round(float(np.trace(p).real))),
-            _first_support_index(p),
-            np.round(p, 9).tobytes(),
-        )
-    )
-    return projs
-
-
-def _first_support_index(proj: np.ndarray) -> int:
-    diag = np.abs(np.diag(proj))
-    hits = np.nonzero(diag > 1e-6)[0]
-    return int(hits[0]) if hits.size else proj.shape[0]
+def minimal_central_projections(alg: StarAlgebra) -> np.ndarray:
+    """Mutually orthogonal central projections summing to 1, one per block, as
+    one (blocks, n, n) stack in the order of alg.blocks: the i-th is
+    P = sum_k W_k W_k^* over blocks[i]. Blocks are paired across algebras by
+    content (vnmod.pair_blocks), so no canonical order is needed."""
+    cols = [w.transpose(1, 0, 2).reshape(w.shape[1], -1) for w in alg.blocks]
+    return np.array([c @ c.conj().T for c in cols])
 
 
 class TraceFunctional:

@@ -13,20 +13,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import SpanError, TraceFunctional, block_matrix_algebra, matrix_units, span_equal
+from .algebra import SpanError, TraceFunctional, block_matrix_algebra, matrix_units
 from .reporting import TOL_DIMENSION, campaign_rng
 from .vnmod import (
+    BlockMatchError,
     CenterElement,
     LeftModule,
     RightModule,
     blockwise_product,
     cdim,
-    image_center,
     induced_trace_evaluator,
+    pair_blocks,
 )
 
 # largest space that random_instance builds
 SPACE_CAP = 32
+# largest entry of a commutator of the two sides' generator actions
+COMMUTE_ATOL = 1e-12
 
 
 class HypothesisError(RuntimeError):
@@ -45,7 +48,6 @@ class Bimodule:
         self,
         left: LeftModule,
         right: RightModule,
-        commute_atol: float = 1e-10,
         right_is_full_commutant: bool | None = None,
     ):
         if left.space_dim != right.space_dim:
@@ -57,7 +59,7 @@ class Bimodule:
         lm = left.act(np.array(left.algebra.gen_matrices()))[:, None]
         rm = right.act(np.array(right.algebra.gen_matrices()))[None]
         worst = float(np.max(np.abs(lm @ rm - rm @ lm)))
-        if worst > commute_atol:
+        if worst > COMMUTE_ATOL:
             raise SpanError(f"actions do not commute (defect {worst:.3e})")
 
     def cdim_product(self) -> CenterElement:
@@ -163,7 +165,8 @@ def gaussian_vector(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def verify_hypotheses(bm: Bimodule) -> None:
-    """Check the norm-inequality hypotheses, raising on the first failure."""
+    """Check the norm-inequality hypotheses, raising on the first failure; the
+    centers match when pair_blocks pairs the two actions' central projections."""
     if not bm.left.faithful:
         raise HypothesisError("left action faithful", 1.0)
     if not bm.right.faithful:
@@ -174,9 +177,11 @@ def verify_hypotheses(bm: Bimodule) -> None:
         bm.right.generators
     except SpanError as exc:
         raise HypothesisError("finite generation", float("nan")) from exc
-    equal, defect = span_equal(image_center(bm.left), image_center(bm.right), 1e-8)
-    if not equal:
-        raise HypothesisError("matching centers", defect)
+    centers = [side.act(side.algebra.central_projections) for side in (bm.left, bm.right)]
+    try:
+        pair_blocks(*centers)
+    except BlockMatchError as exc:
+        raise HypothesisError("matching centers", exc.distance) from exc
     deviation = check_alignment(bm)
     if not deviation <= TOL_DIMENSION:
         raise HypothesisError("trace alignment", deviation)

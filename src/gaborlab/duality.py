@@ -61,7 +61,7 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
     left = LeftModule(left_alg, tau, left_alg.basis)
     right = RightModule(right_alg, kappa, right_alg.basis.transpose(0, 2, 1))
     read_only(left_alg, right_alg, tau, kappa, left, right)
-    return Bimodule(left, right, commute_atol=1e-12, right_is_full_commutant=True)
+    return Bimodule(left, right, right_is_full_commutant=True)
 
 
 def verify_commutant(bm: Bimodule, tol: float = TOL_SPAN, prefix: str = "") -> list[Check]:

@@ -19,6 +19,7 @@ from .algebra import (
     FaithfulnessError,
     GnsSpace,
     InclusionError,
+    SPAN_ATOL,
     SpanError,
     StarAlgebra,
     TraceFunctional,
@@ -26,7 +27,6 @@ from .algebra import (
     _SPLIT_SEED,
     _real_if_exact,
     _vec,
-    center,
     commutant,
     generate_algebra,
     gns,
@@ -41,11 +41,11 @@ class PreconditionError(ValueError):
 
 
 class CenterElement:
-    """A center element stored as coefficients on minimal central projections."""
+    """A center element stored as coefficients on minimal central projections,
+    one (blocks, n, n) stack: an algebra's read-only stack is shared, not copied."""
 
-    def __init__(self, projections: Sequence[np.ndarray], coefficients):
-        # copies: the projections an algebra keeps are shared by every reader
-        self.projections = [np.array(p, dtype=complex) for p in projections]
+    def __init__(self, projections: np.ndarray | Sequence[np.ndarray], coefficients):
+        self.projections = np.asarray(projections, dtype=complex)
         coeffs = np.asarray(coefficients)
         if np.iscomplexobj(coeffs):
             if coeffs.size and float(np.max(np.abs(coeffs.imag))) > 1e-8:
@@ -60,7 +60,7 @@ class CenterElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.einsum("i,iab->ab", self.coefficients, np.array(self.projections))
+        return np.einsum("i,iab->ab", self.coefficients, self.projections)
 
     def sup_norm(self) -> float:
         return float(np.max(self.coefficients)) if self.coefficients.size else 0.0
@@ -73,53 +73,58 @@ class CenterElement:
         return f"CenterElement([{vals}])"
 
 
-def pair_blocks(
-    a: CenterElement,
-    b: CenterElement,
-    embed_a: Callable[[np.ndarray], np.ndarray] | None = None,
-    embed_b: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[tuple[int, int]]:
-    """Match the blocks of two center elements, optionally through embeddings.
+class BlockMatchError(ValueError):
+    """A block has no unique partner; distance is pair_blocks' worst distance."""
 
-    The embeddings map a stack of each side's projections into a common space
-    (an identity map by default). Every block must match exactly one partner,
-    within 1e-6 relative to the projection's norm.
+    def __init__(self, message: str, distance: float):
+        super().__init__(message)
+        self.distance = distance
+
+
+def pair_blocks(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """Pair the projections of two (blocks, n, n) stacks in one space, the one
+    rule by which gaborlab matches central blocks: P = a[i] pairs with the one
+    Q = b[j] not yet taken within |P - Q|_HS / max(1, |P|_HS) <= SPAN_ATOL.
+
+    Returns the pairs (i, j) in a's order and the worst distance from a
+    projection of a to its nearest one in b. Raises BlockMatchError, carrying
+    that distance, when a block has no unique partner.
     """
-    if len(a.projections) != len(b.projections):
-        raise ValueError("center elements have different block counts")
-    imga, imgb = np.array(a.projections), np.array(b.projections)
-    imga = _vec(embed_a(imga) if embed_a else imga)
-    imgb = _vec(embed_b(imgb) if embed_b else imgb)
-    dists = np.linalg.norm(imga[:, None] - imgb[None], axis=-1)
-    close = dists <= 1e-6 * np.maximum(1.0, np.linalg.norm(imga, axis=-1))[:, None]
+    a, b = _vec(a), _vec(b)
+    dists = np.linalg.norm(a[:, None] - b[None], axis=-1)
+    dists /= np.maximum(1.0, np.linalg.norm(a, axis=-1))[:, None]
+    worst = float(dists.min(axis=1).max())
+    if len(a) != len(b):
+        raise BlockMatchError("the stacks have different block counts", worst)
     pairs = []
-    free = np.ones(len(imgb), dtype=bool)
-    for i, row in enumerate(close):
+    free = np.ones(len(b), dtype=bool)
+    for i, row in enumerate(dists <= SPAN_ATOL):
         hits = np.flatnonzero(row & free)
         if len(hits) != 1:
-            raise ValueError(f"block {i} matched {len(hits)} partners")
+            raise BlockMatchError(f"block {i} matched {len(hits)} partners", worst)
         pairs.append((i, int(hits[0])))
         free[hits[0]] = False
-    return pairs
+    return pairs, worst
+
+
+def _partners(a: CenterElement, b: CenterElement, embed_a, embed_b) -> list[int]:
+    """The block of b paired with each block of a, after the embeddings map
+    each side's projections into a common space (identity maps by default)."""
+    pa, pb = (embed_a or np.asarray)(a.projections), (embed_b or np.asarray)(b.projections)
+    return [j for _, j in pair_blocks(pa, pb)[0]]
 
 
 def blockwise_product(
-    a: CenterElement,
-    b: CenterElement,
-    embed_a=None,
-    embed_b=None,
+    a: CenterElement, b: CenterElement, embed_a=None, embed_b=None
 ) -> CenterElement:
     """Componentwise product on matched blocks, expressed on a's projections."""
-    pairs = pair_blocks(a, b, embed_a, embed_b)
-    coeffs = np.empty(len(pairs))
-    for i, j in pairs:
-        coeffs[i] = a.coefficients[i] * b.coefficients[j]
-    return CenterElement(a.projections, coeffs)
+    partners = _partners(a, b, embed_a, embed_b)
+    return CenterElement(a.projections, a.coefficients * b.coefficients[partners])
 
 
 def blockwise_deviation(a: CenterElement, b: CenterElement, embed_a=None, embed_b=None) -> float:
-    pairs = pair_blocks(a, b, embed_a, embed_b)
-    return float(max(abs(a.coefficients[i] - b.coefficients[j]) for i, j in pairs))
+    partners = _partners(a, b, embed_a, embed_b)
+    return float(np.max(np.abs(a.coefficients - b.coefficients[partners])))
 
 
 class _ModuleBase:
@@ -178,7 +183,7 @@ class _ModuleBase:
     def faithful(self) -> bool:
         """Whether the action has no kernel: the kernel of a *-action is a sum of
         central blocks, so no minimal central projection may act as 0 (rank 0)."""
-        projections = np.array(self.algebra.central_projections)
+        projections = self.algebra.central_projections
         return bool(np.all(np.trace(self.act(projections), axis1=1, axis2=2).real > 0.5))
 
     @cached_property
@@ -213,13 +218,6 @@ class LeftModule(_ModuleBase):
     """A left module: the action preserves products."""
 
     side = "left"
-
-
-def image_center(module: _ModuleBase) -> StarAlgebra:
-    """The center of a faithful action's image: the images of the algebra's
-    minimal central projections, each of unit HS norm."""
-    images = module.act(np.array(module.algebra.central_projections))
-    return StarAlgebra(images / np.linalg.norm(images, axis=(1, 2))[:, None, None])
 
 
 def direct_sum(a: _ModuleBase, b: _ModuleBase) -> _ModuleBase:
@@ -317,7 +315,7 @@ def cdim_blockwise(module: _ModuleBase) -> CenterElement:
     orthogonal projection b -> b q of the algebra onto the block A q, which
     is the block's dimension d^2.
     """
-    projections = np.array(module.algebra.central_projections)
+    projections = module.algebra.central_projections
     space_ranks = np.rint(np.trace(module.act(projections), axis1=1, axis2=2).real)
     # K from the rows of every b_i, stacked, in one product
     rows = module.algebra.basis.reshape(-1, module.algebra.ambient_dim)
@@ -407,7 +405,7 @@ class BasicConstruction:
     expect_onto_big: ConditionalExpectation
     dim_value: CenterElement           # cdim of the GNS space over the subalgebra
     commutant_defect: float            # span deviation against the right-action commutant
-    centers_match: bool
+    centers_match: bool                # pair_blocks pairs sub's and big's central projections
 
     def decode_left(self, op: np.ndarray) -> np.ndarray:
         """Recover n from its left multiplication matrix (or each n of a stack)."""
@@ -424,7 +422,9 @@ def basic_construction(
 
     Also verifies that it coincides with the commutant of the right action
     of the subalgebra, carries the induced trace over, and prepares the
-    trace-preserving expectation used by the push-down map.
+    trace-preserving expectation used by the push-down map. The centers
+    match when pair_blocks pairs the minimal central projections of sub and
+    big, which share one space.
     """
     sp = gns(big, trace)
     e = jones_projection(sp, sub)
@@ -442,7 +442,11 @@ def basic_construction(
     induced = induced_trace(module, algebra)
     expect = ConditionalExpectation(algebra, left_image, induced)
     dim_value = cdim(module)
-    centers_ok, _ = span_equal(center(sub), center(big))
+    centers_ok = True
+    try:
+        pair_blocks(sub.central_projections, big.central_projections)
+    except BlockMatchError:
+        centers_ok = False
 
     return BasicConstruction(
         big=big,

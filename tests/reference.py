@@ -13,6 +13,7 @@ import numpy as np
 from gaborlab.algebra import (
     _CHUNK,
     RANK_RTOL,
+    SPAN_ATOL,
     SpanError,
     StarAlgebra,
     _vec,
@@ -103,21 +104,22 @@ def block_ranks_loop(alg: StarAlgebra) -> list[int]:
     ]
 
 
-def pair_blocks_loop(a, b, embed_a, embed_b) -> list[tuple[int, int]]:
-    """vnmod.pair_blocks one pair of projections at a time: each block of a
-    takes its one partner among b's blocks not yet taken."""
-    pairs, used = [], set()
-    for i, p in enumerate(embed_a(q) for q in a.projections):
-        hits = [
-            j
-            for j, q in enumerate(embed_b(q) for q in b.projections)
-            if j not in used and np.linalg.norm(p - q) <= 1e-6 * max(1.0, float(np.linalg.norm(p)))
-        ]
+def pair_blocks_loop(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """vnmod.pair_blocks one pair of projections at a time: each P of a takes
+    its one partner Q among b's projections not yet taken, within
+    |P - Q| <= SPAN_ATOL max(1, |P|), and the distance is the worst over a of
+    |P - Q| / max(1, |P|) to the nearest Q."""
+    pairs, used, worst = [], set(), 0.0
+    for i, p in enumerate(a):
+        scale = max(1.0, float(np.linalg.norm(p)))
+        dists = [float(np.linalg.norm(p - q)) / scale for q in b]
+        worst = max(worst, min(dists))
+        hits = [j for j, dist in enumerate(dists) if j not in used and dist <= SPAN_ATOL]
         if len(hits) != 1:
             raise ValueError(f"block {i} matched {len(hits)} partners")
         pairs.append((i, hits[0]))
         used.add(hits[0])
-    return pairs
+    return pairs, worst
 
 
 def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:

@@ -666,6 +666,24 @@ def test_center_of_block_sum():
             assert np.linalg.norm(p @ q) <= 1e-10
 
 
+def test_central_projections_are_one_read_only_stack_in_split_order():
+    # projection i is sum_k W_k W_k^* over blocks[i], so readers may index the
+    # stack and the blocks alike; the stack is shared, so no reader may write it
+    algebras = [block_matrix_algebra([1, 2, 3]), ampliated_matrix_algebra(2, 3)]
+    algebras += [generate_algebra([np.diag([1.0, 2.0, 2.0, 3.0])])]
+    algebras += [twisted_group_algebra(lat) for lat in enumerate_subgroups(Z4)]
+    for alg in algebras:
+        projections = alg.central_projections
+        assert projections.shape == (len(alg.blocks), alg.ambient_dim, alg.ambient_dim)
+        for p, w in zip(projections, alg.blocks):
+            want = np.einsum("kam,kbm->ab", w, w.conj())
+            assert np.allclose(p, want, atol=1e-12)
+        assert alg.central_projections is projections
+        assert not projections.flags.writeable
+        with pytest.raises(ValueError):
+            projections[0, 0, 0] = 0.0
+
+
 def test_central_projection_count_matches_center_dim():
     for alg in (full_matrix_algebra(2), block_matrix_algebra([2, 2]), block_matrix_algebra([1, 2, 3])):
         zen = center(alg)

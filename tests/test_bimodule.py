@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -257,7 +258,10 @@ def test_mismatched_centers_detected():
     with pytest.raises(HypothesisError) as err:
         verify_hypotheses(bm)
     assert err.value.hypothesis == "matching centers"
-    assert err.value.deviation > 0
+    # the matcher's distance: |I - diag(1, 0)|_HS / |I|_HS from the scalar
+    # block to its nearest diagonal one
+    assert math.isfinite(err.value.deviation)
+    assert err.value.deviation == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
 def test_unfaithful_side_fails_its_hypothesis():

@@ -20,6 +20,7 @@ from gaborlab.algebra import (
     minimal_central_projections,
     span_equal,
     twisted_group_algebra,
+    _vec,
 )
 from gaborlab.bimodule import bounded_norms, gaussian_vector, random_instance
 from gaborlab.campaigns import _bounded_norms, _construction_instances, _cyclic_sweep
@@ -41,7 +42,6 @@ from gaborlab.vnmod import (
     cdim_blockwise,
     direct_sum,
     gns_right_module,
-    image_center,
     induced_trace,
     induced_trace_evaluator,
     jones_projection,
@@ -223,9 +223,13 @@ def test_faithful_agrees_with_the_rank_of_the_images():
 
 
 def test_image_centers_equal_the_centers_of_the_image_algebras():
+    # the images of the central projections, which the hypotheses pair, span
+    # the center of the image algebra
     for label, mod in faithfulness_cases():
         if mod.faithful:
-            ok, dev = span_equal(image_center(mod), center(mod.image_algebra), 1e-10)
+            images = mod.act(mod.algebra.central_projections)
+            units = StarAlgebra(images / np.linalg.norm(images, axis=(1, 2))[:, None, None])
+            ok, dev = span_equal(units, center(mod.image_algebra), 1e-10)
             assert ok, (label, dev)
 
 
@@ -314,9 +318,8 @@ def test_cdim_additive_on_direct_sums():
     both = direct_sum(rows, reg)
     got = cdim(both)
     a, b = cdim(rows), cdim(reg)
-    want = CenterElement(
-        a.projections, [a.coefficients[i] + b.coefficients[j] for i, j in pair_blocks(a, b)]
-    )
+    pairs, _ = pair_blocks(a.projections, b.projections)
+    want = CenterElement(a.projections, [a.coefficients[i] + b.coefficients[j] for i, j in pairs])
     assert blockwise_deviation(got, want) <= 1e-9
     assert got.coefficients == pytest.approx([1.5], abs=1e-9)
 
@@ -395,7 +398,7 @@ def test_batched_block_ranks_and_matches_equal_the_per_block_loops(monkeypatch):
         raise AssertionError("cdim_blockwise takes no SVD and no numerical rank")
 
     for mod in mods:
-        projections = np.array(mod.algebra.central_projections)
+        projections = mod.algebra.central_projections
         space_ranks = np.rint(np.trace(mod.act(projections), axis1=1, axis2=2).real)
         want = space_ranks / block_ranks_loop(mod.algebra)
         with monkeypatch.context() as patch:
@@ -404,9 +407,39 @@ def test_batched_block_ranks_and_matches_equal_the_per_block_loops(monkeypatch):
             got = cdim_blockwise(mod).coefficients
         assert np.array_equal(got, want)
     for bm in bms:
-        a, b = cdim(bm.left), cdim(bm.right)
-        want = pair_blocks_loop(a, b, bm.left.act, bm.right.act)
-        assert pair_blocks(a, b, bm.left.act, bm.right.act) == want
+        a, b = (side.act(side.algebra.central_projections) for side in (bm.left, bm.right))
+        pairs, dist = pair_blocks(a, b)
+        want_pairs, want_dist = pair_blocks_loop(a, b)
+        assert pairs == want_pairs
+        assert dist == pytest.approx(want_dist, rel=1e-12, abs=1e-15)
+
+
+def test_the_one_block_gate_has_a_wide_margin():
+    # pair_blocks' gate is SPAN_ATOL = 1e-10: every matched distance must sit
+    # far below it and every other block far above it, on both sides' images
+    # of the bimodules the campaigns build and on A7's sub/big pairs
+    groups = [FiniteAbelianGroup((n,)) for n in range(2, 9)]
+    groups += [FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 3))]
+    bms = [random_instance(seed) for seed in range(10)]
+    bms += [gabor_bimodule(lat) for group in groups for lat in enumerate_subgroups(group)]
+    stacks = [
+        tuple(side.act(side.algebra.central_projections) for side in (bm.left, bm.right))
+        for bm in bms
+    ]
+    stacks += [
+        (sub.central_projections, big.central_projections)
+        for _, big, sub in _construction_instances()
+    ]
+    assert 1e-13 < vnmod.SPAN_ATOL < 1.0
+    for a, b in stacks:
+        pairs, worst = pair_blocks(a, b)
+        dists = np.linalg.norm(_vec(a)[:, None] - _vec(b)[None], axis=-1)
+        dists /= np.maximum(1.0, np.linalg.norm(_vec(a), axis=-1))[:, None]
+        matched = np.zeros(dists.shape, dtype=bool)
+        matched[tuple(np.array(pairs).T)] = True
+        assert np.max(dists[matched]) <= 1e-13
+        assert np.min(dists[~matched], initial=np.inf) >= 1.0
+        assert worst == np.max(dists[matched])
 
 
 # --------------------------------------------------------- jones projection
