@@ -227,9 +227,9 @@ class StarAlgebra:
         return tuple(self.basis)
 
     @cached_property
-    def blocks(self) -> list[np.ndarray]:
-        """The algebra as a direct sum of M_d (x) I_m: one (d, n, m) stack of
-        isometries W_1..W_d per central block, split once per algebra object.
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The algebra as a direct sum of M_d (x) I_m: one read-only (d, n, m)
+        stack of isometries W_1..W_d per central block, split once per algebra.
 
         W_k maps C^m onto the range of the block's k-th minimal projection, and
         the W_k are matched so that sum_k W_k X W_k^* is I_d (x) X. The ranges
@@ -267,7 +267,9 @@ class StarAlgebra:
                 ranges = evecs[:, cols].reshape(-1, d, m).transpose(1, 0, 2)
                 stacks.append(np.matmul(ranges, units[:, 0]))
             else:
-                return stacks
+                for w in stacks:
+                    w.flags.writeable = False
+                return tuple(stacks)
         raise SpectralSplitError("could not split the algebra into its central blocks after 5 random draws")
 
     @cached_property

@@ -164,9 +164,10 @@ def gaussian_vector(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return pairs[..., 0, :] + 1j * pairs[..., 1, :]
 
 
-def verify_hypotheses(bm: Bimodule) -> None:
+def verify_hypotheses(bm: Bimodule, tol: float = TOL_DIMENSION) -> None:
     """Check the norm-inequality hypotheses, raising on the first failure; the
-    centers match when pair_blocks pairs the two actions' central projections."""
+    centers match when pair_blocks pairs the two actions' central projections,
+    and the traces align within tol."""
     if not bm.left.faithful:
         raise HypothesisError("left action faithful", 1.0)
     if not bm.right.faithful:
@@ -183,7 +184,7 @@ def verify_hypotheses(bm: Bimodule) -> None:
     except BlockMatchError as exc:
         raise HypothesisError("matching centers", exc.distance) from exc
     deviation = check_alignment(bm)
-    if not deviation <= TOL_DIMENSION:
+    if not deviation <= tol:
         raise HypothesisError("trace alignment", deviation)
 
 
@@ -198,8 +199,9 @@ def verify_left_right_bounded(
     agree outright. The vectors are the rows of one draw from
     campaign_rng(seed, "vectors"), so vector t is the same for every
     trials > t, and the key keeps the draw apart from random_instance's.
+    tol gates the trace-alignment hypothesis as well as the norms.
     """
-    verify_hypotheses(bm)
+    verify_hypotheses(bm, tol)
     constant = bm.cdim_product().sup_norm()
     fs = gaussian_vector(campaign_rng(seed, "vectors"), trials, bm.space_dim)
     ln, rn = bounded_norms(fs, bm.right), bounded_norms(fs, bm.left)

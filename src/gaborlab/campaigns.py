@@ -33,7 +33,6 @@ from .duality import (
     verify_bessel_duality,
     verify_cdim_covolume,
     verify_commutant,
-    verify_gabor_alignment,
 )
 from .groups import FiniteAbelianGroup, enumerate_subgroups
 from .reporting import (
@@ -112,7 +111,6 @@ def cdim_sweep(max_order: int = DEFAULT_MAX_ORDER, tol: float = TOL_DIMENSION) -
     for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         bm = gabor_bimodule(lat)
         checks.extend(verify_cdim_covolume(lat, bm, tol, prefix=f"n{n}/lat{li:02d}/"))
-        checks.append(verify_gabor_alignment(bm, prefix=f"n{n}/lat{li:02d}/"))
     return checks
 
 
@@ -341,7 +339,6 @@ def duality_report(
         bm = gabor_bimodule(lat)
         report.extend(verify_commutant(bm, span_tol, prefix=prefix))
         report.extend(verify_cdim_covolume(lat, bm, dim_tol, prefix=prefix))
-        report.extend([verify_gabor_alignment(bm, dim_tol, prefix=prefix)])
         windows = _gaussian_windows(group, trials, seed, "duality", li)
         report.extend(
             verify_bessel_duality(windows, lat, spec_tol, _window_prefixes(prefix, trials), bm=bm)

@@ -46,7 +46,8 @@ def gabor_bimodule(lat: Lattice) -> Bimodule:
     The left images are the lattice algebra's basis itself; the right images
     are the transposed basis of the adjoint's opposite algebra. Built once per
     lattice and shared by every caller, with what its algebras and modules
-    cache on first use, so the arrays it builds are read-only.
+    cache on first use. Its arrays and its algebras' block splits are
+    read-only; its modules' GNS factors, generators and synthesis are not.
     """
     group = lat.group
     if group.size > GROUP_CAP:
@@ -87,8 +88,8 @@ def verify_commutant(bm: Bimodule, tol: float = TOL_SPAN, prefix: str = "") -> l
 def verify_cdim_covolume(
     lat: Lattice, bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = ""
 ) -> list[Check]:
-    """Center-valued dimension of L2(G) over the shift algebra is the covolume;
-    bm is gabor_bimodule(lat)."""
+    """Center-valued dimension of L2(G) over the shift algebra is the covolume,
+    and the traces align; bm is gabor_bimodule(lat)."""
     left_dim = cdim(bm.left)
     right_dim = cdim(bm.right)
     covol = float(covolume(lat))
@@ -102,6 +103,7 @@ def verify_cdim_covolume(
         "cdim-right-reciprocal": right_dim.max_dev_from_scalar(1.0 / covol),
         "cdim-product-one": product.max_dev_from_scalar(1.0),
         "cdim-cross-oracle": cross,
+        "trace-alignment": check_alignment(bm),
     }
     return [make_bound_check(f"{prefix}{name}", dev, 0.0, tol) for name, dev in deviations.items()]
 
@@ -177,6 +179,3 @@ def _reject_outside_normal_floats(what: str, values: np.ndarray, norms: np.ndarr
         if hit.any():
             raise InvalidElementError(f"{what} of a window of norm {norms[hit][0]:.3e} {how} a float")
 
-
-def verify_gabor_alignment(bm: Bimodule, tol: float = TOL_DIMENSION, prefix: str = "") -> Check:
-    return make_bound_check(f"{prefix}trace-alignment", check_alignment(bm), 0.0, tol)

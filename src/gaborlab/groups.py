@@ -9,9 +9,9 @@ exact integer phase mod L = lcm(N_j), `code` maps residue rows to their
 canonical (mixed-radix) positions in G or G x G, and `decode` inverts it. A
 point set is the sorted int64 array of its codes: lexicographic row order.
 
-A Lattice is defined by its generators: its point set is their span, built
-once at construction. Its adjoint lattice is cached on it, so each lattice
-object computes its adjoint at most once.
+A Lattice is the span of phase-space rows, grown once by find_generators,
+the one span builder; enumerated and adjoint lattices hand it their whole
+point set. A lattice caches its adjoint, so it computes it at most once.
 """
 
 from __future__ import annotations
@@ -123,16 +123,14 @@ def _join(group: FiniteAbelianGroup, codes: np.ndarray, rows: np.ndarray) -> np.
 class Lattice:
     """The subgroup of phase space G x G spanned by its generators.
 
-    generators holds the generator rows as given; codes holds the span as
-    sorted phase-space codes, its canonical order, and rows its points in
-    that order. Lattices are equal when their groups and generators are.
+    generators holds the given rows that grew the span (zero and redundant
+    rows are dropped); codes holds the span as sorted phase-space codes, its
+    canonical order, and rows its points in that order. Lattices are equal
+    when their groups and generators are.
     """
 
     def __init__(self, group: FiniteAbelianGroup, generators: Iterable):
-        gens = group.check_points(generators)
-        codes = np.zeros(1, dtype=np.int64)
-        for z in gens:
-            codes = _join(group, codes, _cyclic(group, z))
+        gens, codes = find_generators(group, group.check_points(generators))
         gens.flags.writeable = codes.flags.writeable = False
         self.group, self.generators, self.codes = group, gens, codes
         self._key = (group, tuple(group.code(gens).tolist()))
@@ -168,24 +166,26 @@ class Lattice:
         return adjoint_lattice(self)
 
 
-def find_generators(group: FiniteAbelianGroup, codes) -> np.ndarray:
-    """Generator rows of a point set given by its sorted codes, picked
-    greedily in canonical order (deterministic)."""
-    target = np.asarray(codes, dtype=np.int64)
+def find_generators(group: FiniteAbelianGroup, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one span builder: walk the phase-space rows in order, skip each one
+    already in the span and join the cyclic subgroup of every other one.
+    Returns (the rows that grew the span, the span's sorted codes)."""
     have = np.zeros(group.size**2, dtype=bool)
     have[0] = True
-    span, gens = np.zeros(1, dtype=np.int64), []
-    for c in target.tolist():
-        if have[c]:
-            continue
-        gens.append(c)
-        span = _join(group, span, _cyclic(group, group.decode(c)))
-        have[span] = True
-        if len(span) >= len(target):
-            break
-    if not np.array_equal(span, target):
+    span, grew = np.zeros(1, dtype=np.int64), []
+    for i, c in enumerate(group.code(rows).tolist()):
+        if not have[c]:
+            grew.append(i)
+            span = _join(group, span, _cyclic(group, rows[i]))
+            have[span] = True
+    return rows[grew], span
+
+
+def _closed(lat: Lattice, count: int) -> Lattice:
+    """lat, built from a point set of count rows, if its span is that set."""
+    if lat.size != count:
         raise InvalidElementError("point set is not closed under the group operation")
-    return group.decode(np.array(gens, dtype=np.int64))
+    return lat
 
 
 def lattice_from_generators(group: FiniteAbelianGroup, gens: Iterable) -> Lattice:
@@ -205,8 +205,8 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
     k = len(group.orders)
     zs = group.decode(np.arange(group.size**2))
     turned = np.hstack([lat.generators[:, k:], -lat.generators[:, :k]])
-    keep = np.all(FiniteAbelianGroup(group.orders * 2).pairing(zs, turned) == 0, axis=1)
-    return Lattice(group, find_generators(group, keep.nonzero()[0]))
+    members = zs[np.all(FiniteAbelianGroup(group.orders * 2).pairing(zs, turned) == 0, axis=1)]
+    return _closed(Lattice(group, members), len(members))
 
 
 def covolume(lat: Lattice) -> Fraction:
@@ -248,9 +248,8 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Lattice]:
                     found[key] = mask.nonzero()[0]
                     grown.append(found[key])
         frontier = grown
-    lattices = [Lattice(group, find_generators(group, codes)) for codes in found.values()]
-    lattices.sort(key=lambda lat: (lat.size, lat.codes.tolist()))
-    return lattices
+    lattices = (_closed(Lattice(group, group.decode(sub)), len(sub)) for sub in found.values())
+    return sorted(lattices, key=lambda lat: (lat.size, lat.codes.tolist()))
 
 
 # -- JSON wire formats ---------------------------------------------------

@@ -308,6 +308,18 @@ def test_hypotheses_pass_on_seeded_instance():
     assert center_defect <= 1e-8
 
 
+def test_the_trace_alignment_hypothesis_takes_the_tolerance():
+    bm = random_instance(7, blocks=[(2, 4, 2)])
+    tau = bm.left.trace
+    tilted = TraceFunctional(tau.algebra, tau.values * (1 + 1e-6))
+    off = Bimodule(LeftModule(tau.algebra, tilted, bm.left.images), bm.right)
+    assert 1e-9 < check_alignment(off) < 1e-3
+    with pytest.raises(HypothesisError) as err:
+        verify_left_right_bounded(off, trials=5)
+    assert err.value.hypothesis == "trace alignment"
+    assert len(verify_left_right_bounded(off, trials=5, tol=1e-3)) == 5
+
+
 def test_the_hypotheses_build_no_image_algebra():
     # faithfulness, commutation and matching centers are read off each
     # algebra's blocks and the actions of its generators

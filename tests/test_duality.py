@@ -16,6 +16,7 @@ from gaborlab.campaigns import (
     _gaussian_windows,
     bessel_duality_sweep,
     bounded_vector_sweep,
+    cdim_sweep,
     cross_oracle_sweep,
     determinism_probe,
     duality_report,
@@ -26,7 +27,6 @@ from gaborlab.duality import (
     verify_bessel_duality,
     verify_cdim_covolume,
     verify_commutant,
-    verify_gabor_alignment,
 )
 from gaborlab.gabor import Window, shift_stack
 from gaborlab.groups import (
@@ -301,8 +301,16 @@ def test_a_zero_window_anywhere_in_a_stack_is_rejected():
 
 
 def test_gabor_alignment_check():
-    check = verify_gabor_alignment(gabor_bimodule(lat_square()))
-    assert check.passed
+    lat = lat_square()
+    check = verify_cdim_covolume(lat, gabor_bimodule(lat))[-1]
+    assert check.name == "trace-alignment" and check.passed
+
+
+def test_every_a3_check_carries_the_tolerance():
+    # every check, trace alignment included, is gated at the tolerance given
+    checks = cdim_sweep(4, tol=1e-3)
+    assert {c.name.rsplit("/", 1)[1] for c in checks} >= {"trace-alignment", "cdim-product-one"}
+    assert {c.tolerance for c in checks} == {1e-3}
 
 
 def test_induced_trace_matches_covolume_trace():
@@ -393,7 +401,9 @@ def test_shared_builds_are_read_only():
     lat = lat_square()
     for shared in (
         gabor_bimodule(lat).left.algebra.basis,
+        *gabor_bimodule(lat).left.algebra.blocks,
         block_matrix_algebra([2, 1]).basis,
+        *block_matrix_algebra([2, 1]).blocks,
         shift_stack(lat),
     ):
         with pytest.raises(ValueError, match="read-only"):

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaborlab import groups
 from gaborlab.groups import (
     FiniteAbelianGroup,
     InvalidElementError,
     Lattice,
     ResourceLimitError,
+    _closed,
     adjoint_lattice,
     covolume,
     enumerate_subgroups,
@@ -217,10 +219,37 @@ def test_index_finds_lattice_points_and_rejects_others():
             lat.index(outside)
 
 
-def test_find_generators_rejects_a_set_that_is_not_a_subgroup():
+def test_a_point_set_that_is_not_a_subgroup_is_rejected():
     for codes in ([0, 1], [1, 2], [0, 4, 8]):
-        with pytest.raises(InvalidElementError):
-            find_generators(Z4, codes)
+        with pytest.raises(InvalidElementError, match="not closed"):
+            _closed(Lattice(Z4, Z4.decode(codes)), len(codes))
+    # {(0, 0), (2, 2)} is a subgroup: its span is the set itself
+    lat = _closed(Lattice(Z4, Z4.decode([0, 10])), 2)
+    assert lat.codes.tolist() == [0, 10]
+
+
+def test_zero_and_redundant_rows_are_dropped():
+    lat = Lattice(Z4, [(2, 0), (0, 2), (2, 2), (0, 0)])
+    assert lat == Lattice(Z4, [(2, 0), (0, 2)])
+    assert lat.generators.tolist() == [[2, 0], [0, 2]]
+    assert Lattice(Z4, [(0, 0)]) == Lattice(Z4, [])
+
+
+def test_each_enumerated_and_adjoint_lattice_is_spanned_once(monkeypatch):
+    joins = []
+
+    def counted(group, codes, rows, _join=groups._join):
+        joins.append(len(rows))
+        return _join(group, codes, rows)
+
+    monkeypatch.setattr(groups, "_join", counted)
+    # one join per generator: the span is grown once, while picking them
+    lats = enumerate_subgroups(FiniteAbelianGroup((2, 2)))
+    assert len(joins) == sum(len(lat.generators) for lat in lats)
+    for lat in lats:
+        joins.clear()
+        adj = adjoint_lattice(lat)
+        assert len(joins) == len(adj.generators)
 
 
 def test_enumeration_contains_extremes():
@@ -305,19 +334,16 @@ def bfs_closure(group, base, new):
     return out
 
 
-def bfs_generators(group, elements):
-    # the greedy canonical-order pick of find_generators, on the oracle closure
-    target = set(elements)
+def bfs_generators(group, rows):
+    # the greedy pick of find_generators, on the oracle closure: the rows,
+    # in the order given, that are not yet in the span of those before them
     zero = (0,) * (2 * len(group.orders))
     gens, have = [], {zero}
-    for z in sorted(target):
+    for z in rows:
         if z not in have:
             gens.append(z)
             have = bfs_closure(group, have, [z])
-            if len(have) == len(target):
-                break
-    assert have == target
-    return tuple(gens)
+    return gens
 
 
 ORACLE_GROUPS = [(n,) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (2, 2, 2)]
@@ -336,5 +362,8 @@ def test_closure_matches_bfs_oracle(orders):
         lat = lattice_from_generators(group, gens)
         # the span, in canonical (lexicographic) order
         assert [tuple(z) for z in lat.rows.tolist()] == sorted(want)
-        got = find_generators(group, lat.codes)
-        assert [tuple(z) for z in got.tolist()] == list(bfs_generators(group, want))
+        assert [tuple(z) for z in lat.generators.tolist()] == bfs_generators(group, gens)
+        # over the span in canonical order: the greedy canonical generators
+        got, codes = find_generators(group, lat.rows)
+        assert np.array_equal(codes, lat.codes)
+        assert [tuple(z) for z in got.tolist()] == bfs_generators(group, sorted(want))
