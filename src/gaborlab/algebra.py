@@ -113,7 +113,11 @@ def orthonormal_extension(
     The candidates left by a batched pre-filter go through block
     Gram-Schmidt with one re-orthogonalisation pass (CGS2, "twice is
     enough"), _CHUNK at a time, in the same chunks whatever the block edges.
-    One GEMM projects each chunk off the rows accepted so far, and the
+    The bits may still depend on the block edges: the pre-filter projects each
+    block with one GEMM of the block's shape, and BLAS may round a real GEMM
+    differently with its shape, so float64 candidates can give rows that move
+    at the 1e-15 level when the same candidates come in other blocks. A
+    caller whose blocks are fixed gets the same bits on every run. One GEMM projects each chunk off the rows accepted so far, and the
     candidates it leaves within RANK_RTOL / 4 x scale, the pre-filter's rule,
     are dropped there; only the survivors are projected off the basis and
     those rows again, the rows left in the span are dropped, and the rest go

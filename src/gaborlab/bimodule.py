@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import SpanError, TraceFunctional, block_matrix_algebra, matrix_units
-from .reporting import TOL_DIMENSION, campaign_rng
+from .reporting import TOL_DIMENSION
 from .vnmod import (
     BlockMatchError,
     CenterElement,
@@ -189,25 +189,25 @@ def verify_hypotheses(bm: Bimodule, tol: float = TOL_DIMENSION) -> None:
 
 
 def verify_left_right_bounded(
-    bm: Bimodule, trials: int = 100, seed: int = 0, tol: float = TOL_DIMENSION
+    bm: Bimodule, fs: np.ndarray, tol: float = TOL_DIMENSION
 ) -> list[BoundedVectorReport]:
-    """Norm inequality between the two bounded-vector operators, on random vectors.
+    """Norm inequality between the two bounded-vector operators, on each
+    vector of a (T, space_dim) stack; report t is vector t's.
 
     Both directions are checked with the same constant, the sup norm of the
     blockwise product of the two center-valued dimensions. When the right
     action is known to fill the commutant of the left one, the norms must
-    agree outright. The vectors are the rows of one draw from
-    campaign_rng(seed, "vectors"), so vector t is the same for every
-    trials > t, and the key keeps the draw apart from random_instance's.
-    tol gates the trace-alignment hypothesis as well as the norms.
+    agree outright. tol gates the trace-alignment hypothesis as well as the
+    norms. An empty stack raises ValueError, since no check could run.
     """
+    if len(fs) == 0:
+        raise ValueError("no vectors: the norm inequality needs at least one vector")
     verify_hypotheses(bm, tol)
     constant = bm.cdim_product().sup_norm()
-    fs = gaussian_vector(campaign_rng(seed, "vectors"), trials, bm.space_dim)
     ln, rn = bounded_norms(fs, bm.right), bounded_norms(fs, bm.left)
     slack = np.maximum(rn - constant * ln, ln - constant * rn)
     passed = slack <= tol
-    eq_devs = [None] * trials
+    eq_devs = [None] * len(fs)
     if bm.right_is_full_commutant:
         eq_dev = np.abs(ln - rn)
         passed &= eq_dev <= tol * np.maximum(1.0, ln)
@@ -226,7 +226,7 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_instance(
-    seed: int,
+    rng: np.random.Generator,
     block_count: int = 2,
     blocks: Sequence[tuple[int, int, int]] | None = None,
 ) -> Bimodule:
@@ -236,9 +236,9 @@ def random_instance(
     multiplicity m; the left algebra is a conjugated d x d matrix algebra
     (d dividing m) inside the block's commutant. Centers match by
     construction and the left trace is the induced one, so every hypothesis
-    holds. Deterministic in the seed.
+    holds. The block sizes (when blocks is None), the trace weights and the
+    unitaries are drawn from rng.
     """
-    rng = campaign_rng(seed, 0xB10C)
     if blocks is None:
         blocks = []
         used = 0

@@ -127,11 +127,6 @@ def bounded_vector_sweep(
     return checks
 
 
-def _child_seed(seed: int, label: str, index: int) -> int:
-    rng = campaign_rng(seed, label, index)
-    return int(rng.integers(0, 2**63 - 1))
-
-
 def norm_inequality_sweep(
     instances: int = 50,
     trials: int = 100,
@@ -139,31 +134,32 @@ def norm_inequality_sweep(
     tol: float = TOL_DIMENSION,
     gabor_orders=(2, 3, 4),
 ) -> list[Check]:
-    """Norm inequality on random instances, equality on the Gabor ones (A5)."""
+    """Norm inequality on random instances, equality on the Gabor ones (A5).
+
+    Instance i is drawn from campaign_rng(seed, "instance", i) and its
+    vectors from (seed, "trials", i); the 20 vectors of the Gabor lattice
+    (n, li) from (seed, "gabor", n, li).
+    """
     checks = []
     for i in range(instances):
-        bm = random_instance(_child_seed(seed, "instance", i), block_count=2)
+        bm = random_instance(campaign_rng(seed, "instance", i), block_count=2)
+        fs = gaussian_vector(campaign_rng(seed, "trials", i), trials, bm.space_dim)
         name = f"inst{i:02d}/"
         try:
-            reports = verify_left_right_bounded(
-                bm, trials, seed=_child_seed(seed, "trials", i), tol=tol
-            )
+            reports = verify_left_right_bounded(bm, fs, tol)
         except HypothesisError as exc:
             checks.append(
                 flag_check(f"{name}hypothesis-{exc.hypothesis}", False, exc.deviation, tol)
             )
             continue
         checks.append(flag_check(f"{name}hypotheses", True, 0.0, tol))
-        worst = max((r.slack for r in reports), default=0.0)
+        worst = max(r.slack for r in reports)
         checks.append(make_bound_check(f"{name}norm-inequality", worst, 0.0, tol))
     for n, li, lat in _cyclic_sweep(gabor_orders):
         bm = gabor_bimodule(lat)
-        reports = verify_left_right_bounded(
-            bm, trials=20, seed=_child_seed(seed, "gabor", n * 100 + li), tol=tol
-        )
-        worst_eq = max(
-            (r.equality_deviation / max(1.0, r.left_norm) for r in reports), default=0.0
-        )
+        fs = gaussian_vector(campaign_rng(seed, "gabor", n, li), 20, bm.space_dim)
+        reports = verify_left_right_bounded(bm, fs, tol)
+        worst_eq = max(r.equality_deviation / max(1.0, r.left_norm) for r in reports)
         checks.append(
             make_bound_check(f"gabor-n{n}/lat{li:02d}/norm-equality", worst_eq, 0.0, tol)
         )
@@ -182,6 +178,8 @@ def basic_construction_sweep(
     trials: int = 100, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[Check]:
     """Generated algebra, weighted trace identity, push-down residuals (A6)."""
+    if trials < 1:
+        raise ValueError(f"no samples: the A6 identities need at least one trial, got {trials}")
     checks = []
     for idx, (label, big, sub) in enumerate(_construction_instances()):
         kappa = TraceFunctional.from_matrix_trace(big)
@@ -227,6 +225,8 @@ def coefficient_change_sweep(
     trials: int = 1000, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[Check]:
     """Dimension under coefficient change, and the subalgebra norm bound (A7)."""
+    if trials < 1:
+        raise ValueError(f"no vectors: the A7 norm bound needs at least one trial, got {trials}")
     checks = []
     for idx, (label, big, sub) in enumerate(_construction_instances()):
         kappa = TraceFunctional.from_matrix_trace(big)
@@ -259,7 +259,8 @@ def coefficient_change_sweep(
 def cross_oracle_sweep(
     seed: int = 0, tol: float = TOL_DIMENSION, max_order: int = 4
 ) -> list[Check]:
-    """Projection-path dimension against the block-formula oracle (A8)."""
+    """Projection-path dimension against the block-formula oracle (A8); random
+    instance i is drawn from campaign_rng(seed, "cross", i)."""
     checks = []
     for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         bm = gabor_bimodule(lat)
@@ -280,7 +281,7 @@ def cross_oracle_sweep(
             dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
             checks.append(make_bound_check(f"{label}/{mod_label}", dev, 0.0, tol))
     for i in range(10):
-        bm = random_instance(_child_seed(seed, "cross", i), block_count=2)
+        bm = random_instance(campaign_rng(seed, "cross", i), block_count=2)
         for side, mod in (("left", bm.left), ("right", bm.right)):
             dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
             checks.append(make_bound_check(f"random{i:02d}/{side}", dev, 0.0, tol))

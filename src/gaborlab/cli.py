@@ -20,6 +20,7 @@ from .algebra import SpectralSplitError
 from .campaigns import duality_report, selftest_report
 from .bimodule import (
     HypothesisError,
+    gaussian_vector,
     random_instance,
     verify_left_right_bounded,
 )
@@ -37,6 +38,7 @@ from .reporting import (
     TOL_DIMENSION,
     TOL_SPECTRAL,
     Report,
+    campaign_rng,
     flag_check,
     make_bound_check,
     make_check,
@@ -156,7 +158,7 @@ def _cmd_bessel(args) -> Report:
         },
         seed=args.seed,
     )
-    checks = verify_bessel_duality([g], lat, tol, bm=gabor_bimodule(lat))
+    checks = verify_bessel_duality(g[None], lat, tol, bm=gabor_bimodule(lat))
     report.extend(checks)
     sides = {c.name: c for c in checks}
     report.data["bessel_bound"] = sides["right-norm-bessel"].rhs
@@ -183,27 +185,27 @@ def _cmd_bimodule(args) -> Report:
         if count < 1:
             raise UsageError(f"{flag} must be at least 1, got {count}")
     tol = TOL_DIMENSION if args.tol is None else args.tol
-    bm = random_instance(args.seed, block_count=args.blocks)
+    # one seed, two key paths, so the instance's draw and the vectors' stay apart
+    bm = random_instance(campaign_rng(args.seed, 0xB10C), block_count=args.blocks)
     report = Report(
         command="bimodule",
         parameters={"random": True, "blocks": args.blocks, "trials": args.trials, "tol": args.tol},
         seed=args.seed,
     )
+    fs = gaussian_vector(campaign_rng(args.seed, "vectors"), args.trials, bm.space_dim)
     try:
-        vectors = verify_left_right_bounded(bm, trials=args.trials, seed=args.seed, tol=tol)
+        vectors = verify_left_right_bounded(bm, fs, tol)
     except HypothesisError as exc:
         report.extend([flag_check(f"hypothesis-{exc.hypothesis}", False, exc.deviation, tol)])
         return report
     report.extend([flag_check("hypotheses", True, 0.0, tol)])
-    worst = max((v.slack for v in vectors), default=0.0)
+    worst = max(v.slack for v in vectors)
     report.extend([make_bound_check("norm-inequality", worst, 0.0, tol)])
     if bm.right_is_full_commutant:
-        worst_eq = max(
-            (v.equality_deviation / max(1.0, v.left_norm) for v in vectors), default=0.0
-        )
+        worst_eq = max(v.equality_deviation / max(1.0, v.left_norm) for v in vectors)
         report.extend([make_bound_check("norm-equality", worst_eq, 0.0, tol)])
     report.data["space_dim"] = bm.space_dim
-    report.data["constant"] = vectors[0].cdim_product_sup if vectors else None
+    report.data["constant"] = vectors[0].cdim_product_sup
     report.data["vectors"] = [v.to_dict() for v in vectors]
     return report
 

@@ -20,7 +20,7 @@ from .bimodule import (
     bounded_norms,
     check_alignment,
 )
-from .gabor import Window, bessel_bound_opt
+from .gabor import bessel_bound_opt
 from .groups import InvalidElementError, Lattice, ResourceLimitError, covolume
 # Lattice.adjoint makes every adjoint_lattice call; the name stays bound here
 # because perfbench's tracer test checks that by-name imports get wrapped.
@@ -109,34 +109,33 @@ def verify_cdim_covolume(
 
 
 def verify_bessel_duality(
-    windows: Sequence[Window] | np.ndarray,
+    windows: np.ndarray,
     lat: Lattice,
     tol: float = TOL_SPECTRAL,
     prefixes: Sequence[str] = ("",),
     bm: Bimodule | None = None,
 ) -> list[Check]:
     """The duality identity between the bound over the lattice and its adjoint,
-    plus the operator-norm characterizations of both bounds, for each of the
-    T windows, given as Windows or as a (T, |G|) stack of their values;
-    window t's checks are named after prefixes[t] and come in window order.
+    plus the operator-norm characterizations of both bounds, for each row of
+    a (T, |G|) stack of window values; window t's checks are named after
+    prefixes[t] and come in window order.
 
     Every side is homogeneous of degree 2 in g, so the checks are decided for
     g / |g| with a gate relative to the bound; the reported deviation is that
-    relative one, and the reported sides are scaled back by |g|^2. A zero
-    window, or one whose squared norm or bounds overflow a float or fall
-    below its smallest normal value, raises InvalidElementError.
+    relative one, and the reported sides are scaled back by |g|^2. A window
+    with a NaN or infinite entry, a zero window, or one whose squared norm or
+    bounds overflow a float or fall below its smallest normal value, raises
+    InvalidElementError.
     """
     if len(windows) == 0:
         raise ValueError("no windows: the Bessel checks need at least one window")
     if len(prefixes) != len(windows):
         raise ValueError(f"{len(windows)} windows but {len(prefixes)} check prefixes")
-    if not isinstance(windows, np.ndarray):
-        if any(g.group != lat.group for g in windows):
-            raise InvalidElementError("window and lattice live over different groups")
-        windows = [g.values for g in windows]
     values = np.array(windows, dtype=complex)
     if values.shape != (len(prefixes), lat.group.size):
         raise InvalidElementError(f"windows must be a (T, {lat.group.size}) stack")
+    if not np.isfinite(values.view(float)).all():
+        raise InvalidElementError("window entries must be finite")
     # |g|, taken after dividing by the largest component so that squaring tiny
     # or huge entries neither underflows nor overflows
     peaks = np.abs(values.view(float)).max(axis=1, initial=0.0)

@@ -6,30 +6,11 @@ L2(G) is the complex |G|-space and every shift is a unitary |G| x |G| matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .groups import FiniteAbelianGroup, InvalidElementError, Lattice
-
-
-@dataclass(frozen=True)
-class Window:
-    """A vector g in L2(G), stored in canonical group order."""
-
-    group: FiniteAbelianGroup
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).reshape(-1)
-        if vals.shape[0] != self.group.size:
-            raise InvalidElementError(
-                f"window has {vals.shape[0]} entries, group has {self.group.size}"
-            )
-        if not np.all(np.isfinite(vals.view(float))):
-            raise InvalidElementError("window entries must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 def tf_shift(group: FiniteAbelianGroup, z) -> np.ndarray:
@@ -82,7 +63,8 @@ def bessel_bound_opt(values: np.ndarray, lat: Lattice) -> np.ndarray:
 
 # -- JSON wire format ----------------------------------------------------
 
-def window_from_dict(data: dict, group: FiniteAbelianGroup) -> Window:
+def window_from_dict(data: dict, group: FiniteAbelianGroup) -> np.ndarray:
+    """The (|G|,) complex values of a window's JSON, in canonical group order."""
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise InvalidElementError("window JSON must be an object with a 'values' list")
     vals = []
@@ -95,4 +77,6 @@ def window_from_dict(data: dict, group: FiniteAbelianGroup) -> Window:
             vals.append(complex(float(entry[0]), float(entry[1])))
         except OverflowError:
             raise InvalidElementError(f"window value {entry!r} overflows a float") from None
-    return Window(group, np.array(vals, dtype=complex))
+    if len(vals) != group.size:
+        raise InvalidElementError(f"window has {len(vals)} entries, group has {group.size}")
+    return np.array(vals, dtype=complex)

@@ -27,7 +27,6 @@ from gaborlab.algebra import (
     span_equal,
     twisted_group_algebra,
 )
-from gaborlab.bimodule import random_instance
 from gaborlab.campaigns import _construction_instances
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import tf_shift
@@ -41,6 +40,7 @@ from gaborlab.reporting import TOL_SPAN
 from gaborlab import vnmod
 from gaborlab.vnmod import basic_construction, jones_projection, jones_sandwich_span
 from reference import add, dense_commutant, generate_algebra_full, orthonormal_extension_loop, point
+from seeded import seeded_instance
 
 Z4 = FiniteAbelianGroup((4,))
 Z24 = FiniteAbelianGroup((2, 4))
@@ -148,7 +148,7 @@ def test_orthonormal_extension_equals_the_row_loop_on_every_call(monkeypatch):
     for _, big, sub in _construction_instances():
         jones_sandwich_span(basic_construction(big, sub, TraceFunctional.from_matrix_trace(big)))
     for seed in range(12):
-        bm = random_instance(seed)
+        bm = seeded_instance(seed)
         for module in (bm.left, bm.right):
             module.image_algebra
             module.generators
@@ -534,7 +534,7 @@ def test_commutant_matches_dense_on_right_action_images(index):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_commutant_matches_dense_on_random_instances(seed):
-    bm = random_instance(seed)
+    bm = seeded_instance(seed)
     assert_matches_dense(bm.left.image_algebra)
     assert_matches_dense(bm.right.image_algebra)
 

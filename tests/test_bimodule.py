@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaborlab.bimodule
+import gaborlab.cli
 import gaborlab.vnmod
 from gaborlab.algebra import (
     SpanError,
@@ -24,13 +25,12 @@ from gaborlab.bimodule import (
     check_alignment,
     gaussian_vector,
     operator_norm,
-    random_instance,
     verify_hypotheses,
     verify_left_right_bounded,
 )
 from gaborlab.campaigns import _construction_instances
 from gaborlab.duality import gabor_bimodule
-from gaborlab.gabor import Window, bessel_bound_opt, frame_operator
+from gaborlab.gabor import bessel_bound_opt, frame_operator
 from gaborlab.groups import (
     FiniteAbelianGroup,
     covolume,
@@ -48,6 +48,7 @@ from gaborlab.vnmod import (
     induced_trace,
 )
 from reference import bounded_operator_loop, operator_norm_loop, point
+from seeded import INSTANCE_KEY, VECTORS_KEY, seeded_instance, seeded_vectors
 
 Z4 = FiniteAbelianGroup((4,))
 
@@ -61,7 +62,7 @@ def halfline_lattice():
 def delta_window(group):
     vals = np.zeros(group.size, dtype=complex)
     vals[0] = 1.0
-    return Window(group, vals)
+    return vals
 
 
 def regular_right_module(alg, kappa):
@@ -100,15 +101,15 @@ def test_gabor_worked_instance_norms():
     bm = gabor_bimodule(lat)
     g = delta_window(Z4)
     # frame operator diag(4,0,4,0), so the optimal Bessel bound is 4
-    s = frame_operator([g.values], lat)[0]
+    s = frame_operator([g], lat)[0]
     assert np.allclose(s, np.diag([4.0, 0, 4.0, 0]), atol=1e-12)
-    rn = operator_norm(bounded_operator([g.values], bm.left))[0]
+    rn = operator_norm(bounded_operator([g], bm.left))[0]
     assert rn**2 == pytest.approx(4.0, abs=1e-9)
     # left norm squared: adjoint-side Bessel bound divided by the covolume
-    b_adj = bessel_bound_opt([g.values], lat.adjoint)[0]
+    b_adj = bessel_bound_opt([g], lat.adjoint)[0]
     assert b_adj == pytest.approx(2.0, abs=1e-12)
     assert float(covolume(lat)) == 0.5
-    ln = operator_norm(bounded_operator([g.values], bm.right))[0]
+    ln = operator_norm(bounded_operator([g], bm.right))[0]
     assert ln**2 == pytest.approx(b_adj / float(covolume(lat)), abs=1e-9)
     assert ln == pytest.approx(rn, abs=1e-9)
 
@@ -116,8 +117,8 @@ def test_gabor_worked_instance_norms():
 def test_stacked_bounded_operator_and_norm_equal_a_per_vector_loop():
     rng = np.random.default_rng(33)
     instances = (
-        random_instance(3, blocks=[(2, 4, 2)]),
-        random_instance(5),
+        seeded_instance(3, blocks=[(2, 4, 2)]),
+        seeded_instance(5),
         gabor_bimodule(halfline_lattice()),
     )
     for bm in instances:
@@ -131,9 +132,10 @@ def test_stacked_bounded_operator_and_norm_equal_a_per_vector_loop():
             # the Gram's eigvalsh rounds otherwise than the oracle's SVD
             want = operator_norm_loop(stacked)
             assert np.all(np.abs(operator_norm(stacked) - want) <= 1e-14 * want)
-    # an empty stack gives no operators, no norms and no reports
+    # an empty stack gives no operators and no norms, and no vector no report
     assert operator_norm(bounded_operator(fs[:0], bm.left)).shape == (0,)
-    assert verify_left_right_bounded(bm, trials=0) == []
+    with pytest.raises(ValueError, match="no vectors"):
+        verify_left_right_bounded(bm, fs[:0])
 
 
 def test_operator_norm_is_the_largest_singular_value():
@@ -166,10 +168,10 @@ def test_operator_norm_is_the_largest_singular_value():
 
 
 def norm_test_modules():
-    """Every side of random_instance(0..9) and of every Z2-Z4 Gabor bimodule,
+    """Every side of seeded_instance(0..9) and of every Z2-Z4 Gabor bimodule,
     and A7's six modules (the GNS space over the big and the sub algebra)."""
     mods = []
-    for bm in [random_instance(seed) for seed in range(10)] + [
+    for bm in [seeded_instance(seed) for seed in range(10)] + [
         gabor_bimodule(lat)
         for order in (2, 3, 4)
         for lat in enumerate_subgroups(FiniteAbelianGroup((order,)))
@@ -212,7 +214,7 @@ def test_bounded_operator_gram_is_multiplication_by_the_inner_product():
 
 def test_left_operator_module_identity():
     # L_{f n} = L_f composed with left multiplication on the GNS side
-    bm = random_instance(11, blocks=[(2, 2, 2)])
+    bm = seeded_instance(11, blocks=[(2, 2, 2)])
     rng = np.random.default_rng(32)
     sp = bm.right.space
     for _ in range(10):
@@ -240,7 +242,7 @@ def test_scaled_trace_breaks_alignment():
 
 
 def test_induced_trace_instance_is_aligned():
-    bm = random_instance(5, blocks=[(2, 2, 2), (1, 2, 2)])
+    bm = seeded_instance(5, blocks=[(2, 2, 2), (1, 2, 2)])
     assert check_alignment(bm) <= 1e-9
 
 
@@ -293,15 +295,15 @@ def test_each_module_derives_generators_and_synthesis_once(monkeypatch):
         for mod in (gaborlab.vnmod, gaborlab.bimodule):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted)
-    bm = random_instance(3, blocks=[(2, 4, 2)])
-    verify_left_right_bounded(bm, trials=5)
+    bm = seeded_instance(3, blocks=[(2, 4, 2)])
+    verify_left_right_bounded(bm, seeded_vectors(0, 5, bm.space_dim))
     for name, calls in seen.items():
         assert len(calls) == 2, name
         assert {id(m) for m in calls} == {id(bm.left), id(bm.right)}, name
 
 
 def test_hypotheses_pass_on_seeded_instance():
-    bm = random_instance(7, blocks=[(2, 4, 2)])
+    bm = seeded_instance(7, blocks=[(2, 4, 2)])
     verify_hypotheses(bm)
     assert check_alignment(bm) <= 1e-9
     _, center_defect = span_equal(center(bm.left.image_algebra), center(bm.right.image_algebra))
@@ -309,22 +311,23 @@ def test_hypotheses_pass_on_seeded_instance():
 
 
 def test_the_trace_alignment_hypothesis_takes_the_tolerance():
-    bm = random_instance(7, blocks=[(2, 4, 2)])
+    bm = seeded_instance(7, blocks=[(2, 4, 2)])
     tau = bm.left.trace
     tilted = TraceFunctional(tau.algebra, tau.values * (1 + 1e-6))
     off = Bimodule(LeftModule(tau.algebra, tilted, bm.left.images), bm.right)
     assert 1e-9 < check_alignment(off) < 1e-3
+    fs = seeded_vectors(0, 5, bm.space_dim)
     with pytest.raises(HypothesisError) as err:
-        verify_left_right_bounded(off, trials=5)
+        verify_left_right_bounded(off, fs)
     assert err.value.hypothesis == "trace alignment"
-    assert len(verify_left_right_bounded(off, trials=5, tol=1e-3)) == 5
+    assert len(verify_left_right_bounded(off, fs, tol=1e-3)) == 5
 
 
 def test_the_hypotheses_build_no_image_algebra():
     # faithfulness, commutation and matching centers are read off each
     # algebra's blocks and the actions of its generators
     bimodules = [gabor_bimodule(lat) for lat in enumerate_subgroups(Z4)]
-    bimodules += [random_instance(seed) for seed in range(5)]
+    bimodules += [seeded_instance(seed) for seed in range(5)]
     for bm in bimodules:
         assert "image_algebra" not in vars(bm.left) and "image_algebra" not in vars(bm.right)
         verify_hypotheses(bm)
@@ -346,19 +349,20 @@ def test_actions_that_do_not_commute_are_rejected():
 
 
 def test_norm_equality_on_gabor_module():
-    reports = verify_left_right_bounded(gabor_bimodule(halfline_lattice()), trials=25, seed=1)
+    bm = gabor_bimodule(halfline_lattice())
+    reports = verify_left_right_bounded(bm, seeded_vectors(1, 25, bm.space_dim))
     assert all(r.passed for r in reports)
     assert all(r.equality_deviation is not None for r in reports)
     assert max(r.slack for r in reports) <= 1e-9
 
 
 def test_norm_inequality_on_multiplicity_instance():
-    bm = random_instance(3, blocks=[(2, 4, 2)])
+    bm = seeded_instance(3, blocks=[(2, 4, 2)])
     assert bm.cdim_product().sup_norm() == pytest.approx(4.0, abs=1e-9)
-    reports = verify_left_right_bounded(bm, trials=50, seed=2)
+    fs = seeded_vectors(2, 50, bm.space_dim)
+    reports = verify_left_right_bounded(bm, fs)
     assert all(r.passed for r in reports)
     # brute-force check on a few of the vectors drawn
-    fs = gaussian_vector(campaign_rng(2, "vectors"), 50, bm.space_dim)
     for t in (0, 7, 23):
         f = fs[t]
         ln = operator_norm(bounded_operator([f], bm.right))[0]
@@ -367,7 +371,7 @@ def test_norm_inequality_on_multiplicity_instance():
         assert ln <= 4.0 * rn + 1e-9
 
 
-def test_vector_t_of_a_draw_does_not_depend_on_the_trial_count(monkeypatch):
+def test_vector_t_of_a_draw_does_not_depend_on_the_trial_count(monkeypatch, capsys):
     drawn = []
 
     def spy(fs, module):
@@ -375,47 +379,47 @@ def test_vector_t_of_a_draw_does_not_depend_on_the_trial_count(monkeypatch):
         return bounded_norms(fs, module)
 
     monkeypatch.setattr(gaborlab.bimodule, "bounded_norms", spy)
-    bm = random_instance(3, blocks=[(2, 4, 2)])
     for trials in (40, 1, 9, 39):
-        verify_left_right_bounded(bm, trials=trials, seed=6)
+        gaborlab.cli.run(["bimodule", "--random", "--seed", "6", "--trials", str(trials)])
+    capsys.readouterr()
     longest = drawn[0]
+    assert len(drawn) == 8 and len(longest) == 40
     for fs in drawn[1:]:
         assert np.array_equal(fs, longest[: len(fs)])
 
 
-def test_one_generator_per_call_apart_from_the_instance(monkeypatch):
+def test_one_generator_per_call_apart_from_the_instance(monkeypatch, capsys):
     keys = []
 
     def spy(seed, *key):
         keys.append((seed, key))
         return campaign_rng(seed, *key)
 
-    monkeypatch.setattr(gaborlab.bimodule, "campaign_rng", spy)
-    # the bimodule command passes one seed to both
-    bm = random_instance(8)
-    assert keys == [(8, (0xB10C,))]
-    verify_left_right_bounded(bm, trials=50, seed=8)
-    assert len(keys) == 2
+    monkeypatch.setattr(gaborlab.cli, "campaign_rng", spy)
+    # the command splits its one seed into the instance's key and the vectors'
+    gaborlab.cli.run(["bimodule", "--random", "--seed", "8", "--trials", "50"])
+    capsys.readouterr()
+    assert keys == [(8, INSTANCE_KEY), (8, VECTORS_KEY)]
     streams = [campaign_rng(seed, *key).standard_normal(16) for seed, key in keys]
     assert not np.array_equal(*streams)
 
 
 def test_trivial_scalar_instance():
-    bm = random_instance(9, blocks=[(1, 1, 1)])
+    bm = seeded_instance(9, blocks=[(1, 1, 1)])
     assert bm.space_dim == 1
-    reports = verify_left_right_bounded(bm, trials=5, seed=0)
+    reports = verify_left_right_bounded(bm, seeded_vectors(0, 5, bm.space_dim))
     assert all(r.passed for r in reports)
 
 
 def test_random_instance_determinism_and_caps():
-    a = random_instance(42)
-    b = random_instance(42)
+    a = seeded_instance(42)
+    b = seeded_instance(42)
     assert np.array_equal(a.left.images, b.left.images)
     assert np.array_equal(a.right.images, b.right.images)
     with pytest.raises(ValueError):
-        random_instance(0, blocks=[(2, 3, 2)])
+        seeded_instance(0, blocks=[(2, 3, 2)])
     with pytest.raises(ValueError, match="exceed the space cap"):
-        random_instance(0, blocks=[(3, 11, 1)])
+        seeded_instance(0, blocks=[(3, 11, 1)])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -424,7 +428,7 @@ def test_random_instance_lays_out_each_block(seed):
     # here, and the left images are d x d matrix units commuting with them
     # whose diagonal sums to the block's projection
     blocks = [(2, 4, 2), (1, 2, 1), (3, 2, 2), (1, 1, 1)]
-    bm = random_instance(seed, blocks=blocks)
+    bm = seeded_instance(seed, blocks=blocks)
     h = bm.space_dim
     right, projs, labels, offset = [], [], [], 0
     for i, (n, m, d) in enumerate(blocks):
@@ -467,7 +471,7 @@ def cdim_product_identity_deviation(bm):
 
 def test_cdim_product_identity():
     for seed in (1, 2, 3):
-        bm = random_instance(seed)
+        bm = seeded_instance(seed)
         assert cdim_product_identity_deviation(bm) <= 1e-9
     assert cdim_product_identity_deviation(gabor_bimodule(halfline_lattice())) <= 1e-9
 

@@ -1,3 +1,4 @@
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -14,9 +15,11 @@ from gaborlab.algebra import (
 )
 from gaborlab.campaigns import (
     _gaussian_windows,
+    basic_construction_sweep,
     bessel_duality_sweep,
     bounded_vector_sweep,
     cdim_sweep,
+    coefficient_change_sweep,
     cross_oracle_sweep,
     determinism_probe,
     duality_report,
@@ -28,7 +31,7 @@ from gaborlab.duality import (
     verify_cdim_covolume,
     verify_commutant,
 )
-from gaborlab.gabor import Window, shift_stack
+from gaborlab.gabor import shift_stack
 from gaborlab.groups import (
     FiniteAbelianGroup,
     InvalidElementError,
@@ -62,7 +65,7 @@ def lat_square():
 def delta(group):
     vals = np.zeros(group.size, dtype=complex)
     vals[0] = 1.0
-    return Window(group, vals)
+    return vals
 
 
 # ------------------------------------------------------------- construction
@@ -200,22 +203,25 @@ def test_bessel_duality_halfline_lattice():
 def test_bessel_duality_zero_window():
     # every bound of the zero window is 0, so no check could fail: bad input
     lat = lat_square()
-    g = Window(Z4, np.zeros(4, dtype=complex))
+    g = np.zeros(4, dtype=complex)
     with pytest.raises(InvalidElementError, match="window is zero"):
         verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
 
 
 def test_no_windows_is_rejected_by_name():
-    # with no window no Bessel check could run, so each entry point refuses
+    # with no window, vector or sample no check could run, so each entry point refuses
     lat = lat_square()
     calls = (
-        lambda: verify_bessel_duality([], lat, prefixes=[]),
-        lambda: verify_bessel_duality([], lat, prefixes=[], bm=gabor_bimodule(lat)),
-        lambda: duality_report((2, 2), trials=0),
-        lambda: bessel_duality_sweep(trials=0),
+        (lambda: verify_bessel_duality([], lat, prefixes=[]), "no windows"),
+        (lambda: verify_bessel_duality([], lat, prefixes=[], bm=gabor_bimodule(lat)), "no windows"),
+        (lambda: duality_report((2, 2), trials=0), "no windows"),
+        (lambda: bessel_duality_sweep(trials=0), "no windows"),
+        (lambda: norm_inequality_sweep(3, 0, 3), "no vectors"),
+        (lambda: basic_construction_sweep(0, 3), "no samples"),
+        (lambda: coefficient_change_sweep(0, 3), "no vectors"),
     )
-    for call in calls:
-        with pytest.raises(ValueError, match="no windows"):
+    for call, match in calls:
+        with pytest.raises(ValueError, match=match):
             call()
 
 
@@ -224,14 +230,14 @@ def test_bessel_gate_is_relative_at_every_scale(scale, monkeypatch):
     lat = lattice_from_generators(Z4, [point(Z4, (2,), (0,)), point(Z4, (0,), (1,))])
     bm = gabor_bimodule(lat)
     vals = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 4))
-    base = verify_bessel_duality([Window(Z4, vals)], lat, tol=1e-30, bm=bm)
-    scaled = verify_bessel_duality([Window(Z4, vals * scale)], lat, tol=1e-30, bm=bm)
+    base = verify_bessel_duality([vals], lat, tol=1e-30, bm=bm)
+    scaled = verify_bessel_duality([vals * scale], lat, tol=1e-30, bm=bm)
     for got, want in zip(scaled, base):
         assert got.deviation == pytest.approx(want.deviation, abs=1e-14)
         assert got.lhs == pytest.approx(want.lhs * scale**2, rel=1e-12)
         assert got.rhs == pytest.approx(want.rhs * scale**2, rel=1e-12)
     # the default tolerance passes at every scale
-    assert all(c.passed for c in verify_bessel_duality([Window(Z4, vals * scale)], lat, bm=bm))
+    assert all(c.passed for c in verify_bessel_duality([vals * scale], lat, bm=bm))
 
     # an adjoint bound 1e-6 too large, relative to itself, fails a gate of
     # 1e-8 and passes one of 1e-4 at every scale; a gate that is absolute
@@ -243,7 +249,7 @@ def test_bessel_gate_is_relative_at_every_scale(scale, monkeypatch):
 
     monkeypatch.setattr(duality, "bessel_bound_opt", skewed)
     for tol, passed in ((1e-8, False), (1e-4, True)):
-        checks = verify_bessel_duality([Window(Z4, vals * scale)], lat, tol=tol, bm=bm)
+        checks = verify_bessel_duality([vals * scale], lat, tol=tol, bm=bm)
         gate = {c.name: c for c in checks}["bessel-duality"]
         assert gate.passed is passed
         assert gate.deviation == pytest.approx(1e-6, rel=1e-6)
@@ -253,12 +259,12 @@ def test_bessel_overflowing_window_is_rejected():
     lat = lat_square()
     for value in (1e200, 5e153):
         # 1e200: |g|^2 overflows; 5e153: |g|^2 fits but the bounds do not
-        g = Window(Z4, np.full(4, value, dtype=complex))
+        g = np.full(4, value, dtype=complex)
         with pytest.raises(InvalidElementError, match="overflow"):
             verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
     for value in (1e-200, 1e-160):
         # 1e-200: |g|^2 is 0 in floats; 1e-160: |g|^2 is subnormal, with digits lost
-        g = Window(Z4, np.full(4, value, dtype=complex))
+        g = np.full(4, value, dtype=complex)
         with pytest.raises(InvalidElementError, match="underflows a float"):
             verify_bessel_duality([g], lat, bm=gabor_bimodule(lat))
 
@@ -268,7 +274,7 @@ def test_bessel_duality_on_a_stack_equals_one_window_at_a_time():
     scales = (1e-150, 1.0, 1e150, 1.0, 1e-150, 1e150)
     for lat in enumerate_subgroups(Z4):
         bm = gabor_bimodule(lat)
-        windows = [Window(Z4, (rng.normal(size=4) + 1j * rng.normal(size=4)) * s) for s in scales]
+        windows = np.array([(rng.normal(size=4) + 1j * rng.normal(size=4)) * s for s in scales])
         prefixes = [f"win{t:02d}/" for t in range(len(windows))]
         stacked = verify_bessel_duality(windows, lat, prefixes=prefixes, bm=bm)
         single = [
@@ -281,23 +287,34 @@ def test_bessel_duality_on_a_stack_equals_one_window_at_a_time():
         for got, want in zip(stacked, single):
             assert got.lhs == pytest.approx(want.lhs, rel=1e-13)
             assert got.rhs == pytest.approx(want.rhs, rel=1e-13)
-        # the values of the windows as one stack give the same checks
-        values = np.array([g.values for g in windows])
-        assert verify_bessel_duality(values, lat, prefixes=prefixes, bm=bm) == stacked
     with pytest.raises(ValueError, match="prefixes"):
         verify_bessel_duality(windows, lat, prefixes=["one"], bm=bm)
     with pytest.raises(InvalidElementError, match="stack"):
-        verify_bessel_duality(values[:, :3], lat, prefixes=prefixes, bm=bm)
+        verify_bessel_duality(windows[:, :3], lat, prefixes=prefixes, bm=bm)
 
 
 def test_a_zero_window_anywhere_in_a_stack_is_rejected():
     lat = lat_square()
     bm = gabor_bimodule(lat)
-    g = Window(Z4, np.array([1.0, 2j, -1.0, 0.5]))
-    zero = Window(Z4, np.zeros(4, dtype=complex))
+    g = np.array([1.0, 2j, -1.0, 0.5])
+    zero = np.zeros(4, dtype=complex)
     for stack in ([zero, g, g], [g, zero, g], [g, g, zero]):
         with pytest.raises(InvalidElementError, match="window is zero"):
             verify_bessel_duality(stack, lat, prefixes=["a/", "b/", "c/"], bm=bm)
+
+
+def test_a_window_with_a_nan_or_infinite_entry_is_rejected():
+    lat = lat_square()
+    bm = gabor_bimodule(lat)
+    g = np.array([1.0, 2j, -1.0, 0.5])
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)):
+        stack = np.array([g, g, g])
+        stack[1, 2] = bad
+        # refused by name, before any arithmetic could warn about it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidElementError, match="window entries must be finite"):
+                verify_bessel_duality(stack, lat, prefixes=["a/", "b/", "c/"], bm=bm)
 
 
 def test_gabor_alignment_check():
@@ -346,8 +363,7 @@ def test_random_window_sweep_small_groups():
             bm = gabor_bimodule(lat)
             for _ in range(3):
                 vals = rng.normal(size=group.size) + 1j * rng.normal(size=group.size)
-                g = Window(group, vals)
-                checks = verify_bessel_duality([g], lat, bm=bm)
+                checks = verify_bessel_duality([vals], lat, bm=bm)
                 assert all(c.passed for c in checks)
 
 
@@ -366,14 +382,33 @@ def test_one_generator_per_lattice(monkeypatch):
         keys.append(key)
         return campaign_rng(seed, *key)
 
-    for module in (campaigns, gaborlab.bimodule):
-        monkeypatch.setattr(module, "campaign_rng", spy)
+    monkeypatch.setattr(campaigns, "campaign_rng", spy)
     count = len(enumerate_subgroups(Z2))
     assert len(bounded_vector_sweep((2,), 100, 3)) == 300 * count
     assert keys == [("bounded", 2, li) for li in range(count)]
     keys.clear()
     assert duality_report((2,), trials=3, seed=3).all_passed
     assert keys == [("duality", li) for li in range(count)]
+
+
+def test_each_random_draw_has_its_own_key_path(monkeypatch):
+    # A5's instances, their vectors and its Gabor vectors, and A8's
+    # instances, each split straight from the master seed
+    keys = []
+
+    def spy(seed, *key):
+        keys.append((seed, key))
+        return campaign_rng(seed, *key)
+
+    monkeypatch.setattr(campaigns, "campaign_rng", spy)
+    count = len(enumerate_subgroups(Z2))
+    norm_inequality_sweep(2, 5, 3, gabor_orders=(2,))
+    want = [("instance", 0), ("trials", 0), ("instance", 1), ("trials", 1)]
+    want += [("gabor", 2, li) for li in range(count)]
+    assert keys == [(3, key) for key in want]
+    keys.clear()
+    cross_oracle_sweep(3, max_order=2)
+    assert keys == [(3, ("cross", i)) for i in range(10)]
 
 
 def counted_algebras(monkeypatch) -> list:

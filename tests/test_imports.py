@@ -156,3 +156,21 @@ def test_detects_a_dead_constant():
 def test_no_dead_symbols():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_symbols(sources) == []
+
+
+def test_only_the_campaigns_and_the_cli_split_seeds():
+    # the code that names an item splits the master seed for it; every other
+    # module takes the generator or the stack its caller drew
+    splitters = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = set(referenced_names(tree))
+        names.update(
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        if "campaign_rng" in names:
+            splitters.add(path.name)
+    assert splitters == {"campaigns.py", "cli.py"}

@@ -22,7 +22,7 @@ from gaborlab.algebra import (
     twisted_group_algebra,
     _vec,
 )
-from gaborlab.bimodule import bounded_norms, gaussian_vector, random_instance
+from gaborlab.bimodule import bounded_norms, gaussian_vector
 from gaborlab.campaigns import _bounded_norms, _construction_instances, _cyclic_sweep
 from gaborlab.duality import gabor_bimodule
 from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups, lattice_from_generators
@@ -52,6 +52,7 @@ from gaborlab.vnmod import (
     _synthesis,
 )
 from reference import block_ranks_loop, pair_blocks_loop
+from seeded import seeded_instance
 
 
 def row_module(alg, kappa):
@@ -144,11 +145,11 @@ def test_spanning_generators_raise_when_no_orbit_adds_a_direction():
 
 
 def generic_span_modules():
-    """Both sides of random_instance(0..9) and of every Z2-Z8 Gabor bimodule,
+    """Both sides of seeded_instance(0..9) and of every Z2-Z8 Gabor bimodule,
     and A7's six GNS modules: 248 modules."""
     mods = []
     for seed in range(10):
-        bm = random_instance(seed)
+        bm = seeded_instance(seed)
         mods += [bm.left, bm.right]
     for _, _, lat in _cyclic_sweep(range(2, 9)):
         bm = gabor_bimodule(lat)
@@ -186,7 +187,7 @@ def faithfulness_cases():
     """Named modules, faithful and not, over the algebras gaborlab builds."""
     cases = []
     for seed in range(10):
-        bm = random_instance(seed)
+        bm = seeded_instance(seed)
         cases += [(f"random{seed}/left", bm.left), (f"random{seed}/right", bm.right)]
     for n in (2, 3, 4):
         for li, lat in enumerate(enumerate_subgroups(FiniteAbelianGroup((n,)))):
@@ -255,7 +256,7 @@ def test_each_algebra_is_split_once(monkeypatch):
 
 def test_a_stacked_action_is_the_action_of_each_matrix():
     rng = np.random.default_rng(18)
-    bm = random_instance(4)
+    bm = seeded_instance(4)
     for mod in (bm.left, bm.right):
         mats = np.stack([random_element(mod.algebra, rng) for _ in range(5)])
         stacked = mod.act(mats)
@@ -382,7 +383,7 @@ def large_lattice_modules():
 
 
 def test_batched_block_ranks_and_matches_equal_the_per_block_loops(monkeypatch):
-    bms = [random_instance(seed) for seed in range(10)] + [
+    bms = [seeded_instance(seed) for seed in range(10)] + [
         gabor_bimodule(lat)
         for order in (2, 3, 4, 6)
         for lat in enumerate_subgroups(FiniteAbelianGroup((order,)))
@@ -420,7 +421,7 @@ def test_the_one_block_gate_has_a_wide_margin():
     # of the bimodules the campaigns build and on A7's sub/big pairs
     groups = [FiniteAbelianGroup((n,)) for n in range(2, 9)]
     groups += [FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 3))]
-    bms = [random_instance(seed) for seed in range(10)]
+    bms = [seeded_instance(seed) for seed in range(10)]
     bms += [gabor_bimodule(lat) for group in groups for lat in enumerate_subgroups(group)]
     stacks = [
         tuple(side.act(side.algebra.central_projections) for side in (bm.left, bm.right))
