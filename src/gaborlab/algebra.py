@@ -180,6 +180,9 @@ def orthonormal_extension(
 class StarAlgebra:
     """A unital self-adjoint matrix algebra with an HS-orthonormal basis."""
 
+    # the algebra this one is the transpose of, whose split gives its blocks
+    _transpose_of: StarAlgebra | None = None
+
     def __init__(self, basis: np.ndarray, generators: Sequence[np.ndarray] | None = None):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -230,10 +233,22 @@ class StarAlgebra:
             return self.generators
         return tuple(self.basis)
 
+    def transpose(self) -> StarAlgebra:
+        """The algebra of transposes {a^T : a in self}, which reverses products:
+        the opposite algebra. Its basis and generators are views of self's
+        transposed. Transposing sum x_kl W_k W_l^* gives sum x_kl conj(W_l)
+        conj(W_k)^*, so its blocks are conj(W) for each block W of self, taken
+        on first use: self is split at most once for both."""
+        gens = None if self.generators is None else tuple(g.T for g in self.generators)
+        transposed = StarAlgebra(self.basis.transpose(0, 2, 1), generators=gens)
+        transposed._transpose_of = self
+        return transposed
+
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The algebra as a direct sum of M_d (x) I_m: one read-only (d, n, m)
-        stack of isometries W_1..W_d per central block, split once per algebra.
+        stack of isometries W_1..W_d per central block, split once per algebra
+        (a transposed algebra conjugates its source's split instead).
 
         W_k maps C^m onto the range of the block's k-th minimal projection, and
         the W_k are matched so that sum_k W_k X W_k^* is I_d (x) X. The ranges
@@ -244,6 +259,11 @@ class StarAlgebra:
         x |b|). A cluster that merged two ranges leaves a linked block that is
         not a multiple of a unitary, and the split is drawn again.
         """
+        if self._transpose_of is not None:
+            stacks = tuple(w.conj() for w in self._transpose_of.blocks)
+            for w in stacks:
+                w.flags.writeable = False
+            return stacks
         rng = np.random.default_rng(_SPLIT_SEED)
         for _ in range(5):
             evecs, cuts = _generic_eigenbasis(self.basis, rng)
@@ -535,20 +555,18 @@ def center_valued_trace(
     return ConditionalExpectation(alg, center(alg), trace)
 
 
-def twisted_group_algebra(lat: Lattice, flavor: str = "plain") -> StarAlgebra:
-    """The twisted group algebra of a lattice: the span of its shifts on L2(G).
-
-    flavor "plain" twists by the cocycle of pi(z) pi(z') = c(z, z') pi(z + z');
-    "opposite" spans the transposed shifts, whose products reverse, so it
-    twists by the reversed cocycle.
-    """
-    if flavor not in ("plain", "opposite"):
-        raise ValueError(f"flavor must be 'plain' or 'opposite', got {flavor!r}")
+@lru_cache(maxsize=256)
+def twisted_group_algebra(lat: Lattice) -> StarAlgebra:
+    """The twisted group algebra of a lattice: the span of its shifts on L2(G),
+    twisted by the cocycle of pi(z) pi(z') = c(z, z') pi(z + z'); its
+    transpose twists by the reversed cocycle. Built once per lattice and
+    shared by every caller, its split into blocks included, so its arrays are
+    read-only."""
     shifts = shift_stack(lat)
-    if flavor == "opposite":
-        shifts = shifts.transpose(0, 2, 1)
     n = lat.group.size
-    return StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
+    alg = StarAlgebra(shifts / np.sqrt(n), generators=tuple(shifts[lat.index(lat.generators)]))
+    read_only(alg)
+    return alg
 
 
 def read_only(*holders) -> None:

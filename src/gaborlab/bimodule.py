@@ -198,10 +198,13 @@ def verify_left_right_bounded(
     blockwise product of the two center-valued dimensions. When the right
     action is known to fill the commutant of the left one, the norms must
     agree outright. tol gates the trace-alignment hypothesis as well as the
-    norms. An empty stack raises ValueError, since no check could run.
+    norms. An empty stack raises ValueError, since no check could run, and
+    a stack of another shape raises SpanError.
     """
     if len(fs) == 0:
         raise ValueError("no vectors: the norm inequality needs at least one vector")
+    if np.ndim(fs) != 2 or np.shape(fs)[1] != bm.space_dim:
+        raise SpanError(f"vectors must be a (T, {bm.space_dim}) stack, got shape {np.shape(fs)}")
     verify_hypotheses(bm, tol)
     constant = bm.cdim_product().sup_norm()
     ln, rn = bounded_norms(fs, bm.right), bounded_norms(fs, bm.left)

@@ -20,6 +20,7 @@ from .algebra import (
     full_matrix_algebra,
     gns,
     span_equal,
+    twisted_group_algebra,
 )
 from .bimodule import (
     HypothesisError,
@@ -34,6 +35,7 @@ from .duality import (
     verify_cdim_covolume,
     verify_commutant,
 )
+from .gabor import shift_stack
 from .groups import FiniteAbelianGroup, enumerate_subgroups
 from .reporting import (
     TOL_DIMENSION,
@@ -59,9 +61,11 @@ from .vnmod import (
 )
 
 DEFAULT_MAX_ORDER = 8
-# the memoized builders, bound at import so that a wrapper installed later
-# over the module names leaves their cache_clear in reach
-_BUILDERS = (gabor_bimodule, _standard_blocks)
+# every process cache of the package, bound at import so that a wrapper
+# installed later over the module names leaves their cache_clear in reach
+_BUILDERS = (
+    enumerate_subgroups, shift_stack, twisted_group_algebra, _standard_blocks, gabor_bimodule
+)
 # vectors per chunk of A7's norms: the pairs conj(f) (x) f take 2.6 MB at
 # h = 36, 2.9 MiB traced, where 1000 at once take 22.6 MiB; the norms then
 # work on 6 x 6 matrices
@@ -298,7 +302,7 @@ def _tolerances(tol: float | None) -> tuple[float, float, float]:
 def determinism_probe(seed: int = 7, order: int = 4) -> list[Check]:
     """One campaign rendered twice must emit byte-identical JSON (A9, internal form).
 
-    Each render starts with both builder caches empty, as in a fresh process,
+    Each render starts with every process cache empty, as in a fresh process,
     so the second render never reads the objects the first one built.
     """
 

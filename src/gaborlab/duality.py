@@ -2,9 +2,12 @@
 
 L2(G) carries the shifts from a lattice on the left and the shifts from its
 adjoint on the right. Each twisted group algebra has one realisation, the
-span of shifts: the lattice's algebra acts on L2(G) as itself, and the
-adjoint's opposite-twisted algebra, the span of the transposed adjoint
-shifts, acts by transposing back, which reverses products.
+span of shifts, built and split into blocks once per lattice per process:
+the lattice's algebra acts on L2(G) as itself, and the adjoint's algebra
+acts on the right through its transpose, the opposite algebra, by
+transposing back, which reverses products. A sweep over Λ and Λ° thus
+builds and splits each algebra once for both of its sides: the left of
+gabor_bimodule(Λ) and the right of gabor_bimodule(Λ°).
 """
 
 from __future__ import annotations
@@ -43,17 +46,20 @@ GROUP_CAP = 12
 def gabor_bimodule(lat: Lattice) -> Bimodule:
     """L2(G) as a bimodule: lattice shifts on the left, adjoint shifts on the right.
 
-    The left images are the lattice algebra's basis itself; the right images
-    are the transposed basis of the adjoint's opposite algebra. Built once per
-    lattice and shared by every caller, with what its algebras and modules
+    The left algebra is the lattice's twisted group algebra and its images
+    are its basis itself; the right algebra is the transpose of the adjoint's
+    twisted group algebra and its images are the adjoint's basis. Built once
+    per lattice and shared by every caller, with what its algebras and modules
     cache on first use. Its arrays and its algebras' block splits are
     read-only; its modules' GNS factors, generators and synthesis are not.
     """
     group = lat.group
     if group.size > GROUP_CAP:
         raise ResourceLimitError(f"group size {group.size} exceeds the cap {GROUP_CAP}")
-    left_alg = twisted_group_algebra(lat, "plain")
-    right_alg = twisted_group_algebra(lat.adjoint, "opposite")
+    left_alg = twisted_group_algebra(lat)
+    # lat.adjoint equals the enumerated adjoint (both take greedy generators
+    # from sorted rows), so gabor_bimodule of it acts on the left by this algebra
+    right_alg = twisted_group_algebra(lat.adjoint).transpose()
     # every shift but the identity is traceless, so the canonical state is Tr / |G|
     tau = TraceFunctional(left_alg, np.trace(left_alg.basis, axis1=1, axis2=2) * (1.0 / group.size))
     kappa = TraceFunctional(

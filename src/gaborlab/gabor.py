@@ -13,10 +13,21 @@ import numpy as np
 from .groups import FiniteAbelianGroup, InvalidElementError, Lattice
 
 
+def _roots_of_unity(order: int) -> np.ndarray:
+    """exp(2 pi i p / order) for p = 0..order-1, exact where p is a multiple
+    of order / 4: 1, i, -1 and -i carry no rounding in either part."""
+    powers = np.arange(order)
+    roots = np.exp(2j * np.pi * (powers / order))
+    quarters = powers[4 * powers % order == 0]
+    roots[quarters] = np.array([1, 1j, -1, -1j])[4 * quarters // order]
+    return roots
+
+
 def tf_shift(group: FiniteAbelianGroup, z) -> np.ndarray:
     """The unitary (shift by x, then modulate by w): (Mf)(t) = w(t) f(t - x),
     for one phase-space row z = (x, w); a (T, 2k) stack of rows gives the T
-    unitaries as one (T, |G|, |G|) array."""
+    unitaries as one (T, |G|, |G|) array. The character values are read off
+    one table of L-th roots of unity, so +-1 and +-i are exact."""
     single = np.ndim(z) == 1
     zs = group.check_points([z] if single else z)
     k, n = len(group.orders), group.size
@@ -24,7 +35,7 @@ def tf_shift(group: FiniteAbelianGroup, z) -> np.ndarray:
     phase = group.pairing(ts, zs[:, k:]).T
     mats = np.zeros((len(zs), n, n), dtype=complex)
     cols = group.code(ts - zs[:, None, :k])
-    mats[np.arange(len(zs))[:, None], np.arange(n), cols] = np.exp(2j * np.pi * (phase / group.lcm))
+    mats[np.arange(len(zs))[:, None], np.arange(n), cols] = _roots_of_unity(group.lcm)[phase]
     return mats[0] if single else mats
 
 

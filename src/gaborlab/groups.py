@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -76,8 +76,20 @@ class FiniteAbelianGroup:
         return elem
 
     def check_points(self, rows) -> np.ndarray:
-        """Phase-space points as a (T, 2k) int64 array, each row (x, w) checked."""
+        """Phase-space points as a (T, 2k) int64 array, each row (x, w) checked.
+
+        An integer (T, 2k) array is checked by one range test of the whole
+        array; any other input, or an array with a row out of range, is checked
+        row by row, so the error names the first bad row's bad half.
+        """
         k = len(self.orders)
+        if (
+            isinstance(rows, np.ndarray)
+            and rows.dtype.kind in "iu"
+            and rows.shape[1:] == (2 * k,)
+            and np.all((rows >= 0) & (rows < self.orders * 2))
+        ):
+            return rows.astype(np.int64, copy=False)
         checked = [self.check(z[:k]) + self.check(z[k:]) for z in map(_integers, rows)]
         return np.array(checked, dtype=np.int64).reshape(-1, 2 * k)
 
@@ -214,12 +226,15 @@ def covolume(lat: Lattice) -> Fraction:
     return Fraction(lat.group.size, lat.size)
 
 
-def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Lattice]:
+@lru_cache(maxsize=256)
+def enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Lattice, ...]:
     """Every subgroup of G x G, canonically ordered and duplicate-free.
 
     Breadth first from the trivial subgroup: each subgroup found is joined,
     in one sum set, with every distinct cyclic subgroup it does not contain,
-    and the joins are told apart by their membership masks.
+    and the joins are told apart by their membership masks. Enumerated once
+    per group and shared by every caller: each call returns the same lattice
+    objects, so each computes its adjoint at most once per process.
     """
     n = group.size**2
     if n > PHASE_SPACE_CAP:
@@ -249,7 +264,7 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Lattice]:
                     grown.append(found[key])
         frontier = grown
     lattices = (_closed(Lattice(group, group.decode(sub)), len(sub)) for sub in found.values())
-    return sorted(lattices, key=lambda lat: (lat.size, lat.codes.tolist()))
+    return tuple(sorted(lattices, key=lambda lat: (lat.size, lat.codes.tolist())))
 
 
 # -- JSON wire formats ---------------------------------------------------

@@ -22,6 +22,7 @@ from gaborlab.algebra import (
     full_matrix_algebra,
     generate_algebra,
     gns,
+    matrix_units,
     minimal_central_projections,
     orthonormal_extension,
     span_equal,
@@ -335,9 +336,9 @@ def test_the_real_and_the_complex_route_give_one_algebra(monkeypatch):
         equal, dev = span_equal(alg, twin)
         assert equal and dev <= algebra.SPAN_ATOL
     # the route follows the exact test; of A6's sets only m2m2-over-center's
-    # (its e) and of the Z2^2 shifts those with a phase exp(i pi) are complex
+    # (its e) is complex, and every Z2^2 shift is exactly +-1-valued, so real
     exact = [not any(np.any(np.imag(g)) for g in gens) for gens in cases]
-    assert exact[:4] == [True, False, True, True] and 0 < sum(exact[4:]) < len(z22)
+    assert exact[:4] == [True, False, True, True] and sum(exact[4:]) == len(z22)
     assert routes == [{np.dtype(np.float64 if real else np.complex128)} for real in exact]
 
 
@@ -1054,7 +1055,9 @@ def test_twisted_cocycle_identity(flavor):
     )
     groups = [FiniteAbelianGroup(o) for o in [(n,) for n in range(2, 7)] + [(2, 2), (2, 3)]]
     for lat in [mixed] + [lat for g in groups for lat in enumerate_subgroups(g)]:
-        alg = twisted_group_algebra(lat, flavor=flavor)
+        alg = twisted_group_algebra(lat)
+        if flavor == "opposite":
+            alg = alg.transpose()
         assert alg.dimension == lat.size
         group = lat.group
         pts = [tuple(z) for z in lat.rows.tolist()]
@@ -1078,7 +1081,34 @@ def test_twisted_canonical_trace():
         assert left.trace(lam(left.algebra, i)) == pytest.approx(want, abs=1e-12)
 
 
-def test_twisted_rejects_unknown_flavor():
-    lat = square_lattice()
-    with pytest.raises(ValueError):
-        twisted_group_algebra(lat, flavor="sideways")
+def test_the_transposed_blocks_are_the_conjugated_split(monkeypatch):
+    # every lattice of Z2-Z6, Z2^2 and Z2 x Z3: conj(W) for each block W of
+    # the source meets the blocks contract of the transposed algebra, which
+    # is never split itself
+    splits = []
+    split = algebra._generic_eigenbasis
+
+    def counted(basis, rng):
+        splits.append(basis)
+        return split(basis, rng)
+
+    monkeypatch.setattr(algebra, "_generic_eigenbasis", counted)
+    groups = [FiniteAbelianGroup(o) for o in [(n,) for n in range(2, 7)] + [(2, 2), (2, 3)]]
+    for lat in [lat for g in groups for lat in enumerate_subgroups(g)]:
+        source = twisted_group_algebra(lat)
+        opposite = source.transpose()
+        assert np.array_equal(opposite.basis, source.basis.transpose(0, 2, 1))
+        start = len(splits)
+        for w, mine in zip(opposite.blocks, source.blocks, strict=True):
+            assert np.array_equal(w, mine.conj()) and not w.flags.writeable
+            m = w.shape[2]
+            # W_k^* W_l = delta_kl I_m
+            gram = np.matmul(w.conj().transpose(0, 2, 1)[:, None], w[None])
+            want = np.eye(w.shape[0])[:, :, None, None] * np.eye(m)
+            assert np.max(np.abs(gram - want)) <= 1e-12
+            units = matrix_units(w)
+            assert np.max(opposite.residuals(units)) <= algebra.SPAN_ATOL
+        total = opposite.central_projections.sum(axis=0)
+        assert np.max(np.abs(total - np.eye(lat.group.size))) <= 1e-12
+        # the source's split, made on the transpose's first use, serves both
+        assert splits[start:] and all(basis is source.basis for basis in splits[start:])

@@ -25,6 +25,7 @@ from gaborlab.bimodule import (
     check_alignment,
     gaussian_vector,
     operator_norm,
+    random_instance,
     verify_hypotheses,
     verify_left_right_bounded,
 )
@@ -136,6 +137,17 @@ def test_stacked_bounded_operator_and_norm_equal_a_per_vector_loop():
     assert operator_norm(bounded_operator(fs[:0], bm.left)).shape == (0,)
     with pytest.raises(ValueError, match="no vectors"):
         verify_left_right_bounded(bm, fs[:0])
+
+
+def test_the_norm_inequality_names_a_wrong_stack_shape():
+    bm = random_instance(campaign_rng(0, 1), blocks=[(2, 2, 2)])
+    h = bm.space_dim
+    fs = gaussian_vector(np.random.default_rng(5), 3, h + 1)
+    for wrong in (fs, fs[0, :h]):
+        with pytest.raises(SpanError) as err:
+            verify_left_right_bounded(bm, wrong)
+        assert str(err.value) == f"vectors must be a (T, {h}) stack, got shape {wrong.shape}"
+    assert len(verify_left_right_bounded(bm, fs[:, :h])) == 3
 
 
 def test_operator_norm_is_the_largest_singular_value():

@@ -1,13 +1,11 @@
 import warnings
-from functools import cached_property
 
 import numpy as np
 import pytest
 
 import gaborlab.bimodule
-from gaborlab import algebra, campaigns, duality, groups
+from gaborlab import algebra, campaigns, cli, duality, groups
 from gaborlab.algebra import (
-    StarAlgebra,
     block_matrix_algebra,
     commutant,
     span_equal,
@@ -20,6 +18,7 @@ from gaborlab.campaigns import (
     bounded_vector_sweep,
     cdim_sweep,
     coefficient_change_sweep,
+    commutant_sweep,
     cross_oracle_sweep,
     determinism_probe,
     duality_report,
@@ -35,6 +34,7 @@ from gaborlab.gabor import shift_stack
 from gaborlab.groups import (
     FiniteAbelianGroup,
     InvalidElementError,
+    Lattice,
     ResourceLimitError,
     covolume,
     enumerate_subgroups,
@@ -145,29 +145,17 @@ def test_one_cdim_per_side_per_lattice(monkeypatch):
     assert [id(m) for m in calls] == [id(bm.left), id(bm.right)]
 
 
-def test_two_algebras_and_one_split_each_per_lattice(monkeypatch):
-    built, split, bimodules = [], [], []
-    build, blocks = twisted_group_algebra, StarAlgebra.blocks.func
-
-    def counted_build(lat, flavor="plain"):
-        built.append(build(lat, flavor))
-        return built[-1]
-
-    def counted_blocks(self):
-        split.append(self)
-        return blocks(self)
-
-    spy = cached_property(counted_blocks)
-    spy.__set_name__(StarAlgebra, "blocks")
-    for module in (algebra, duality):
-        monkeypatch.setattr(module, "twisted_group_algebra", counted_build)
-    monkeypatch.setattr(StarAlgebra, "blocks", spy)
+def test_one_algebra_and_one_split_per_lattice(monkeypatch):
+    built, split, bimodules = counted_algebras(monkeypatch), counted_splits(monkeypatch), []
     assert duality_report((2, 2), trials=1).all_passed
-    # the bimodule's two algebras, each split once: for cdim, cdim_blockwise
-    # and the commutant alike
-    assert len(built) == 2 * len(enumerate_subgroups(FiniteAbelianGroup((2, 2))))
-    assert len(split) == len({id(alg) for alg in split}) <= len(built)
-    assert all(any(alg is mine for mine in built) for alg in split)
+    # Z2^2's lattices are closed under the adjoint, so each lattice's algebra
+    # is built and split once for both of its sides: the left of its own
+    # bimodule and, transposed, the right of its adjoint's; cdim,
+    # cdim_blockwise and the commutant read that one split
+    lats = enumerate_subgroups(FiniteAbelianGroup((2, 2)))
+    assert len(built) == len(set(built)) == len(lats) == 67 and set(built) == set(lats)
+    assert len(split) == 67
+    assert {id(basis) for basis in split} == {id(twisted_group_algebra(lat).basis) for lat in lats}
 
     def counted_bimodule(lat):
         bimodules.append(lat)
@@ -177,6 +165,14 @@ def test_two_algebras_and_one_split_each_per_lattice(monkeypatch):
     assert all(c.passed for c in campaigns.commutant_sweep(3))
     # Z2 and Z3 have 5 + 6 lattices
     assert len(bimodules) == 11
+
+
+def test_one_bessel_run_splits_no_algebra(monkeypatch, capsys):
+    split = counted_splits(monkeypatch)
+    argv = ["bessel", "--orders", "4", "--lattice", '{"generators": [[[2], [0]], [[0], [1]]]}']
+    argv += ["--window", '{"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}']
+    assert cli.run(argv) == 0
+    assert split == []
 
 
 def test_bessel_duality_full_lattice():
@@ -354,6 +350,10 @@ def test_one_adjoint_per_lattice(monkeypatch):
     bessel_duality_sweep(4, 3)
     # Z2, Z3 and Z4 have 5 + 6 + 15 lattices, each windowed 3 times
     assert len(calls) == 26
+    # A2 and A3 visit the same enumerated lattices, whose adjoints are known
+    commutant_sweep(4)
+    cdim_sweep(4)
+    assert len(calls) == 26
 
 
 def test_random_window_sweep_small_groups():
@@ -412,24 +412,46 @@ def test_each_random_draw_has_its_own_key_path(monkeypatch):
 
 
 def counted_algebras(monkeypatch) -> list:
-    """The twisted group algebras that gabor_bimodule builds from now on."""
-    built, build = [], twisted_group_algebra
+    """The lattices whose twisted group algebra is built from now on: each
+    build reads the lattice's shift stack once."""
+    built, stack = [], shift_stack
 
-    def counted(lat, flavor="plain"):
-        built.append(build(lat, flavor))
-        return built[-1]
+    def counted(lat):
+        built.append(lat)
+        return stack(lat)
 
-    monkeypatch.setattr(duality, "twisted_group_algebra", counted)
+    monkeypatch.setattr(algebra, "shift_stack", counted)
     return built
 
 
+def counted_splits(monkeypatch) -> list:
+    """The bases of the algebras split into blocks from now on."""
+    split, eigenbasis = [], algebra._generic_eigenbasis
+
+    def counted(basis, rng):
+        split.append(basis)
+        return eigenbasis(basis, rng)
+
+    monkeypatch.setattr(algebra, "_generic_eigenbasis", counted)
+    return split
+
+
 def test_each_a9_render_builds_its_own_bimodules(monkeypatch):
-    # warm the cache first: A9 must still build both renders from scratch,
-    # the two algebras of each of Z4's 15 lattices, twice
+    # warm the caches first: A9 must still build both renders from scratch,
+    # building and splitting the algebra of each of Z4's 15 lattices once per
+    # render, and enumerating Z4 once per render
     assert duality_report((4,), trials=1).all_passed
-    built = counted_algebras(monkeypatch)
+    built, split = counted_algebras(monkeypatch), counted_splits(monkeypatch)
+    enumerated, enumerate_z4 = [], enumerate_subgroups
+
+    def counted_enumeration(group):
+        enumerated.append(enumerate_z4(group))
+        return enumerated[-1]
+
+    monkeypatch.setattr(campaigns, "enumerate_subgroups", counted_enumeration)
     assert all(c.passed for c in determinism_probe(7, 4))
-    assert len(built) == 2 * 15 * 2
+    assert len(built) == len(split) == 2 * 15
+    assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
 
 
 def test_shared_builds_are_read_only():
@@ -446,9 +468,18 @@ def test_shared_builds_are_read_only():
 
 
 def test_equal_inputs_share_one_build():
-    for lat, again in zip(enumerate_subgroups(Z4), enumerate_subgroups(Z4)):
-        assert lat is not again
+    lats = enumerate_subgroups(Z4)
+    assert enumerate_subgroups(Z4) is lats
+    for lat in lats:
+        again = Lattice(Z4, lat.rows)
+        assert again == lat and again is not lat
         assert gabor_bimodule(lat) is gabor_bimodule(again)
+        assert twisted_group_algebra(lat) is twisted_group_algebra(again)
+        # the enumerated adjoint is equal to the computed one, so the adjoint's
+        # bimodule acts on the left by the algebra whose transpose acts here
+        assert lat.adjoint in lats
+        right = gabor_bimodule(lat).right.algebra
+        assert right._transpose_of is gabor_bimodule(lat.adjoint).left.algebra
     assert block_matrix_algebra([2, 1]) is block_matrix_algebra((2, 1))
 
 
@@ -469,11 +500,12 @@ def test_a_warm_sweep_repeats_every_number_of_a_cold_one(sweep):
     assert numbers() == cold
 
 
-def test_vector_sweep_builds_two_algebras_per_distinct_lattice(monkeypatch):
+def test_vector_sweep_builds_one_algebra_per_distinct_lattice(monkeypatch):
     built = counted_algebras(monkeypatch)
     bounded_vector_sweep((2, 4, 6), 100, 3)
     norm_inequality_sweep(50, 100, 3)
     cross_oracle_sweep(3, max_order=4)
-    # A4 visits Z2, Z4 and Z6, A5 and A8 visit Z2, Z3 and Z4
+    # A4 visits Z2, Z4 and Z6, A5 and A8 visit Z2, Z3 and Z4; each group's
+    # lattices are closed under the adjoint, so every algebra serves two sides
     distinct = {lat for n in (2, 3, 4, 6) for lat in enumerate_subgroups(FiniteAbelianGroup((n,)))}
-    assert len(built) == 2 * len(distinct) == 112
+    assert len(built) == len(set(built)) == len(distinct) == 56

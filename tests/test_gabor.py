@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaborlab.algebra import twisted_group_algebra
 from gaborlab.gabor import (
     bessel_bound_opt,
     frame_operator,
@@ -182,6 +183,18 @@ def test_bessel_bound_matches_synthesis_norm():
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         C = analysis_matrix(g, lat)
         assert bessel_bound_opt([g], lat) == pytest.approx([np.linalg.norm(C, 2) ** 2])
+
+
+def test_quarter_phases_are_exact():
+    # every character value of Z2^2 and Z4 is a fourth root of unity, and
+    # comes out exactly, so each of Z2^2's 67 lattice algebras is exactly real
+    fourth_roots = {1, 1j, -1, -1j}
+    for group in (FiniteAbelianGroup((2, 2)), Z4):
+        stack = tf_shift(group, all_points(group))
+        assert set(stack[stack != 0].tolist()) <= fourth_roots
+    z22 = enumerate_subgroups(FiniteAbelianGroup((2, 2)))
+    assert len(z22) == 67
+    assert not any(np.any(twisted_group_algebra(lat).basis.imag) for lat in z22)
 
 
 def test_shift_linear_independence():

@@ -208,6 +208,19 @@ def test_lattice_rejects_bad_generators():
     for gens in ([(4, 0)], [(0, -1)], [(1,)], [(1, 0, 0)], [(1.5, 0)], [("1", 0)], [3]):
         with pytest.raises(InvalidElementError):
             Lattice(Z4, gens)
+    # whole arrays, checked at once, name the first bad row as the rows do
+    for gens, message in (
+        (np.array([[1, 0], [0, 1], [1.5, 0]]), "array([1., 0.]) is not a sequence of integers"),
+        (np.array([[1, 0], ["1", 0]]), "array(['1', '0'], dtype='<U21') is not a sequence of integers"),
+        (np.array([[1, 0, 0], [0, 1, 0]]), "(0, 0) is not an element of Z(4,)"),
+        (np.array([[1, 0], [2, 4], [5, 0]]), "(4,) is not an element of Z(4,)"),
+        (np.array([[1, 0], [-1, 0]]), "(-1,) is not an element of Z(4,)"),
+    ):
+        with pytest.raises(InvalidElementError) as err:
+            Lattice(Z4, gens)
+        assert str(err.value) == message
+    assert Lattice(Z4, np.array([[3, 1]], dtype=np.uint8)) == Lattice(Z4, [(3, 1)])
+    assert Lattice(Z4, np.empty((0, 2), dtype=np.int64)) == Lattice(Z4, [])
 
 
 def test_index_finds_lattice_points_and_rejects_others():
@@ -246,6 +259,10 @@ def test_each_enumerated_and_adjoint_lattice_is_spanned_once(monkeypatch):
     # one join per generator: the span is grown once, while picking them
     lats = enumerate_subgroups(FiniteAbelianGroup((2, 2)))
     assert len(joins) == sum(len(lat.generators) for lat in lats)
+    # the group is enumerated once per process: a second call spans nothing
+    joins.clear()
+    assert enumerate_subgroups(FiniteAbelianGroup((2, 2))) is lats
+    assert joins == []
     for lat in lats:
         joins.clear()
         adj = adjoint_lattice(lat)

@@ -8,6 +8,7 @@ and so is any import whose line carries `# noqa: F401`.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -174,3 +175,21 @@ def test_only_the_campaigns_and_the_cli_split_seeds():
         if "campaign_rng" in names:
             splitters.add(path.name)
     assert splitters == {"campaigns.py", "cli.py"}
+
+
+def test_every_process_cache_is_in_the_one_registry():
+    # the test fixture and A9 empty the process caches from this one list
+    from gaborlab.campaigns import _BUILDERS
+
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("gaborlab" if path.stem == "__init__" else f"gaborlab.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        cached.append(getattr(module, node.name))
+    assert len(cached) == len(_BUILDERS) == 5
+    assert {id(builder) for builder in cached} == {id(builder) for builder in _BUILDERS}
