@@ -50,13 +50,12 @@ from .reporting import (
 from .vnmod import (
     RightModule,
     basic_construction,
-    blockwise_deviation,
-    blockwise_product,
     cdim,
     cdim_blockwise,
     direct_sum,
     gns_right_module,
     jones_sandwich_span,
+    pair_blocks,
     push_down,
 )
 
@@ -66,10 +65,6 @@ DEFAULT_MAX_ORDER = 8
 _BUILDERS = (
     enumerate_subgroups, shift_stack, twisted_group_algebra, _standard_blocks, gabor_bimodule
 )
-# vectors per chunk of A7's norms: the pairs conj(f) (x) f take 2.6 MB at
-# h = 36, 2.9 MiB traced, where 1000 at once take 22.6 MiB; the norms then
-# work on 6 x 6 matrices
-_NORM_TRIALS = 125
 
 
 def _cyclic_sweep(orders):
@@ -197,7 +192,7 @@ def basic_construction_sweep(
 
         ez_big = center_valued_trace(ctx.big)
         ez_gen = center_valued_trace(ctx.algebra)
-        weight = ctx.encode_left(ctx.dim_value.matrix)
+        weight = ctx.encode_left(ctx.weight)
         rng = campaign_rng(seed, "construction", idx)
         # every trial draws n1, then n2; all trials run as one (trials, ...) stack
         pairs = ctx.big.reconstruct(gaussian_vector(rng, trials, 2, ctx.big.dimension))
@@ -215,16 +210,6 @@ def basic_construction_sweep(
     return checks
 
 
-def _bounded_norms(fs: np.ndarray, module: RightModule) -> np.ndarray:
-    """bounded_norms(fs, module) over _NORM_TRIALS vectors at a time, so that
-    no (trials, h * h) stack of pairs is ever whole."""
-    norms = np.empty(fs.shape[0])
-    for s in range(0, fs.shape[0], _NORM_TRIALS):
-        part = slice(s, s + _NORM_TRIALS)
-        norms[part] = bounded_norms(fs[part], module)
-    return norms
-
-
 def coefficient_change_sweep(
     trials: int = 1000, seed: int = 0, tol: float = TOL_DIMENSION
 ) -> list[Check]:
@@ -238,6 +223,8 @@ def coefficient_change_sweep(
         over_big = gns_right_module(sp, big)
         over_sub = gns_right_module(sp, sub)
         base_dim = cdim(over_sub)
+        # the block of big paired with each block of sub, for both module pairs
+        partners, _ = pair_blocks(sub.central_projections, big.central_projections)
 
         col_big = RightModule(big, kappa, big.basis.transpose(0, 2, 1), check=False)
         col_sub = RightModule(sub, over_sub.trace, sub.basis.transpose(0, 2, 1), check=False)
@@ -245,16 +232,16 @@ def coefficient_change_sweep(
             ("gns", over_big, over_sub),
             ("columns", col_big, col_sub),
         ):
-            dev = blockwise_deviation(cdim(h_sub), blockwise_product(base_dim, cdim(h_big)))
+            dev = float(np.max(np.abs(cdim(h_sub) - base_dim * cdim(h_big)[partners])))
             checks.append(make_bound_check(f"{label}/{mod_label}/cdim-change", dev, 0.0, tol))
 
-        constant = base_dim.sup_norm()
+        constant = float(np.max(base_dim))
         if label == "m4-over-m2":
             checks.append(
                 make_bound_check(f"{label}/constant-is-4", abs(constant - 4.0), 0.0, tol)
             )
         fs = gaussian_vector(campaign_rng(seed, "subalgebra", idx), trials, big.dimension)
-        big_norms, sub_norms = _bounded_norms(fs, over_big), _bounded_norms(fs, over_sub)
+        big_norms, sub_norms = bounded_norms(fs, over_big), bounded_norms(fs, over_sub)
         worst = float(np.max(big_norms - constant * sub_norms, initial=0.0))
         checks.append(make_bound_check(f"{label}/subalgebra-norm-bound", worst, 0.0, tol))
     return checks
@@ -269,7 +256,7 @@ def cross_oracle_sweep(
     for n, li, lat in _cyclic_sweep(range(2, max_order + 1)):
         bm = gabor_bimodule(lat)
         for side, mod in (("left", bm.left), ("right", bm.right)):
-            dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
+            dev = float(np.max(np.abs(cdim(mod) - cdim_blockwise(mod))))
             checks.append(make_bound_check(f"gabor-n{n}/lat{li:02d}/{side}", dev, 0.0, tol))
     for label, big, sub in _construction_instances():
         kappa = TraceFunctional.from_matrix_trace(big)
@@ -282,12 +269,12 @@ def cross_oracle_sweep(
             "doubled": direct_sum(gns_over_sub, gns_over_sub),
         }
         for mod_label, mod in mods.items():
-            dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
+            dev = float(np.max(np.abs(cdim(mod) - cdim_blockwise(mod))))
             checks.append(make_bound_check(f"{label}/{mod_label}", dev, 0.0, tol))
     for i in range(10):
         bm = random_instance(campaign_rng(seed, "cross", i), block_count=2)
         for side, mod in (("left", bm.left), ("right", bm.right)):
-            dev = blockwise_deviation(cdim(mod), cdim_blockwise(mod))
+            dev = float(np.max(np.abs(cdim(mod) - cdim_blockwise(mod))))
             checks.append(make_bound_check(f"random{i:02d}/{side}", dev, 0.0, tol))
     return checks
 

@@ -40,39 +40,6 @@ class PreconditionError(ValueError):
     """A documented precondition of an operation does not hold."""
 
 
-class CenterElement:
-    """A center element stored as coefficients on minimal central projections,
-    one (blocks, n, n) stack: an algebra's read-only stack is shared, not copied."""
-
-    def __init__(self, projections: np.ndarray | Sequence[np.ndarray], coefficients):
-        self.projections = np.asarray(projections, dtype=complex)
-        coeffs = np.asarray(coefficients)
-        if np.iscomplexobj(coeffs):
-            if coeffs.size and float(np.max(np.abs(coeffs.imag))) > 1e-8:
-                raise ValueError("center coefficients must be real")
-            coeffs = coeffs.real
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.projections),):
-            raise ValueError("need one coefficient per projection")
-        if coeffs.size and float(coeffs.min()) < -1e-8:
-            raise ValueError(f"negative center coefficient {coeffs.min():.3e}")
-        self.coefficients = np.maximum(coeffs, 0.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.einsum("i,iab->ab", self.coefficients, self.projections)
-
-    def sup_norm(self) -> float:
-        return float(np.max(self.coefficients)) if self.coefficients.size else 0.0
-
-    def max_dev_from_scalar(self, value: float) -> float:
-        return float(np.max(np.abs(self.coefficients - value)))
-
-    def __repr__(self) -> str:
-        vals = ", ".join(f"{c:.6g}" for c in self.coefficients)
-        return f"CenterElement([{vals}])"
-
-
 class BlockMatchError(ValueError):
     """A block has no unique partner; distance is pair_blocks' worst distance."""
 
@@ -81,14 +48,15 @@ class BlockMatchError(ValueError):
         self.distance = distance
 
 
-def pair_blocks(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+def pair_blocks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Pair the projections of two (blocks, n, n) stacks in one space, the one
     rule by which gaborlab matches central blocks: P = a[i] pairs with the one
     Q = b[j] not yet taken within |P - Q|_HS / max(1, |P|_HS) <= SPAN_ATOL.
 
-    Returns the pairs (i, j) in a's order and the worst distance from a
-    projection of a to its nearest one in b. Raises BlockMatchError, carrying
-    that distance, when a block has no unique partner.
+    Returns the partners, the block j of b paired with each block i of a as
+    an int array in a's order, and the worst distance from a projection of a
+    to its nearest one in b. Raises BlockMatchError, carrying that distance,
+    when a block has no unique partner.
     """
     a, b = _vec(a), _vec(b)
     dists = np.linalg.norm(a[:, None] - b[None], axis=-1)
@@ -96,35 +64,15 @@ def pair_blocks(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], fl
     worst = float(dists.min(axis=1).max())
     if len(a) != len(b):
         raise BlockMatchError("the stacks have different block counts", worst)
-    pairs = []
+    partners = np.empty(len(a), dtype=int)
     free = np.ones(len(b), dtype=bool)
     for i, row in enumerate(dists <= SPAN_ATOL):
         hits = np.flatnonzero(row & free)
         if len(hits) != 1:
             raise BlockMatchError(f"block {i} matched {len(hits)} partners", worst)
-        pairs.append((i, int(hits[0])))
+        partners[i] = hits[0]
         free[hits[0]] = False
-    return pairs, worst
-
-
-def _partners(a: CenterElement, b: CenterElement, embed_a, embed_b) -> list[int]:
-    """The block of b paired with each block of a, after the embeddings map
-    each side's projections into a common space (identity maps by default)."""
-    pa, pb = (embed_a or np.asarray)(a.projections), (embed_b or np.asarray)(b.projections)
-    return [j for _, j in pair_blocks(pa, pb)[0]]
-
-
-def blockwise_product(
-    a: CenterElement, b: CenterElement, embed_a=None, embed_b=None
-) -> CenterElement:
-    """Componentwise product on matched blocks, expressed on a's projections."""
-    partners = _partners(a, b, embed_a, embed_b)
-    return CenterElement(a.projections, a.coefficients * b.coefficients[partners])
-
-
-def blockwise_deviation(a: CenterElement, b: CenterElement, embed_a=None, embed_b=None) -> float:
-    partners = _partners(a, b, embed_a, embed_b)
-    return float(np.max(np.abs(a.coefficients - b.coefficients[partners])))
+    return partners, worst
 
 
 class _ModuleBase:
@@ -289,8 +237,24 @@ def _diagonal_block_sum(mat: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("jajb->ab", mat.reshape(k, d, k, d))
 
 
-def cdim(module: _ModuleBase) -> CenterElement:
-    """Center-valued dimension via the compressed-trace formula on a projection.
+def _center_coefficients(values) -> np.ndarray:
+    """The coefficients of a center-valued dimension, one per central block, as
+    a float array: an imaginary part above 1e-8 or a value below -1e-8 raises
+    ValueError, and smaller negatives are clipped to 0."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        if values.size and float(np.max(np.abs(values.imag))) > 1e-8:
+            raise ValueError("center coefficients must be real")
+        values = values.real
+    values = np.asarray(values, dtype=float)
+    if values.size and float(values.min()) < -1e-8:
+        raise ValueError(f"negative center coefficient {values.min():.3e}")
+    return np.maximum(values, 0.0)
+
+
+def cdim(module: _ModuleBase) -> np.ndarray:
+    """Center-valued dimension via the compressed-trace formula on a projection,
+    as a (blocks,) array: entry i belongs to module.algebra.central_projections[i].
 
     x decodes the diagonal blocks of p; the coefficient on each minimal
     central projection q is Tr(q x) / Tr(q), which is the coefficient of the
@@ -302,12 +266,12 @@ def cdim(module: _ModuleBase) -> CenterElement:
     _, p = module.synthesis
     x = _decode_multiplier(module.space, _diagonal_block_sum(p, module.space.dim))
     projections = module.algebra.central_projections
-    coeffs = [(np.trace(q @ x) / np.trace(q)).real for q in projections]
-    return CenterElement(projections, coeffs)
+    return _center_coefficients([np.trace(q @ x) / np.trace(q) for q in projections])
 
 
-def cdim_blockwise(module: _ModuleBase) -> CenterElement:
-    """Independent route: per central block, space rank over algebra-block dimension.
+def cdim_blockwise(module: _ModuleBase) -> np.ndarray:
+    """Independent route, in the same block order as cdim: per central block,
+    space rank over algebra-block dimension.
 
     Both are traces rounded to integers. A projection acts as a projection,
     whose trace is its rank. With K = sum_i b_i^* b_i over the orthonormal
@@ -321,7 +285,7 @@ def cdim_blockwise(module: _ModuleBase) -> CenterElement:
     rows = module.algebra.basis.reshape(-1, module.algebra.ambient_dim)
     k = rows.conj().T @ rows
     block_dims = np.rint(np.trace(k @ projections, axis1=1, axis2=2).real)
-    return CenterElement(projections, space_ranks / block_dims)
+    return _center_coefficients(space_ranks / block_dims)
 
 
 def bounded_operator(fs: np.ndarray, module: _ModuleBase) -> np.ndarray:
@@ -403,7 +367,8 @@ class BasicConstruction:
     module: RightModule                # the GNS space as a right module over the subalgebra
     induced: TraceFunctional           # induced trace on the generated algebra
     expect_onto_big: ConditionalExpectation
-    dim_value: CenterElement           # cdim of the GNS space over the subalgebra
+    dim_value: np.ndarray              # cdim of the GNS space over the subalgebra
+    weight: np.ndarray                 # sum_i dim_value[i] P_i over sub's central projections
     commutant_defect: float            # span deviation against the right-action commutant
     centers_match: bool                # pair_blocks pairs sub's and big's central projections
 
@@ -442,6 +407,7 @@ def basic_construction(
     induced = induced_trace(module, algebra)
     expect = ConditionalExpectation(algebra, left_image, induced)
     dim_value = cdim(module)
+    weight = np.einsum("i,iab->ab", dim_value, sub.central_projections)
     centers_ok = True
     try:
         pair_blocks(sub.central_projections, big.central_projections)
@@ -460,6 +426,7 @@ def basic_construction(
         induced=induced,
         expect_onto_big=expect,
         dim_value=dim_value,
+        weight=weight,
         commutant_defect=defect,
         centers_match=centers_ok,
     )
@@ -470,11 +437,11 @@ def push_down(op: np.ndarray, ctx: BasicConstruction) -> np.ndarray:
     a stack of operators gives the stack of their n."""
     if not ctx.centers_match:
         raise PreconditionError("push-down needs matching centers")
-    if ctx.dim_value.coefficients.size == 0 or ctx.dim_value.coefficients.min() <= 0:
+    if ctx.dim_value.size == 0 or ctx.dim_value.min() <= 0:
         raise PreconditionError("push-down needs strictly positive dimension coefficients")
     compressed = ctx.expect_onto_big(np.asarray(op, dtype=complex) @ ctx.jones)
     raw = ctx.decode_left(compressed)
-    return ctx.dim_value.matrix @ raw
+    return ctx.weight @ raw
 
 
 def jones_sandwich_span(ctx: BasicConstruction) -> StarAlgebra:

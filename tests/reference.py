@@ -104,22 +104,22 @@ def block_ranks_loop(alg: StarAlgebra) -> list[int]:
     ]
 
 
-def pair_blocks_loop(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+def pair_blocks_loop(a: np.ndarray, b: np.ndarray) -> tuple[list[int], float]:
     """vnmod.pair_blocks one pair of projections at a time: each P of a takes
     its one partner Q among b's projections not yet taken, within
     |P - Q| <= SPAN_ATOL max(1, |P|), and the distance is the worst over a of
-    |P - Q| / max(1, |P|) to the nearest Q."""
-    pairs, used, worst = [], set(), 0.0
+    |P - Q| / max(1, |P|) to the nearest Q. Returns the partner of each P in
+    a's order and that distance."""
+    partners, worst = [], 0.0
     for i, p in enumerate(a):
         scale = max(1.0, float(np.linalg.norm(p)))
         dists = [float(np.linalg.norm(p - q)) / scale for q in b]
         worst = max(worst, min(dists))
-        hits = [j for j, dist in enumerate(dists) if j not in used and dist <= SPAN_ATOL]
+        hits = [j for j, dist in enumerate(dists) if j not in partners and dist <= SPAN_ATOL]
         if len(hits) != 1:
             raise ValueError(f"block {i} matched {len(hits)} partners")
-        pairs.append((i, hits[0]))
-        used.add(hits[0])
-    return pairs, worst
+        partners.append(hits[0])
+    return partners, worst
 
 
 def orthonormal_extension_loop(basis_flat, candidates_flat) -> np.ndarray:

@@ -278,6 +278,33 @@ def test_bimodule_random_instance(capsys):
     assert "norm-inequality" in names
 
 
+# sha256 of json.dumps([[[name, passed] per check], summary], sort_keys=True)
+# for `bimodule --random --seed ... --blocks 3`, with the norm-inequality
+# constant; seed 5 draws a full-commutant instance, so it adds norm-equality
+BIMODULE_PINS = {
+    "3": ("6b4ae0bf6f040c6f5fc78cbcb4ff3362b54274b8204b15122122d0c1ca652da6", 4.000000000000002),
+    "5": ("be78e71939c6e91d6c245a46e78a42600811b4cbad1fda090737cf7d6d898ce5", 1.0000000000000007),
+}
+VECTOR_KEYS = {"vector_id", "left_norm", "right_norm", "cdim_product_sup", "slack", "passed"}
+
+
+@pytest.mark.parametrize("seed", list(BIMODULE_PINS))
+def test_bimodule_report_format_is_pinned(capsys, seed):
+    code, report, err = run_cli(capsys, "bimodule", "--random", "--seed", seed, "--blocks", "3")
+    assert code == 0
+    digest, constant = BIMODULE_PINS[seed]
+    flags = [[c["name"], c["passed"]] for c in report["checks"]]
+    text = json.dumps([flags, report["summary"]], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert set(report["data"]) == {"space_dim", "constant", "vectors"}
+    assert report["data"]["constant"] == pytest.approx(constant, abs=1e-12)
+    full = seed == "5"
+    keys = VECTOR_KEYS | ({"equality_deviation"} if full else set())
+    assert len(report["data"]["vectors"]) == 100
+    assert all(set(v) == keys for v in report["data"]["vectors"])
+    assert all(v["cdim_product_sup"] == report["data"]["constant"] for v in report["data"]["vectors"])
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--blocks", "0"), ("--blocks", "-2"), ("--trials", "0"), ("--trials", "-1")]
 )

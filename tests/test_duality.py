@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gaborlab.bimodule
-from gaborlab import algebra, campaigns, cli, duality, groups
+from gaborlab import algebra, campaigns, cli, duality, groups, vnmod
 from gaborlab.algebra import (
     block_matrix_algebra,
     commutant,
@@ -124,8 +124,7 @@ def test_cdim_covolume_worked_values():
     for make, want in ((lambda: lat_full(Z4), 0.25), (lat_square, 1.0), (lambda: lat_trivial(Z2), 2.0)):
         lat = make()
         bm = gabor_bimodule(lat)
-        value = cdim(bm.left)
-        assert value.max_dev_from_scalar(want) <= 1e-9
+        assert np.max(np.abs(cdim(bm.left) - want)) <= 1e-9
         checks = verify_cdim_covolume(lat, bm)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
@@ -143,6 +142,37 @@ def test_one_cdim_per_side_per_lattice(monkeypatch):
     bm = gabor_bimodule(lat)
     assert all(c.passed for c in verify_cdim_covolume(lat, bm))
     assert [id(m) for m in calls] == [id(bm.left), id(bm.right)]
+
+
+def test_each_bimodule_pairs_its_blocks_once(monkeypatch):
+    # a cdim array is in its algebra's block order, so only two different
+    # algebras are ever paired: no call gets one stack twice, and each
+    # bimodule pairs its two actions' centers once, for all its readers
+    calls, bimodules, pair = [], [], vnmod.pair_blocks
+
+    def spy(a, b):
+        calls.append((a, b))
+        return pair(a, b)
+
+    def counted_bimodule(lat):
+        bimodules.append(gabor_bimodule(lat))
+        return bimodules[-1]
+
+    for module in (vnmod, gaborlab.bimodule, campaigns):
+        monkeypatch.setattr(module, "pair_blocks", spy)
+    monkeypatch.setattr(campaigns, "gabor_bimodule", counted_bimodule)
+    runs = [
+        (lambda: all(c.passed for c in cdim_sweep(4)), 5 + 6 + 15),
+        (lambda: duality_report((2, 2), trials=1).all_passed, 67),
+    ]
+    for run, lattices in runs:
+        calls.clear()
+        bimodules.clear()
+        assert run()
+        assert len({id(bm) for bm in bimodules}) == len(bimodules) == lattices
+        assert len(calls) == lattices
+        assert all(a is not b for a, b in calls)
+        assert all("partners" in vars(bm) for bm in bimodules)
 
 
 def test_one_algebra_and_one_split_per_lattice(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaborlab import algebra, vnmod
+from gaborlab import algebra, bimodule, vnmod
 from gaborlab.algebra import (
     InclusionError,
     StarAlgebra,
@@ -23,20 +23,17 @@ from gaborlab.algebra import (
     _vec,
 )
 from gaborlab.bimodule import bounded_norms, gaussian_vector
-from gaborlab.campaigns import _bounded_norms, _construction_instances, _cyclic_sweep
+from gaborlab.campaigns import _construction_instances, _cyclic_sweep
 from gaborlab.duality import gabor_bimodule
 from gaborlab.groups import FiniteAbelianGroup, enumerate_subgroups, lattice_from_generators
 from gaborlab.reporting import campaign_rng
 from gaborlab.vnmod import (
-    CenterElement,
     FaithfulnessError,
     LeftModule,
     PreconditionError,
     RightModule,
     SpanError,
     basic_construction,
-    blockwise_deviation,
-    blockwise_product,
     bounded_operator,
     cdim,
     cdim_blockwise,
@@ -52,7 +49,7 @@ from gaborlab.vnmod import (
     _synthesis,
 )
 from reference import block_ranks_loop, pair_blocks_loop
-from seeded import seeded_instance
+from seeded import seeded_instance, seeded_vectors
 
 
 def row_module(alg, kappa):
@@ -102,7 +99,7 @@ def test_module_projection_row_module_single_generator():
     mod = row_module(alg, kappa)
     mod.generators = [np.array([1.0, 0.0])]
     value = cdim(mod)
-    assert value.coefficients == pytest.approx([0.5], abs=1e-9)
+    assert value == pytest.approx([0.5], abs=1e-9)
 
 
 def test_module_projection_redundant_generators():
@@ -114,7 +111,7 @@ def test_module_projection_redundant_generators():
     padded_mod.generators = [e1, e1, np.zeros(2)]
     lean = cdim(lean_mod)
     padded = cdim(padded_mod)
-    assert blockwise_deviation(lean, padded) <= 1e-9
+    assert np.max(np.abs(lean - padded)) <= 1e-9
 
 
 def test_module_projection_needs_spanning_generators():
@@ -167,7 +164,7 @@ def test_generic_generators_are_the_fewest_and_keep_the_synthesis_conditioned():
     mods = generic_span_modules()
     assert len(mods) == 248
     for mod in mods:
-        fewest = math.ceil(max(cdim_blockwise(mod).coefficients) - 1e-9)
+        fewest = math.ceil(max(cdim_blockwise(mod)) - 1e-9)
         assert len(mod.generators) == fewest
         synth = np.hstack(bounded_operator(np.array(mod.generators), mod))
         svals = np.linalg.svd(synth, compute_uv=False)
@@ -275,7 +272,7 @@ def test_cdim_regular_module_is_one():
     kappa = TraceFunctional.from_matrix_trace(alg)
     mod = regular_right_module(alg, kappa)
     value = cdim(mod)
-    assert value.max_dev_from_scalar(1.0) <= 1e-9
+    assert np.max(np.abs(value - 1.0)) <= 1e-9
 
 
 def test_cdim_rows_over_full_algebra():
@@ -284,9 +281,9 @@ def test_cdim_rows_over_full_algebra():
         kappa = TraceFunctional.from_matrix_trace(alg)
         mod = row_module(alg, kappa)
         value = cdim(mod)
-        assert value.coefficients == pytest.approx([1.0 / n], abs=1e-9)
+        assert value == pytest.approx([1.0 / n], abs=1e-9)
         oracle = cdim_blockwise(mod)
-        assert blockwise_deviation(value, oracle) <= 1e-9
+        assert np.max(np.abs(value - oracle)) <= 1e-9
 
 
 def test_cdim_regular_m4_over_ampliated_m2():
@@ -295,10 +292,10 @@ def test_cdim_regular_m4_over_ampliated_m2():
     kappa = TraceFunctional.from_matrix_trace(big)
     mod = regular_over_sub(big, sub, kappa)
     value = cdim(mod)
-    assert value.coefficients == pytest.approx([4.0], abs=1e-9)
+    assert value == pytest.approx([4.0], abs=1e-9)
     # block formula oracle: 16-dimensional space over a 4-dimensional factor
     oracle = cdim_blockwise(mod)
-    assert oracle.coefficients == pytest.approx([4.0])
+    assert oracle == pytest.approx([4.0])
 
 
 def test_cdim_requires_faithful_action():
@@ -318,11 +315,10 @@ def test_cdim_additive_on_direct_sums():
     reg = regular_right_module(alg, kappa)
     both = direct_sum(rows, reg)
     got = cdim(both)
-    a, b = cdim(rows), cdim(reg)
-    pairs, _ = pair_blocks(a.projections, b.projections)
-    want = CenterElement(a.projections, [a.coefficients[i] + b.coefficients[j] for i, j in pairs])
-    assert blockwise_deviation(got, want) <= 1e-9
-    assert got.coefficients == pytest.approx([1.5], abs=1e-9)
+    # all three modules are over alg, so their arrays share its block order
+    want = cdim(rows) + cdim(reg)
+    assert np.max(np.abs(got - want)) <= 1e-9
+    assert got == pytest.approx([1.5], abs=1e-9)
 
 
 def test_direct_sum_needs_matching_algebra():
@@ -345,7 +341,7 @@ def test_cdim_generator_independent():
     padded.generators = list(gens) + [extra]
     a = cdim(mod)
     b = cdim(padded)
-    assert blockwise_deviation(a, b) <= 1e-9
+    assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_two_cdim_routes_agree_everywhere():
@@ -363,7 +359,7 @@ def test_two_cdim_routes_agree_everywhere():
         regular_over_sub(big, ampliated_matrix_algebra(2, 2), kb),
     ]
     for mod in mods:
-        assert blockwise_deviation(cdim(mod), cdim_blockwise(mod)) <= 1e-9
+        assert np.max(np.abs(cdim(mod) - cdim_blockwise(mod))) <= 1e-9
 
 
 def large_lattice_modules():
@@ -405,13 +401,13 @@ def test_batched_block_ranks_and_matches_equal_the_per_block_loops(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", forbidden)
             patch.setattr(vnmod, "numerical_rank", forbidden)
-            got = cdim_blockwise(mod).coefficients
+            got = cdim_blockwise(mod)
         assert np.array_equal(got, want)
     for bm in bms:
         a, b = (side.act(side.algebra.central_projections) for side in (bm.left, bm.right))
-        pairs, dist = pair_blocks(a, b)
-        want_pairs, want_dist = pair_blocks_loop(a, b)
-        assert pairs == want_pairs
+        partners, dist = pair_blocks(a, b)
+        want_partners, want_dist = pair_blocks_loop(a, b)
+        assert partners.tolist() == want_partners
         assert dist == pytest.approx(want_dist, rel=1e-12, abs=1e-15)
 
 
@@ -433,11 +429,11 @@ def test_the_one_block_gate_has_a_wide_margin():
     ]
     assert 1e-13 < vnmod.SPAN_ATOL < 1.0
     for a, b in stacks:
-        pairs, worst = pair_blocks(a, b)
+        partners, worst = pair_blocks(a, b)
         dists = np.linalg.norm(_vec(a)[:, None] - _vec(b)[None], axis=-1)
         dists /= np.maximum(1.0, np.linalg.norm(_vec(a), axis=-1))[:, None]
         matched = np.zeros(dists.shape, dtype=bool)
-        matched[tuple(np.array(pairs).T)] = True
+        matched[np.arange(len(partners)), partners] = True
         assert np.max(dists[matched]) <= 1e-13
         assert np.min(dists[~matched], initial=np.inf) >= 1.0
         assert worst == np.max(dists[matched])
@@ -556,7 +552,7 @@ def test_weighted_center_trace_identity():
     ctx = basic_construction(big, sub, kappa)
     ez_big = center_valued_trace(big, kappa)
     ez_gen = center_valued_trace(ctx.algebra, ctx.induced)
-    weight = ctx.encode_left(ctx.dim_value.matrix)
+    weight = ctx.encode_left(ctx.weight)
     rng = np.random.default_rng(23)
     for _ in range(20):
         n1 = random_element(big, rng)
@@ -676,8 +672,7 @@ def test_stacked_push_down_keeps_its_preconditions():
     big = full_matrix_algebra(4)
     kappa = TraceFunctional.from_matrix_trace(big)
     ctx = basic_construction(big, ampliated_matrix_algebra(2, 2), kappa)
-    projections = ctx.dim_value.projections
-    ctx.dim_value = CenterElement(projections, np.zeros(len(projections)))
+    ctx.dim_value = np.zeros(len(ctx.dim_value))
     with pytest.raises(PreconditionError, match="strictly positive"):
         push_down(np.stack([ctx.jones] * 3), ctx)
 
@@ -727,7 +722,7 @@ def traced_peak_mb(fn) -> float:
 def test_span_builders_and_a7_norms_stay_under_a_memory_bound():
     # on m6-over-m3 (n = 36) the whole candidate stacks took 54.9 MB in the
     # sandwich and 26.7 MB in the closure; A7's norms of 1000 vectors take
-    # 22.6 MB whole and 2.9 MB at _NORM_TRIALS (125) vectors a time
+    # 22.6 MB whole and 2.9 MB at bounded_norms' 125 vectors a time
     idx = 2
     _, big, sub = _construction_instances()[idx]
     ctx = basic_construction(big, sub, TraceFunctional.from_matrix_trace(big))
@@ -738,19 +733,33 @@ def test_span_builders_and_a7_norms_stay_under_a_memory_bound():
     for fn in (
         lambda: jones_sandwich_span(ctx),
         lambda: generate_algebra(gens),
-        lambda: _bounded_norms(fs, over_big),
+        lambda: bounded_norms(fs, over_big),
     ):
         assert traced_peak_mb(fn) < 12.0
 
 
-def test_chunked_a7_norms_are_the_whole_stack_norms():
+def test_bounded_norms_of_many_vectors_stay_under_a_memory_bound():
+    # `bimodule --random --seed 1 --blocks 8 --trials 5000` (h = 32): the whole
+    # (5000, h * h) stack of pairs peaked at 150.9 MB traced, 3.8 MB chunked
+    bm = seeded_instance(1, block_count=8)
+    assert bm.space_dim == 32
+    fs = seeded_vectors(1, 5000, bm.space_dim)
+    for module in (bm.left, bm.right):
+        module.space  # built once, outside the traced call
+        assert traced_peak_mb(lambda: bounded_norms(fs, module)) < 16.0
+
+
+def test_chunked_norms_are_the_per_chunk_norms():
+    chunk = bimodule._NORM_TRIALS
     for idx, (_, big, sub) in enumerate(_construction_instances()):
         sp = gns(big, TraceFunctional.from_matrix_trace(big))
         fs = gaussian_vector(campaign_rng(3, "subalgebra", idx), 1000, big.dimension)
         for module in (gns_right_module(sp, big), gns_right_module(sp, sub)):
             for trials in (1000, 600, 0):
-                whole = bounded_norms(fs[:trials], module)
-                assert np.array_equal(_bounded_norms(fs[:trials], module), whole)
+                part = fs[:trials]
+                got = bounded_norms(part, module)
+                want = [bounded_norms(part[s : s + chunk], module) for s in range(0, trials, chunk)]
+                assert np.array_equal(got, np.concatenate(want or [np.empty(0)]))
 
 
 # ------------------------------------------------------------ induced trace
@@ -812,9 +821,7 @@ def test_center_trace_identity_for_bounded_vectors():
         ez_tilde = center_valued_trace(tilde, tr_tilde)
         ez_n = center_valued_trace(mod.algebra, mod.trace)
         value = cdim(mod)
-        weight = sum(
-            c * mod.act(q) for c, q in zip(value.coefficients, value.projections)
-        )
+        weight = sum(c * mod.act(q) for c, q in zip(value, mod.algebra.central_projections))
         for _ in range(20):
             f = rng.normal(size=mod.space_dim) + 1j * rng.normal(size=mod.space_dim)
             lf = bounded_operator([f], mod)[0]
@@ -841,10 +848,10 @@ def test_cdim_product_with_commutant_module():
         tilde = commutant(mod.image_algebra)
         tr_tilde = induced_trace(mod, tilde)
         left = LeftModule(tilde, tr_tilde, tilde.basis, check=False)
-        product = blockwise_product(
-            cdim(mod), cdim(left), embed_a=mod.act, embed_b=lambda m: m
-        )
-        assert product.max_dev_from_scalar(1.0) <= 1e-9
+        # tilde lives in the operator space, where mod's blocks act
+        partners, _ = pair_blocks(mod.act(mod.algebra.central_projections), tilde.central_projections)
+        product = cdim(mod) * cdim(left)[partners]
+        assert np.max(np.abs(product - 1.0)) <= 1e-9
 
 
 def test_coefficient_change_through_inclusion():
@@ -857,9 +864,10 @@ def test_coefficient_change_through_inclusion():
     h_over_sub = RightModule(sub, ks, np.stack([b.T for b in sub.basis]))
     reg_over_sub = regular_over_sub(big, sub, kb)
     lhs = cdim(h_over_sub)
-    rhs = blockwise_product(cdim(reg_over_sub), cdim(h_over_big))
-    assert blockwise_deviation(lhs, rhs) <= 1e-9
-    assert lhs.coefficients == pytest.approx([1.0], abs=1e-9)
+    partners, _ = pair_blocks(sub.central_projections, big.central_projections)
+    rhs = cdim(reg_over_sub) * cdim(h_over_big)[partners]
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    assert lhs == pytest.approx([1.0], abs=1e-9)
 
 
 def test_coefficient_change_two_blocks():
@@ -874,37 +882,66 @@ def test_coefficient_change_two_blocks():
     h_over_big = row_module(big, kb)
     h_over_sub = RightModule(sub, ks, np.stack([b.T for b in sub.basis]))
     reg_over_sub = regular_over_sub(big, sub, kb)
-    assert cdim(h_over_big).coefficients == pytest.approx([0.5, 0.5], abs=1e-9)
-    assert cdim(reg_over_sub).coefficients == pytest.approx([4.0, 4.0], abs=1e-9)
+    assert cdim(h_over_big) == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert cdim(reg_over_sub) == pytest.approx([4.0, 4.0], abs=1e-9)
     lhs = cdim(h_over_sub)
-    rhs = blockwise_product(cdim(reg_over_sub), cdim(h_over_big))
-    assert blockwise_deviation(lhs, rhs) <= 1e-9
-    assert sorted(lhs.coefficients) == pytest.approx([2.0, 2.0], abs=1e-9)
+    partners, _ = pair_blocks(sub.central_projections, big.central_projections)
+    rhs = cdim(reg_over_sub) * cdim(h_over_big)[partners]
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    assert sorted(lhs) == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
-# ---------------------------------------------------------- center elements
+# ------------------------------------------------- center-valued dimension
 
 
-def test_center_element_guards():
-    p = np.eye(2)
-    with pytest.raises(ValueError):
-        CenterElement([p], [-1.0])
-    with pytest.raises(ValueError):
-        CenterElement([p], [1.0, 2.0])
-    elem = CenterElement([p], [2.5])
-    assert elem.sup_norm() == 2.5
-    assert elem.max_dev_from_scalar(1.0) == 1.5
+def test_center_coefficient_guards():
+    with pytest.raises(ValueError, match="negative center coefficient -1.000e"):
+        vnmod._center_coefficients([-1.0])
+    # below 1e-8 in size, a negative is rounding and clips to 0
+    got = vnmod._center_coefficients([-1e-9, 2.5])
+    assert got.tolist() == [0.0, 2.5]
+    assert got.dtype == float
+    with pytest.raises(ValueError, match="center coefficients must be real"):
+        vnmod._center_coefficients(np.array([1.0 + 1e-6j]))
+    assert vnmod._center_coefficients(np.array([1.0 + 1e-12j])).tolist() == [1.0]
+
+
+def test_cdim_rejects_a_complex_trace(monkeypatch):
+    # a decoded multiplier off by a phase gives complex Tr(q x) / Tr(q); cdim
+    # hands the guard the complex values, so it raises instead of taking .real
+    alg = full_matrix_algebra(2)
+    mod = row_module(alg, TraceFunctional.from_matrix_trace(alg))
+    assert cdim(mod) == pytest.approx([0.5], abs=1e-9)
+    decode = vnmod._decode_multiplier
+    monkeypatch.setattr(vnmod, "_decode_multiplier", lambda sp, b: decode(sp, b) * np.exp(1e-6j))
+    with pytest.raises(ValueError, match="center coefficients must be real"):
+        cdim(mod)
+
+
+def test_both_cdim_routes_are_in_block_order():
+    # entry i belongs to central_projections[i], i.e. to blocks[i]: the block
+    # formula is rank(act(P_i)) / d_i^2 with d_i the size of blocks[i]
+    groups = [FiniteAbelianGroup((n,)) for n in range(2, 7)]
+    bms = [gabor_bimodule(lat) for group in groups for lat in enumerate_subgroups(group)]
+    bms += [seeded_instance(seed) for seed in range(10)]
+    for mod in (side for bm in bms for side in (bm.left, bm.right)):
+        blocks = mod.algebra.blocks
+        value, oracle = cdim(mod), cdim_blockwise(mod)
+        assert value.shape == oracle.shape == (len(blocks),)
+        projections = mod.algebra.central_projections
+        for i, q in enumerate(projections):
+            rank = np.linalg.matrix_rank(mod.act(q))
+            assert oracle[i] == rank / blocks[i].shape[0] ** 2
+        assert np.max(np.abs(value - oracle)) <= 1e-9
 
 
 def test_pair_blocks_requires_unique_match():
     p1 = np.diag([1.0, 0.0])
     p2 = np.diag([0.0, 1.0])
-    a = CenterElement([p1, p2], [1.0, 2.0])
-    b = CenterElement([p2, p1], [3.0, 4.0])
-    got = blockwise_product(a, b)
-    assert got.coefficients == pytest.approx([4.0, 6.0])
-    clash = CenterElement([p1, p1], [1.0, 1.0])
+    partners, worst = pair_blocks(np.array([p1, p2]), np.array([p2, p1]))
+    assert partners.tolist() == [1, 0] and worst == 0.0
+    assert (np.array([1.0, 2.0]) * np.array([3.0, 4.0])[partners]).tolist() == [4.0, 6.0]
     with pytest.raises(ValueError, match="block 0 matched 2 partners"):
-        blockwise_product(a, clash)
+        pair_blocks(np.array([p1, p2]), np.array([p1, p1]))
     with pytest.raises(ValueError, match="block 1 matched 0 partners"):
-        blockwise_product(clash, a)
+        pair_blocks(np.array([p1, p1]), np.array([p1, p2]))
