@@ -142,28 +142,17 @@ def check_alignment(bm: Bimodule) -> float:
     return float(np.max(np.abs(bm.left.trace.values - moved), initial=0.0))
 
 
-@dataclass
-class BoundedVectorReport:
-    vector_id: int
-    left_norm: float
-    right_norm: float
-    cdim_product_sup: float
-    slack: float                    # worst violation across both inequality directions
-    equality_deviation: float | None
-    passed: bool
+@dataclass(frozen=True)
+class NormInequality:
+    """The norm inequality on a stack of T vectors: the constant, and one (T,)
+    array per column whose entry t is vector t's."""
 
-    def to_dict(self) -> dict:
-        data = {
-            "vector_id": self.vector_id,
-            "left_norm": float(self.left_norm),
-            "right_norm": float(self.right_norm),
-            "cdim_product_sup": float(self.cdim_product_sup),
-            "slack": float(self.slack),
-            "passed": self.passed,
-        }
-        if self.equality_deviation is not None:
-            data["equality_deviation"] = float(self.equality_deviation)
-        return data
+    constant: float                 # sup of the blockwise cdim product
+    left_norm: np.ndarray
+    right_norm: np.ndarray
+    slack: np.ndarray               # worst violation across both inequality directions
+    equality_deviation: np.ndarray  # |left_norm - right_norm|
+    passed: np.ndarray
 
 
 def gaussian_vector(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -199,16 +188,17 @@ def verify_hypotheses(bm: Bimodule, tol: float = TOL_DIMENSION) -> None:
 
 def verify_left_right_bounded(
     bm: Bimodule, fs: np.ndarray, tol: float = TOL_DIMENSION
-) -> list[BoundedVectorReport]:
+) -> NormInequality:
     """Norm inequality between the two bounded-vector operators, on each
-    vector of a (T, space_dim) stack; report t is vector t's.
+    vector of a (T, space_dim) stack.
 
     Both directions are checked with the same constant, the sup norm of the
     blockwise product of the two center-valued dimensions. When the right
     action is known to fill the commutant of the left one, the norms must
-    agree outright. tol gates the trace-alignment hypothesis as well as the
-    norms. An empty stack raises ValueError, since no check could run, and
-    a stack of another shape raises SpanError.
+    agree outright, and passed gates the equality deviation too. tol gates
+    the trace-alignment hypothesis as well as the norms. An empty stack
+    raises ValueError, since no check could run, and a stack of another
+    shape raises SpanError.
     """
     if len(fs) == 0:
         raise ValueError("no vectors: the norm inequality needs at least one vector")
@@ -218,17 +208,11 @@ def verify_left_right_bounded(
     constant = float(np.max(cdim(bm.left) * cdim(bm.right)[bm.partners]))
     ln, rn = bounded_norms(fs, bm.right), bounded_norms(fs, bm.left)
     slack = np.maximum(rn - constant * ln, ln - constant * rn)
+    eq_dev = np.abs(ln - rn)
     passed = slack <= tol
-    eq_devs = [None] * len(fs)
     if bm.right_is_full_commutant:
-        eq_dev = np.abs(ln - rn)
         passed &= eq_dev <= tol * np.maximum(1.0, ln)
-        eq_devs = eq_dev.tolist()
-    rows = zip(ln.tolist(), rn.tolist(), slack.tolist(), eq_devs, passed.tolist())
-    return [
-        BoundedVectorReport(t, lnt, rnt, constant, slack_t, eq_t, passed_t)
-        for t, (lnt, rnt, slack_t, eq_t, passed_t) in enumerate(rows)
-    ]
+    return NormInequality(constant, ln, rn, slack, eq_dev, passed)
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

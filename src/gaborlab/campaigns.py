@@ -23,7 +23,9 @@ from .algebra import (
     twisted_group_algebra,
 )
 from .bimodule import (
+    Bimodule,
     HypothesisError,
+    NormInequality,
     bounded_norms,
     gaussian_vector,
     random_instance,
@@ -126,6 +128,23 @@ def bounded_vector_sweep(
     return checks
 
 
+def _norm_inequality(
+    bm: Bimodule, fs: np.ndarray, tol: float, prefix: str
+) -> NormInequality | Check:
+    """verify_left_right_bounded's result on the stack fs or, when a hypothesis
+    fails, the failed check <prefix>hypothesis-<name> in its place."""
+    try:
+        return verify_left_right_bounded(bm, fs, tol)
+    except HypothesisError as exc:
+        return flag_check(f"{prefix}hypothesis-{exc.hypothesis}", False, exc.deviation, tol)
+
+
+def _worst_equality(result: NormInequality) -> float:
+    """The worst |left_norm - right_norm| / max(1, left_norm), as the equality
+    gate of verify_left_right_bounded reads it."""
+    return float(np.max(result.equality_deviation / np.maximum(1.0, result.left_norm)))
+
+
 def norm_inequality_sweep(
     instances: int = 50,
     trials: int = 100,
@@ -144,24 +163,20 @@ def norm_inequality_sweep(
         bm = random_instance(campaign_rng(seed, "instance", i), block_count=2)
         fs = gaussian_vector(campaign_rng(seed, "trials", i), trials, bm.space_dim)
         name = f"inst{i:02d}/"
-        try:
-            reports = verify_left_right_bounded(bm, fs, tol)
-        except HypothesisError as exc:
-            checks.append(
-                flag_check(f"{name}hypothesis-{exc.hypothesis}", False, exc.deviation, tol)
-            )
+        result = _norm_inequality(bm, fs, tol, name)
+        if isinstance(result, Check):
+            checks.append(result)
             continue
         checks.append(flag_check(f"{name}hypotheses", True, 0.0, tol))
-        worst = max(r.slack for r in reports)
-        checks.append(make_bound_check(f"{name}norm-inequality", worst, 0.0, tol))
+        checks.append(make_bound_check(f"{name}norm-inequality", np.max(result.slack), 0.0, tol))
     for n, li, lat in _cyclic_sweep(gabor_orders):
         bm = gabor_bimodule(lat)
         fs = gaussian_vector(campaign_rng(seed, "gabor", n, li), 20, bm.space_dim)
-        reports = verify_left_right_bounded(bm, fs, tol)
-        worst_eq = max(r.equality_deviation / max(1.0, r.left_norm) for r in reports)
-        checks.append(
-            make_bound_check(f"gabor-n{n}/lat{li:02d}/norm-equality", worst_eq, 0.0, tol)
-        )
+        prefix = f"gabor-n{n}/lat{li:02d}/"
+        result = _norm_inequality(bm, fs, tol, prefix)
+        if not isinstance(result, Check):
+            result = make_bound_check(f"{prefix}norm-equality", _worst_equality(result), 0.0, tol)
+        checks.append(result)
     return checks
 
 
@@ -335,6 +350,45 @@ def duality_report(
         report.extend(
             verify_bessel_duality(windows, lat, spec_tol, _window_prefixes(prefix, trials), bm=bm)
         )
+    return report
+
+
+def bimodule_report(
+    seed: int = 0, blocks: int = 2, trials: int = 100, tol: float | None = None
+) -> Report:
+    """The norm inequality on a seeded random bimodule with blocks central
+    blocks, on trials Gaussian vectors; equality too when the right action
+    fills the commutant. The instance is drawn from campaign_rng(seed, 0xB10C)
+    and the vectors from (seed, "vectors"), so the two draws stay apart."""
+    dim_tol = TOL_DIMENSION if tol is None else tol
+    bm = random_instance(campaign_rng(seed, 0xB10C), block_count=blocks)
+    fs = gaussian_vector(campaign_rng(seed, "vectors"), trials, bm.space_dim)
+    report = Report(
+        command="bimodule",
+        parameters={"random": True, "blocks": blocks, "trials": trials, "tol": tol},
+        seed=seed,
+    )
+    result = _norm_inequality(bm, fs, dim_tol, "")
+    if isinstance(result, Check):
+        report.extend([result])
+        return report
+    report.extend([
+        flag_check("hypotheses", True, 0.0, dim_tol),
+        make_bound_check("norm-inequality", np.max(result.slack), 0.0, dim_tol),
+    ])
+    # one row per vector, with the equality deviation only where equality is gated
+    names = ["left_norm", "right_norm", "slack", "passed"]
+    if bm.right_is_full_commutant:
+        report.extend([make_bound_check("norm-equality", _worst_equality(result), 0.0, dim_tol)])
+        names.append("equality_deviation")
+    columns = {name: getattr(result, name).tolist() for name in names}
+    report.data["space_dim"] = bm.space_dim
+    report.data["constant"] = result.constant
+    report.data["vectors"] = [
+        {"vector_id": t, "cdim_product_sup": result.constant}
+        | {name: column[t] for name, column in columns.items()}
+        for t in range(trials)
+    ]
     return report
 
 

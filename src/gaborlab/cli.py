@@ -1,29 +1,25 @@
 """Command-line entry point.
 
 Every subcommand prints one JSON report to stdout and a one-line summary to
-stderr. Exit codes: 0 all checks passed, 1 some check failed, 2 bad usage or
-unreadable input, 3 numerical breakdown (a spectral split that never
-separated, or a LAPACK routine that did not converge). Reports carry no
-timestamps, so a fixed command line and seed reproduce them byte for byte.
+stderr. Exit codes: 0 all checks passed, 1 some check failed, 2 bad usage,
+unreadable input or input too large for memory, 3 numerical breakdown (a
+spectral split that never separated, or a LAPACK routine that did not
+converge). Reports carry no timestamps, so a fixed command line and seed
+reproduce them byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .algebra import SpectralSplitError
-from .campaigns import duality_report, selftest_report
-from .bimodule import (
-    HypothesisError,
-    gaussian_vector,
-    random_instance,
-    verify_left_right_bounded,
-)
+from .campaigns import bimodule_report, duality_report, selftest_report
 from .duality import gabor_bimodule, verify_bessel_duality
 from .gabor import window_from_dict
 from .groups import (
@@ -34,19 +30,20 @@ from .groups import (
     lattice_from_dict,
     lattice_to_dict,
 )
-from .reporting import (
-    TOL_DIMENSION,
-    TOL_SPECTRAL,
-    Report,
-    campaign_rng,
-    flag_check,
-    make_bound_check,
-    make_check,
-)
+from .reporting import TOL_SPECTRAL, Report, flag_check, make_check
 
 
 class UsageError(Exception):
     pass
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value, a finite number >= 0: inf would pass every check and nan
+    or a negative value fail every one, whatever they measured."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load_json_arg(arg: str, what: str) -> dict:
@@ -184,30 +181,7 @@ def _cmd_bimodule(args) -> Report:
     for flag, count in (("--blocks", args.blocks), ("--trials", args.trials)):
         if count < 1:
             raise UsageError(f"{flag} must be at least 1, got {count}")
-    tol = TOL_DIMENSION if args.tol is None else args.tol
-    # one seed, two key paths, so the instance's draw and the vectors' stay apart
-    bm = random_instance(campaign_rng(args.seed, 0xB10C), block_count=args.blocks)
-    report = Report(
-        command="bimodule",
-        parameters={"random": True, "blocks": args.blocks, "trials": args.trials, "tol": args.tol},
-        seed=args.seed,
-    )
-    fs = gaussian_vector(campaign_rng(args.seed, "vectors"), args.trials, bm.space_dim)
-    try:
-        vectors = verify_left_right_bounded(bm, fs, tol)
-    except HypothesisError as exc:
-        report.extend([flag_check(f"hypothesis-{exc.hypothesis}", False, exc.deviation, tol)])
-        return report
-    report.extend([flag_check("hypotheses", True, 0.0, tol)])
-    worst = max(v.slack for v in vectors)
-    report.extend([make_bound_check("norm-inequality", worst, 0.0, tol)])
-    if bm.right_is_full_commutant:
-        worst_eq = max(v.equality_deviation / max(1.0, v.left_norm) for v in vectors)
-        report.extend([make_bound_check("norm-equality", worst_eq, 0.0, tol)])
-    report.data["space_dim"] = bm.space_dim
-    report.data["constant"] = vectors[0].cdim_product_sup
-    report.data["vectors"] = [v.to_dict() for v in vectors]
-    return report
+    return bimodule_report(args.seed, args.blocks, args.trials, args.tol)
 
 
 def _cmd_selftest(args) -> Report:
@@ -242,25 +216,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bessel", _cmd_bessel, "Bessel-bound duality for one window on one lattice")
     p.add_argument("--lattice", required=True, help="lattice as inline JSON or a file path")
     p.add_argument("--window", required=True, help="window as a JSON file (or inline)")
-    p.add_argument("--tol", type=float, default=None, help="override every tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override every tolerance")
 
     p = add("duality", _cmd_duality, "full duality campaign for one group")
     p.add_argument("--all-lattices", action="store_true",
                    help="sweep every lattice (the default when --lattice is absent)")
     p.add_argument("--lattice", default=None, help="restrict to one lattice (JSON or path)")
     p.add_argument("--trials", type=int, default=20, help="random windows per lattice")
-    p.add_argument("--tol", type=float, default=None, help="override every tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override every tolerance")
 
     p = add("bimodule", _cmd_bimodule, "norm inequality on a seeded random bimodule", orders=False)
     p.add_argument("--random", action="store_true", required=True,
                    help="build the seeded random instance (the only source)")
     p.add_argument("--blocks", type=int, default=2, help="number of central blocks")
     p.add_argument("--trials", type=int, default=100, help="random vectors to test")
-    p.add_argument("--tol", type=float, default=None, help="override every tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override every tolerance")
 
     p = add("selftest", _cmd_selftest, "run the whole acceptance campaign", orders=False)
     p.add_argument("--max-order", type=int, default=8, help="largest cyclic group order")
-    p.add_argument("--tol", type=float, default=None, help="override every tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override every tolerance")
 
     return parser
 
@@ -283,6 +257,9 @@ def run(argv=None) -> int:
         return 3
     except (ValueError, RuntimeError) as exc:
         print(f"gaborlab: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"gaborlab: input too large for memory: {exc}", file=sys.stderr)
         return 2
     print(report.to_json())
     print(report.summary_line(), file=sys.stderr)

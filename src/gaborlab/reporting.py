@@ -18,8 +18,8 @@ TOL_DIMENSION = 1e-9  # dimension and trace identities, norm inequalities
 TOL_SPECTRAL = 1e-8  # Bessel bounds and operator norms, relative to the bound
 
 
-# one check as json.dumps(check.to_dict(), sort_keys=True, indent=2) writes it
-# inside a report's checks list
+# one check as json.dumps(..., sort_keys=True, indent=2) writes the dict of its
+# six fields (passed a bool, the rest floats) inside a report's checks list
 _CHECK_JSON = (
     '{\n      "deviation": %s,\n      "lhs": %s,\n      "name": %s,\n      "passed": %s,'
     '\n      "rhs": %s,\n      "tolerance": %s\n    }'
@@ -44,16 +44,6 @@ class Check:
     rhs: float
     tolerance: float
     deviation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "tolerance": float(self.tolerance),
-            "deviation": float(self.deviation),
-        }
 
 
 def make_check(name: str, lhs: float, rhs: float, tolerance: float) -> Check:
@@ -99,9 +89,17 @@ class Report:
     def all_passed(self) -> bool:
         return self.passed == self.total
 
-    def _frame(self) -> dict:
-        """The report without its checks."""
+    def to_json(self) -> str:
+        """The report as json.dumps(..., sort_keys=True, indent=2) writes its
+        fields, with the checks as a list of their field dicts, byte for byte.
+
+        With an indent, json.dumps runs its pure-Python encoder, which is slow
+        on a long checks list. Every check has the same six keys, so the
+        checks are written from one template and spliced into the encoding of
+        the rest, where "checks" sorts first and its empty list opens the text.
+        """
         body = {
+            "checks": [],
             "command": self.command,
             "parameters": self.parameters,
             "summary": {
@@ -114,20 +112,7 @@ class Report:
         }
         if self.data:
             body["data"] = self.data
-        return body
-
-    def to_dict(self) -> dict:
-        return {**self._frame(), "checks": [c.to_dict() for c in self.checks]}
-
-    def to_json(self) -> str:
-        """json.dumps(self.to_dict(), sort_keys=True, indent=2), byte for byte.
-
-        With an indent, json.dumps runs its pure-Python encoder, which is slow
-        on a long checks list. Every check has the same six keys, so the
-        checks are written from one template and spliced into the encoding of
-        the rest, where "checks" sorts first and its empty list opens the text.
-        """
-        text = json.dumps({**self._frame(), "checks": []}, sort_keys=True, indent=2)
+        text = json.dumps(body, sort_keys=True, indent=2)
         if not self.checks:
             return text
         items = ",\n    ".join(

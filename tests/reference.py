@@ -192,3 +192,33 @@ def generate_algebra_full(gens) -> StarAlgebra:
         basis_flat = np.vstack([basis_flat, added])
         frontier = added
     return StarAlgebra(basis_flat.reshape(-1, n, n), generators=tuple(gens))
+
+
+def report_dict(report) -> dict:
+    """The dict that Report.to_json writes, built from the report's public
+    fields: json.dumps(report_dict(r), sort_keys=True, indent=2) is its oracle."""
+    body = {
+        "command": report.command,
+        "parameters": report.parameters,
+        "summary": {
+            "total": len(report.checks),
+            "passed": sum(1 for c in report.checks if c.passed),
+            "failed": sum(1 for c in report.checks if not c.passed),
+        },
+        "seed": report.seed,
+        "version": report.version,
+        "checks": [
+            {
+                "name": c.name,
+                "passed": bool(c.passed),
+                "lhs": float(c.lhs),
+                "rhs": float(c.rhs),
+                "tolerance": float(c.tolerance),
+                "deviation": float(c.deviation),
+            }
+            for c in report.checks
+        ],
+    }
+    if report.data:
+        body["data"] = report.data
+    return body

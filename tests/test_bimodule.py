@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import gaborlab.bimodule
+import gaborlab.campaigns
 import gaborlab.cli
 import gaborlab.vnmod
 from gaborlab.algebra import (
@@ -29,7 +31,7 @@ from gaborlab.bimodule import (
     verify_hypotheses,
     verify_left_right_bounded,
 )
-from gaborlab.campaigns import _construction_instances
+from gaborlab.campaigns import _construction_instances, bimodule_report
 from gaborlab.duality import gabor_bimodule
 from gaborlab.gabor import bessel_bound_opt, frame_operator
 from gaborlab.groups import (
@@ -146,7 +148,7 @@ def test_the_norm_inequality_names_a_wrong_stack_shape():
         with pytest.raises(SpanError) as err:
             verify_left_right_bounded(bm, wrong)
         assert str(err.value) == f"vectors must be a (T, {h}) stack, got shape {wrong.shape}"
-    assert len(verify_left_right_bounded(bm, fs[:, :h])) == 3
+    assert verify_left_right_bounded(bm, fs[:, :h]).passed.shape == (3,)
 
 
 def test_operator_norm_is_the_largest_singular_value():
@@ -331,7 +333,7 @@ def test_the_trace_alignment_hypothesis_takes_the_tolerance():
     with pytest.raises(HypothesisError) as err:
         verify_left_right_bounded(off, fs)
     assert err.value.hypothesis == "trace alignment"
-    assert len(verify_left_right_bounded(off, fs, tol=1e-3)) == 5
+    assert verify_left_right_bounded(off, fs, tol=1e-3).passed.shape == (5,)
 
 
 def test_the_hypotheses_build_no_image_algebra():
@@ -361,18 +363,18 @@ def test_actions_that_do_not_commute_are_rejected():
 
 def test_norm_equality_on_gabor_module():
     bm = gabor_bimodule(halfline_lattice())
-    reports = verify_left_right_bounded(bm, seeded_vectors(1, 25, bm.space_dim))
-    assert all(r.passed for r in reports)
-    assert all(r.equality_deviation is not None for r in reports)
-    assert max(r.slack for r in reports) <= 1e-9
+    result = verify_left_right_bounded(bm, seeded_vectors(1, 25, bm.space_dim))
+    assert result.passed.all()
+    # a full commutant gates the equality too
+    assert np.all(result.equality_deviation <= 1e-9 * np.maximum(1.0, result.left_norm))
+    assert np.max(result.slack) <= 1e-9
 
 
 def test_norm_inequality_on_multiplicity_instance():
     bm = seeded_instance(3, blocks=[(2, 4, 2)])
     assert np.max(cdim(bm.left) * cdim(bm.right)[bm.partners]) == pytest.approx(4.0, abs=1e-9)
     fs = seeded_vectors(2, 50, bm.space_dim)
-    reports = verify_left_right_bounded(bm, fs)
-    assert all(r.passed for r in reports)
+    assert verify_left_right_bounded(bm, fs).passed.all()
     # brute-force check on a few of the vectors drawn
     for t in (0, 7, 23):
         f = fs[t]
@@ -406,7 +408,7 @@ def test_one_generator_per_call_apart_from_the_instance(monkeypatch, capsys):
         keys.append((seed, key))
         return campaign_rng(seed, *key)
 
-    monkeypatch.setattr(gaborlab.cli, "campaign_rng", spy)
+    monkeypatch.setattr(gaborlab.campaigns, "campaign_rng", spy)
     # the command splits its one seed into the instance's key and the vectors'
     gaborlab.cli.run(["bimodule", "--random", "--seed", "8", "--trials", "50"])
     capsys.readouterr()
@@ -418,8 +420,32 @@ def test_one_generator_per_call_apart_from_the_instance(monkeypatch, capsys):
 def test_trivial_scalar_instance():
     bm = seeded_instance(9, blocks=[(1, 1, 1)])
     assert bm.space_dim == 1
-    reports = verify_left_right_bounded(bm, seeded_vectors(0, 5, bm.space_dim))
-    assert all(r.passed for r in reports)
+    assert verify_left_right_bounded(bm, seeded_vectors(0, 5, bm.space_dim)).passed.all()
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_the_norm_inequality_is_one_array_per_column(seed):
+    # seed 5 draws a full-commutant instance, whose rows add the equality deviation
+    bm = seeded_instance(seed, block_count=3)
+    assert bm.right_is_full_commutant == (seed == 5)
+    result = verify_left_right_bounded(bm, seeded_vectors(seed, 100, bm.space_dim))
+    assert type(result.constant) is float
+    for field in dataclasses.fields(result):
+        if field.name != "constant":
+            column = getattr(result, field.name)
+            assert isinstance(column, np.ndarray) and column.shape == (100,), field.name
+    report = bimodule_report(seed, 3, 100)
+    assert report.data["space_dim"] == bm.space_dim
+    assert report.data["constant"] == result.constant
+    columns = ["left_norm", "right_norm", "slack", "passed"]
+    columns += ["equality_deviation"] if seed == 5 else []
+    assert len(report.data["vectors"]) == 100
+    for t, row in enumerate(report.data["vectors"]):
+        assert set(row) == {"vector_id", "cdim_product_sup", *columns}
+        assert row["vector_id"] == t and row["cdim_product_sup"] == result.constant
+        for name in columns:
+            assert row[name] == getattr(result, name)[t], (t, name)
+        assert type(row["passed"]) is bool and type(row["left_norm"]) is float
 
 
 def test_random_instance_determinism_and_caps():

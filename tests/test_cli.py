@@ -3,19 +3,27 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gaborlab.algebra
+import gaborlab.campaigns
 import gaborlab.cli
+import gaborlab.duality
+from gaborlab.algebra import TraceFunctional
+from gaborlab.bimodule import Bimodule
 from gaborlab.campaigns import duality_report, selftest_report
 from gaborlab.cli import run
 from gaborlab.reporting import Check, Report, flag_check
+from gaborlab.vnmod import RightModule
+from reference import report_dict
 
 SQUARE = '{"generators": [[[2], [0]], [[0], [2]]]}'
 HALF = '{"generators": [[[2], [0]], [[0], [1]]]}'
+POINT_WINDOW = '{"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
 
 
 def run_cli(capsys, *argv):
@@ -240,7 +248,7 @@ def test_duality_reports_are_byte_identical(capsys):
 def test_report_json_is_json_dumps_byte_for_byte():
     # to_json writes the checks without json's pure-Python indenting encoder
     def dumps(report):
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(report_dict(report), sort_keys=True, indent=2)
 
     real = duality_report((2, 2), trials=20, seed=3)
     text = real.to_json()
@@ -257,6 +265,82 @@ def test_report_json_is_json_dumps_byte_for_byte():
     assert odd.to_json() == dumps(odd)
     empty = Report("lattices", {})
     assert empty.to_json() == dumps(empty)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bessel", "--orders", "4", "--lattice", HALF, "--window", POINT_WINDOW],
+        ["duality", "--orders", "2", "2", "--trials", "2"],
+        ["bimodule", "--random", "--seed", "3"],
+        ["selftest", "--max-order", "3"],
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_tolerance_must_be_finite_and_not_negative(capsys, argv, value):
+    # inf passed every check and nan or -1 failed checks, whatever they
+    # measured; bimodule reported them as a failed trace-alignment hypothesis
+    code, report, err = run_cli(capsys, *argv, "--tol", value)
+    assert (code, report) == (2, None)
+    assert f"must be a finite number >= 0, got '{value}'" in err
+
+
+def test_a_zero_tolerance_still_runs(capsys):
+    # a zero tolerance is strict, not bad input: the rounding-level deviations fail
+    code, report, err = run_cli(capsys, "bimodule", "--random", "--seed", "3", "--tol", "0")
+    assert code == 1 and report["parameters"]["tol"] == 0.0
+
+
+def test_input_too_large_for_memory_exits_2(capsys, monkeypatch):
+    def no_memory(group):
+        raise MemoryError("Unable to allocate 9.31 GiB")
+
+    monkeypatch.setattr(gaborlab.cli, "enumerate_subgroups", no_memory)
+    code = run(["lattices", "--orders", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "gaborlab: input too large for memory: Unable to allocate 9.31 GiB" in err
+
+
+def covolume_inverted(monkeypatch):
+    def mutant(lat):
+        return Fraction(lat.size, lat.group.size)
+
+    monkeypatch.setattr(gaborlab.duality, "covolume", mutant)
+
+
+def right_trace_without_covolume(monkeypatch):
+    build = gaborlab.duality.gabor_bimodule
+
+    def mutant(lat):
+        bm = build(lat)
+        alg = bm.right.algebra
+        kappa = TraceFunctional(alg, np.trace(alg.basis, axis1=1, axis2=2) / lat.group.size)
+        right = RightModule(alg, kappa, bm.right.images)
+        return Bimodule(bm.left, right, right_is_full_commutant=True)
+
+    for module in (gaborlab.duality, gaborlab.campaigns):
+        monkeypatch.setattr(module, "gabor_bimodule", mutant)
+
+
+@pytest.mark.parametrize(
+    "plant, passed",
+    [(covolume_inverted, 5), (right_trace_without_covolume, 6)],
+    ids=["M01", "M02"],
+)
+def test_a_failed_gabor_hypothesis_is_a_failed_check(capsys, monkeypatch, plant, passed):
+    # both defects misalign the Gabor traces, which used to crash A5 with exit 2
+    plant(monkeypatch)
+    report = selftest_report(4, 7)
+    assert report.passed == passed and report.total == 9
+    a5 = report.data["criteria"]["a5-norm-inequality"]
+    assert a5["total"] == 126
+    assert a5["failures"][0] == "gabor-n2/lat00/hypothesis-trace alignment"
+    code, printed, err = run_cli(capsys, "selftest", "--seed", "7", "--max-order", "4")
+    assert code == 1
+    assert printed["data"]["criteria"]["a5-norm-inequality"] == a5
+    assert f"selftest: {passed}/9 checks passed [FAIL]" in err
 
 
 def test_duality_single_lattice(capsys):

@@ -159,7 +159,7 @@ def test_no_dead_symbols():
     assert dead_symbols(sources) == []
 
 
-def test_only_the_campaigns_and_the_cli_split_seeds():
+def test_only_the_campaigns_split_seeds():
     # the code that names an item splits the master seed for it; every other
     # module takes the generator or the stack its caller drew
     splitters = set()
@@ -174,7 +174,7 @@ def test_only_the_campaigns_and_the_cli_split_seeds():
         )
         if "campaign_rng" in names:
             splitters.add(path.name)
-    assert splitters == {"campaigns.py", "cli.py"}
+    assert splitters == {"campaigns.py"}
 
 
 def test_every_process_cache_is_in_the_one_registry():
